@@ -151,6 +151,14 @@ def member(s: str) -> bool:
     return inst.is_member()
 
 
+def _self_check(s: str, want: bool) -> str:
+    """s, after confirming member(s) == want; a raise, so it runs under -O."""
+    if member(s) != want:
+        raise RuntimeError("generator self-check failed: member(%r) is not %s"
+                           % (s, want))
+    return s
+
+
 def _bits(rng: Random, width: int) -> str:
     return "".join(rng.choice("01") for _ in range(width))
 
@@ -166,7 +174,7 @@ def gen_positive(n: int, rng: Random) -> Instance:
     matches = [j for j, b in enumerate(blocks) if b == target]
     y = format(rng.choice(matches), "0%db" % n)
     inst = Instance(n=n, blocks=blocks, x=x, y=y)
-    assert member(encode(inst))
+    _self_check(encode(inst), True)
     return inst
 
 
@@ -177,7 +185,7 @@ def gen_all_equal(n: int) -> Instance:
     k = n // 2
     inst = Instance(n=n, blocks=("0" * k,) * (1 << n),
                     x="0" * n, y="1" * n)
-    assert member(encode(inst))
+    _self_check(encode(inst), True)
     return inst
 
 
@@ -205,9 +213,8 @@ def gen_negative(n: int, kind: NegativeKind, rng: Random) -> str:
             blocks[j] = b[:flip] + ("1" if b[flip] == "0" else "0") + b[flip + 1:]
             others = [j]
         y = format(rng.choice(others), "0%db" % n)
-        out = encode(Instance(n=n, blocks=tuple(blocks), x=x, y=y))
-        assert not member(out)
-        return out
+        return _self_check(
+            encode(Instance(n=n, blocks=tuple(blocks), x=x, y=y)), False)
 
     base = encode(gen_positive(n, rng))
     if kind is NegativeKind.WRONG_BLOCK_LENGTH:
@@ -237,5 +244,4 @@ def gen_negative(n: int, kind: NegativeKind, rng: Random) -> str:
         out = base[:rng.randrange(1, len(base))]
     else:
         raise ValueError("unknown negative kind: %r" % (kind,))
-    assert not member(out)
-    return out
+    return _self_check(out, False)

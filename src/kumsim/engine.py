@@ -19,6 +19,15 @@ Node handles are plain ints, stable for the life of the graph (nodes are
 never deleted, only unlinked).  Colors and port labels are declared as
 name strings in new_graph() and addressed as small ints afterwards, in
 declaration order; palette[0] is the default color of every fresh node.
+
+Port rows are stored flat: one list holds every node's port targets, and
+port p of node v lives at index v * nports + p (for KUM a second list of
+the same shape holds the far-side port of each edge).  create_node()
+extends both lists by one prebuilt blank row and fork() is a handful of
+whole-list copies.  Because a port out of range would silently address
+the next node's row, every primitive range-checks its ports as well as
+its node handles; a bad handle or port raises BadHandle or BadPort, which
+are EngineErrors (so the driver reports a machine fault) and ValueErrors.
 """
 
 from __future__ import annotations
@@ -65,6 +74,14 @@ class ModelMismatch(EngineError):
     """link() on an SMM graph, or set_pointer() on a KUM graph."""
 
 
+class BadHandle(EngineError, ValueError):
+    """An argument that is not a node handle of this graph."""
+
+
+class BadPort(EngineError, ValueError):
+    """An argument that is not a port id of this graph."""
+
+
 class StorageGraph:
     """Ported-graph storage with step-exact cost accounting.
 
@@ -74,7 +91,7 @@ class StorageGraph:
 
     __slots__ = (
         "model", "degree_bound", "palette", "labels",
-        "step_counter", "_is_kum", "_ncolors", "_nports",
+        "step_counter", "_is_kum", "_ncolors", "_nports", "_blank_row",
         "_adj", "_peer", "_color", "_deg", "_indeg",
         "_node_count", "_max_degree", "_max_in_degree",
         "_color_ids", "_port_ids",
@@ -116,17 +133,19 @@ class StorageGraph:
         self._port_ids = {name: i for i, name in enumerate(self.labels)}
         self._ncolors = len(self.palette)
         self._nports = len(self.labels)
+        self._blank_row = (None,) * self._nports
 
-        self._adj: list[list[Optional[int]]] = []
-        self._peer: list[list[Optional[int]]] = []   # KUM: far-side port ids
-        self._color: list[int] = []
-        self._deg: list[int] = []                    # KUM degree / SMM out-degree
-        self._indeg: list[int] = []                  # SMM only
-        self._node_count = 0
+        # The initial node; construction costs no steps.
+        self._adj: list[Optional[int]] = list(self._blank_row)
+        self._peer: list[Optional[int]] = (   # KUM: far-side port ids
+            list(self._blank_row) if self._is_kum else [])
+        self._color: list[int] = [0]
+        self._deg: list[int] = [0]            # KUM degree / SMM out-degree
+        self._indeg: list[int] = [0]          # SMM only
+        self._node_count = 1
         self._max_degree = 0
         self._max_in_degree = 0
         self.step_counter = 0
-        self._alloc(0)   # the initial node; construction costs no steps
 
     # -- name resolution (free, harness-side) ------------------------------
 
@@ -148,45 +167,52 @@ class StorageGraph:
 
     # -- internals ----------------------------------------------------------
 
-    def _alloc(self, c: int) -> int:
-        v = self._node_count
-        self._adj.append([None] * self._nports)
-        if self._is_kum:
-            self._peer.append([None] * self._nports)
-        self._color.append(c)
-        self._deg.append(0)
-        self._indeg.append(0)
-        self._node_count = v + 1
-        return v
+    # link, set_pointer and unlink test their arguments inline with the same
+    # predicate as these helpers, and call them only to raise the error.
 
     def _check_node(self, v) -> None:
         if type(v) is not int or not 0 <= v < self._node_count:
-            raise ValueError("not a node handle of this graph: %r" % (v,))
+            raise BadHandle("not a node handle of this graph: %r" % (v,))
 
     def _check_port(self, p) -> None:
         if type(p) is not int or not 0 <= p < self._nports:
-            raise ValueError("not a port id of this graph: %r" % (p,))
+            raise BadPort("not a port id of this graph: %r" % (p,))
 
     # -- primitives (one step each) ------------------------------------------
 
     def create_node(self, c: Color) -> NodeRef:
         if type(c) is not int or not 0 <= c < self._ncolors:
             raise UnknownColor(c)
+        v = self._node_count
+        self._node_count = v + 1
+        self._adj += self._blank_row
+        if self._is_kum:
+            self._peer += self._blank_row
+        self._color.append(c)
+        self._deg.append(0)
+        self._indeg.append(0)
         self.step_counter += 1
-        return self._alloc(c)
+        return v
 
     def link(self, a: NodeRef, pa: PortLabel, b: NodeRef, pb: PortLabel) -> None:
         """Attach an undirected edge between port pa of a and port pb of b."""
         if not self._is_kum:
             raise ModelMismatch("link() is a KUM primitive; use set_pointer()")
-        self._check_node(a)
-        self._check_node(b)
-        self._check_port(pa)
-        self._check_port(pb)
+        n = self._node_count
+        k = self._nports
+        if not (type(a) is int and type(b) is int and type(pa) is int
+                and type(pb) is int and 0 <= a < n and 0 <= b < n
+                and 0 <= pa < k and 0 <= pb < k):
+            self._check_node(a)
+            self._check_node(b)
+            self._check_port(pa)
+            self._check_port(pb)
+        ia = a * k + pa
+        ib = b * k + pb
         adj = self._adj
-        if adj[a][pa] is not None or adj[b][pb] is not None:
-            raise PortOccupied((a, pa) if adj[a][pa] is not None else (b, pb))
-        if a == b and pa == pb:
+        if adj[ia] is not None or adj[ib] is not None:
+            raise PortOccupied((a, pa) if adj[ia] is not None else (b, pb))
+        if ia == ib:
             raise PortOccupied((a, pa))
         deg = self._deg
         bound = self.degree_bound
@@ -198,11 +224,11 @@ class StorageGraph:
             v = a if deg[a] + 1 > bound else b
             raise DegreeBoundExceeded(
                 "node %d would exceed degree bound %d" % (v, bound))
-        adj[a][pa] = b
-        adj[b][pb] = a
+        adj[ia] = b
+        adj[ib] = a
         peer = self._peer
-        peer[a][pa] = pb
-        peer[b][pb] = pa
+        peer[ia] = pb
+        peer[ib] = pa
         if a == b:
             deg[a] += 2
         else:
@@ -217,39 +243,48 @@ class StorageGraph:
         """Aim the directed pointer (a, d) at b, overwriting any old target."""
         if self._is_kum:
             raise ModelMismatch("set_pointer() is an SMM primitive; use link()")
-        self._check_node(a)
-        self._check_node(b)
-        self._check_port(d)
+        n = self._node_count
+        if not (type(a) is int and type(b) is int and type(d) is int
+                and 0 <= a < n and 0 <= b < n and 0 <= d < self._nports):
+            self._check_node(a)
+            self._check_node(b)
+            self._check_port(d)
+        i = a * self._nports + d
         adj = self._adj
-        old = adj[a][d]
+        old = adj[i]
         indeg = self._indeg
+        deg = self._deg
         if old is not None:
             indeg[old] -= 1
         else:
-            self._deg[a] += 1
-        adj[a][d] = b
+            deg[a] += 1
+        adj[i] = b
         indeg[b] += 1
         if indeg[b] > self._max_in_degree:
             self._max_in_degree = indeg[b]
-        if self._deg[a] > self._max_degree:
-            self._max_degree = self._deg[a]
+        if deg[a] > self._max_degree:
+            self._max_degree = deg[a]
         self.step_counter += 1
 
     def unlink(self, a: NodeRef, p: PortLabel) -> None:
         """Remove the edge or pointer at port p of a (both sides, for KUM)."""
-        self._check_node(a)
-        self._check_port(p)
+        k = self._nports
+        if not (type(a) is int and type(p) is int
+                and 0 <= a < self._node_count and 0 <= p < k):
+            self._check_node(a)
+            self._check_port(p)
+        i = a * k + p
         adj = self._adj
-        b = adj[a][p]
+        b = adj[i]
         if b is None:
             raise PortFree((a, p))
         if self._is_kum:
             peer = self._peer
-            pb = peer[a][p]
-            adj[a][p] = None
-            peer[a][p] = None
-            adj[b][pb] = None
-            peer[b][pb] = None
+            j = b * k + peer[i]
+            adj[i] = None
+            peer[i] = None
+            adj[j] = None
+            peer[j] = None
             deg = self._deg
             if a == b:
                 deg[a] -= 2
@@ -257,30 +292,48 @@ class StorageGraph:
                 deg[a] -= 1
                 deg[b] -= 1
         else:
-            adj[a][p] = None
+            adj[i] = None
             self._deg[a] -= 1
             self._indeg[b] -= 1
         self.step_counter += 1
 
+    # The three probes below are the hot path, so they test only ranges
+    # (as they always have, a bool passes as 0 or 1); a TypeError from a
+    # comparison or an index (None, a float) falls through to the checks.
+
     def neighbor(self, a: NodeRef, p: PortLabel) -> Optional[NodeRef]:
-        if not 0 <= a < self._node_count:
-            self._check_node(a)
-        self.step_counter += 1
-        return self._adj[a][p]
+        k = self._nports
+        try:
+            if 0 <= a < self._node_count and 0 <= p < k:
+                v = self._adj[a * k + p]
+                self.step_counter += 1
+                return v
+        except TypeError:
+            pass
+        self._check_node(a)
+        self._check_port(p)
 
     def get_color(self, a: NodeRef) -> Color:
-        if not 0 <= a < self._node_count:
-            self._check_node(a)
-        self.step_counter += 1
-        return self._color[a]
+        try:
+            if 0 <= a < self._node_count:
+                c = self._color[a]
+                self.step_counter += 1
+                return c
+        except TypeError:
+            pass
+        self._check_node(a)
 
     def set_color(self, a: NodeRef, c: Color) -> None:
-        if not 0 <= a < self._node_count:
-            self._check_node(a)
         if type(c) is not int or not 0 <= c < self._ncolors:
             raise UnknownColor(c)
-        self._color[a] = c
-        self.step_counter += 1
+        try:
+            if 0 <= a < self._node_count:
+                self._color[a] = c
+                self.step_counter += 1
+                return
+        except TypeError:
+            pass
+        self._check_node(a)
 
     def identity_eq(self, a: NodeRef, b: NodeRef) -> bool:
         self._check_node(a)
@@ -313,7 +366,7 @@ class StorageGraph:
         return self._indeg[a]
 
     def fork(self) -> "StorageGraph":
-        """Deep-copy the graph state so two futures can be explored.
+        """Copy the graph state so two futures can be explored.
 
         Harness-side; costs no steps on either copy.
         """
@@ -327,8 +380,9 @@ class StorageGraph:
         g._port_ids = self._port_ids
         g._ncolors = self._ncolors
         g._nports = self._nports
-        g._adj = [row[:] for row in self._adj]
-        g._peer = [row[:] for row in self._peer] if self._is_kum else []
+        g._blank_row = self._blank_row
+        g._adj = self._adj[:]
+        g._peer = self._peer[:]
         g._color = self._color[:]
         g._deg = self._deg[:]
         g._indeg = self._indeg[:]

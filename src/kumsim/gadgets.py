@@ -10,9 +10,9 @@ read walk never races the carry propagation of the walk writing the same
 chain.
 
 The helpers here only probe and recolor existing nodes, which makes them
-identical on both machine flavors; creating and wiring chain nodes differs
-per model (one symmetric link versus two directed pointers) and lives in
-the recognizer modules.
+identical on both machine flavors; creating and wiring a chain node differs
+per model (one symmetric link versus two directed pointers), so the
+recognizer modules pass their own append_chain to grow_chains.
 
 Chain geometry: every chain node reaches its more significant neighbor
 through the model's head-ward port and its less significant neighbor
@@ -57,39 +57,55 @@ def inc_step(g, R, toward_head):
     head position it records the head bit in f_top_one, leaves the carry
     out in f_carry, and retires the walk.
     """
-    pos = R["inc_read"]
+    pos = R.inc_read
     if pos is None:
         return STEP_PAST
     bit = g.get_color(pos)
-    if R["f_carry"] is not None:
+    if R.f_carry is not None:
         new_bit = bit ^ 1
         carry = bit == ONE
     else:
         new_bit = bit
         carry = False
-    g.set_color(R["inc_write"], new_bit)
+    g.set_color(R.inc_write, new_bit)
     nxt = g.neighbor(pos, toward_head)
     if nxt is None:
-        R["f_top_one"] = ANCHOR if bit == ONE else None
-        R["f_carry"] = ANCHOR if carry else None
-        R["inc_read"] = None
-        R["inc_write"] = None
+        R.f_top_one = ANCHOR if bit == ONE else None
+        R.f_carry = ANCHOR if carry else None
+        R.inc_read = None
+        R.inc_write = None
         return STEP_HEAD
     if bit == ZERO:
-        R["f_all_ones"] = None
-    R["f_carry"] = ANCHOR if carry else None
-    R["inc_read"] = nxt
-    R["inc_write"] = g.neighbor(R["inc_write"], toward_head)
+        R.f_all_ones = None
+    R.f_carry = ANCHOR if carry else None
+    R.inc_read = nxt
+    R.inc_write = g.neighbor(R.inc_write, toward_head)
     return STEP_OK
 
 
-def read_step(g, R, reg, toward_tail):
-    """Hand out the next bit of a head-to-tail chain walk, or None when done."""
-    pos = R[reg]
+def read_step(g, pos, toward_tail):
+    """One unit of a head-to-tail chain walk standing at pos.
+
+    Returns the bit at pos and the walk's next position (None past the
+    tail); a walk already done (pos None) gives (None, None).
+    """
     if pos is None:
-        return None
-    R[reg] = g.neighbor(pos, toward_tail)
-    return g.get_color(pos)
+        return None, None
+    nxt = g.neighbor(pos, toward_tail)
+    return g.get_color(pos), nxt
+
+
+def grow_chains(g, R, append_chain):
+    """One more zero bit at the head end of each of the three chains.
+
+    append_chain(g, head) is the model's way to put a new zero node above
+    head (head None: the chain's first node) and returns that node.
+    """
+    R.c_prev_h = append_chain(g, R.c_prev_h)
+    R.c_cur_h = append_chain(g, R.c_cur_h)
+    R.c_next_h = append_chain(g, R.c_next_h)
+    if R.c_prev_t is None:  # the chains grow together: all first nodes
+        R.c_prev_t, R.c_cur_t, R.c_next_t = R.c_prev_h, R.c_cur_h, R.c_next_h
 
 
 def rotate_chains(R):
@@ -98,15 +114,13 @@ def rotate_chains(R):
     The recycled chain's stale bits are fully overwritten by the next
     increment walk before anything reads them.
     """
-    R["c_prev_h"], R["c_prev_t"], R["c_cur_h"], R["c_cur_t"], \
-        R["c_next_h"], R["c_next_t"] = \
-        R["c_cur_h"], R["c_cur_t"], R["c_next_h"], R["c_next_t"], \
-        R["c_prev_h"], R["c_prev_t"]
+    R.c_prev_h, R.c_prev_t, R.c_cur_h, R.c_cur_t, R.c_next_h, R.c_next_t = \
+        R.c_cur_h, R.c_cur_t, R.c_next_h, R.c_next_t, R.c_prev_h, R.c_prev_t
 
 
 def reset_increment(R):
     """Arm the increment walk for a fresh block: +1 from the tail up."""
-    R["inc_read"] = R["c_cur_t"]
-    R["inc_write"] = R["c_next_t"]
-    R["f_carry"] = ANCHOR
-    R["f_all_ones"] = ANCHOR
+    R.inc_read = R.c_cur_t
+    R.inc_write = R.c_next_t
+    R.f_carry = ANCHOR
+    R.f_all_ones = ANCHOR

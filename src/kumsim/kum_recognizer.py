@@ -53,8 +53,8 @@ from __future__ import annotations
 
 from .engine import ModelKind, new_graph
 from .gadgets import (ANCHOR, BLANK, CHAIN_REGISTERS, MARK, ONE,
-                      STEP_HEAD, STEP_OK, WALK_REGISTERS, ZERO, inc_step,
-                      read_step, reset_increment, rotate_chains)
+                      STEP_HEAD, STEP_OK, WALK_REGISTERS, ZERO, grow_chains,
+                      inc_step, read_step, reset_increment, rotate_chains)
 from .runtime import Program, RejectReason, Verdict
 
 PARENT, LEFT, RIGHT, VAL = 0, 1, 2, 3
@@ -102,41 +102,39 @@ def _descend(g, node, bit):
     return child
 
 
-def _append_chain(g, R, head, tail):
+def _append_chain(g, head):
+    """New zero node above head (None: the chain's first node)."""
     node = g.create_node(ZERO)
-    if R[head] is None:
-        R[head] = node
-        R[tail] = node
-    else:
-        g.link(R[head], LEFT, node, RIGHT)
-        R[head] = node
+    if head is not None:
+        g.link(head, LEFT, node, RIGHT)
+    return node
 
 
 def _append_value_bit(g, R, bit):
     node = g.create_node(bit)
-    g.link(R["vs_tail"], RIGHT, node, LEFT)
-    R["vs_tail"] = node
+    g.link(R.vs_tail, RIGHT, node, LEFT)
+    R.vs_tail = node
 
 
 def _enqueue(g, R, bit):
     node = g.create_node(bit)
-    if R["q_back"] is None:
-        R["q_front"] = node
+    if R.q_back is None:
+        R.q_front = node
     else:
-        g.link(R["q_back"], RIGHT, node, LEFT)
-    R["q_back"] = node
+        g.link(R.q_back, RIGHT, node, LEFT)
+    R.q_back = node
 
 
 def _dequeue(g, R):
-    front = R["q_front"]
+    front = R.q_front
     bit = g.get_color(front)
     nxt = g.neighbor(front, RIGHT)
     if nxt is None:
-        R["q_front"] = None
-        R["q_back"] = None
+        R.q_front = None
+        R.q_back = None
     else:
         g.unlink(front, RIGHT)
-        R["q_front"] = nxt
+        R.q_front = nxt
     return bit
 
 
@@ -147,41 +145,37 @@ def _close_phase(g, R):
     per-value walk at the value leaf just reached, starts a fresh string,
     and rotates the counters for the next block.
     """
-    g.link(R["icur"], VAL, R["vs_head"], PARENT)
+    g.link(R.icur, VAL, R.vs_head, PARENT)
     sentinel = g.create_node(BLANK)
-    R["vs_head"] = sentinel
-    R["vs_tail"] = sentinel
-    R["pv_cur"] = R["vt_cur"]
-    R["vt_cur"] = R["vroot"]
-    R["icur"] = ANCHOR
+    R.vs_head = sentinel
+    R.vs_tail = sentinel
+    R.pv_cur = R.vt_cur
+    R.vt_cur = R.vroot
+    R.icur = ANCHOR
     rotate_chains(R)
     reset_increment(R)
-    R["idx_bits"] = R["c_cur_h"]
-    R["pv_bits"] = R["c_prev_h"]
+    R.idx_bits = R.c_cur_h
+    R.pv_bits = R.c_prev_h
 
 
 def phase0_tick(g, R, bit):
     """Block 0 symbol: grow chains and the all-zero index path."""
     for _ in range(2):
-        _append_chain(g, R, "c_prev_h", "c_prev_t")
-        _append_chain(g, R, "c_cur_h", "c_cur_t")
-        _append_chain(g, R, "c_next_h", "c_next_t")
-        R["icur"] = _descend(g, R["icur"], 0)
-    R["vt_cur"] = _descend(g, R["vt_cur"], bit)
+        grow_chains(g, R, _append_chain)
+        R.icur = _descend(g, R.icur, 0)
+    R.vt_cur = _descend(g, R.vt_cur, bit)
     _append_value_bit(g, R, bit)
     return None
 
 
 def phase0_boundary(g, R):
     """First '@': fix w = 2k + 1, seed the counter at 1."""
-    _append_chain(g, R, "c_prev_h", "c_prev_t")
-    _append_chain(g, R, "c_cur_h", "c_cur_t")
-    _append_chain(g, R, "c_next_h", "c_next_t")
-    g.set_color(R["c_next_t"], ONE)
-    R["icur"] = _descend(g, R["icur"], 0)
+    grow_chains(g, R, _append_chain)
+    g.set_color(R.c_next_t, ONE)
+    R.icur = _descend(g, R.icur, 0)
     _close_phase(g, R)
-    R["ph_first_block"] = None
-    R["ph_blocks"] = ANCHOR
+    R.ph_first_block = None
+    R.ph_blocks = ANCHOR
     return None
 
 
@@ -190,15 +184,15 @@ def base_tick(g, R, bit):
     for _ in range(2):
         if inc_step(g, R, LEFT) != STEP_OK:
             return _REJ_PACING
-        b = read_step(g, R, "idx_bits", RIGHT)
+        b, R.idx_bits = read_step(g, R.idx_bits, RIGHT)
         if b is None:
             return _REJ_PACING
-        R["icur"] = _descend(g, R["icur"], b)
-        b = read_step(g, R, "pv_bits", RIGHT)
+        R.icur = _descend(g, R.icur, b)
+        b, R.pv_bits = read_step(g, R.pv_bits, RIGHT)
         if b is None:
             return _REJ_PACING
-        R["pv_cur"] = _descend(g, R["pv_cur"], b)
-    R["vt_cur"] = _descend(g, R["vt_cur"], bit)
+        R.pv_cur = _descend(g, R.pv_cur, b)
+    R.vt_cur = _descend(g, R.vt_cur, bit)
     _append_value_bit(g, R, bit)
     return None
 
@@ -207,17 +201,17 @@ def phase_boundary(g, R):
     """'@' after block i >= 1: all walks must land on their head unit."""
     if inc_step(g, R, LEFT) != STEP_HEAD:
         return _REJ_PACING
-    if R["f_carry"] is not None:
+    if R.f_carry is not None:
         return _REJ_FORMAT  # counter wrapped: more than 2^w blocks
-    b = read_step(g, R, "idx_bits", RIGHT)
-    if b is None or R["idx_bits"] is not None:
+    b, R.idx_bits = read_step(g, R.idx_bits, RIGHT)
+    if b is None or R.idx_bits is not None:
         return _REJ_PACING
-    R["icur"] = _descend(g, R["icur"], b)
-    b = read_step(g, R, "pv_bits", RIGHT)
-    if b is None or R["pv_bits"] is not None:
+    R.icur = _descend(g, R.icur, b)
+    b, R.pv_bits = read_step(g, R.pv_bits, RIGHT)
+    if b is None or R.pv_bits is not None:
         return _REJ_PACING
-    R["pv_cur"] = _descend(g, R["pv_cur"], b)
-    g.set_color(R["pv_cur"], MARK)
+    R.pv_cur = _descend(g, R.pv_cur, b)
+    g.set_color(R.pv_cur, MARK)
     _close_phase(g, R)
     return None
 
@@ -233,58 +227,58 @@ def base_end_and_x_tick(g, R):
     """
     if inc_step(g, R, LEFT) != STEP_HEAD:
         return _REJ_PACING
-    if R["f_all_ones"] is None:
+    if R.f_all_ones is None:
         return _REJ_FORMAT  # block count not a power of two
-    b = read_step(g, R, "idx_bits", RIGHT)
-    if b is None or R["idx_bits"] is not None:
+    b, R.idx_bits = read_step(g, R.idx_bits, RIGHT)
+    if b is None or R.idx_bits is not None:
         return _REJ_PACING
-    R["icur"] = _descend(g, R["icur"], b)
-    g.link(R["icur"], VAL, R["vs_head"], PARENT)
-    b = read_step(g, R, "pv_bits", RIGHT)
-    if b is None or R["pv_bits"] is not None:
+    R.icur = _descend(g, R.icur, b)
+    g.link(R.icur, VAL, R.vs_head, PARENT)
+    b, R.pv_bits = read_step(g, R.pv_bits, RIGHT)
+    if b is None or R.pv_bits is not None:
         return _REJ_PACING
-    R["pv_cur"] = _descend(g, R["pv_cur"], b)
-    g.set_color(R["pv_cur"], MARK)
-    R["pv_cur"] = R["vt_cur"]
-    R["pv_bits"] = R["c_cur_h"]
-    R["icur"] = ANCHOR
-    if R["f_top_one"] is None:
+    R.pv_cur = _descend(g, R.pv_cur, b)
+    g.set_color(R.pv_cur, MARK)
+    R.pv_cur = R.vt_cur
+    R.pv_bits = R.c_cur_h
+    R.icur = ANCHOR
+    if R.f_top_one is None:
         # n even: index paths are one longer than x, eat the pad branch
         child = g.neighbor(ANCHOR, LEFT)
         if child is None:
             return _REJ_FORMAT
-        R["icur"] = child
-    R["ph_blocks"] = None
-    R["ph_x"] = ANCHOR
+        R.icur = child
+    R.ph_blocks = None
+    R.ph_x = ANCHOR
     return None
 
 
 def x_tick(g, R, bit):
     """x symbol: descend the index trie; finish the last per-value path."""
     for _ in range(2):
-        b = read_step(g, R, "pv_bits", RIGHT)
+        b, R.pv_bits = read_step(g, R.pv_bits, RIGHT)
         if b is not None:
-            R["pv_cur"] = _descend(g, R["pv_cur"], b)
-            if R["pv_bits"] is None:
-                g.set_color(R["pv_cur"], MARK)
-    child = g.neighbor(R["icur"], LEFT + bit)
+            R.pv_cur = _descend(g, R.pv_cur, b)
+            if R.pv_bits is None:
+                g.set_color(R.pv_cur, MARK)
+    child = g.neighbor(R.icur, LEFT + bit)
     if child is None:
         return _REJ_FORMAT  # x longer than n, or not over the block count
-    R["icur"] = child
+    R.icur = child
     return None
 
 
 def x_end(g, R):
     """Second '#': x must sit on an index leaf; fetch its value string."""
-    head = g.neighbor(R["icur"], VAL)
+    head = g.neighbor(R.icur, VAL)
     if head is None:
         return _REJ_FORMAT  # x shorter than n
-    R["vs_cur"] = head
-    R["vt_cur"] = R["vroot"]
-    R["q_front"] = None
-    R["q_back"] = None
-    R["ph_x"] = None
-    R["ph_y_value"] = ANCHOR
+    R.vs_cur = head
+    R.vt_cur = R.vroot
+    R.q_front = None
+    R.q_back = None
+    R.ph_x = None
+    R.ph_y_value = ANCHOR
     return None
 
 
@@ -295,24 +289,24 @@ def y_tick_first(g, R, bit):
     so the walk lands on b_x's value leaf no matter what y says.  When the
     string runs out the remaining symbols belong to the index stage.
     """
-    nxt = g.neighbor(R["vs_cur"], RIGHT)
+    nxt = g.neighbor(R.vs_cur, RIGHT)
     if nxt is None:
-        R["pv_cur"] = R["vt_cur"]
-        if R["f_top_one"] is None:
-            child = g.neighbor(R["pv_cur"], LEFT)
+        R.pv_cur = R.vt_cur
+        if R.f_top_one is None:
+            child = g.neighbor(R.pv_cur, LEFT)
             if child is None:
                 return _REJ_FORMAT
-            R["pv_cur"] = child
-        R["ph_y_value"] = None
-        R["ph_y_index"] = ANCHOR
+            R.pv_cur = child
+        R.ph_y_value = None
+        R.ph_y_index = ANCHOR
         return y_tick_second(g, R, bit)
     _enqueue(g, R, bit)
     vbit = g.get_color(nxt)
-    R["vs_cur"] = nxt
-    child = g.neighbor(R["vt_cur"], LEFT + vbit)
+    R.vs_cur = nxt
+    child = g.neighbor(R.vt_cur, LEFT + vbit)
     if child is None:
         return _REJ_FORMAT  # unreachable: the path was built with b_x
-    R["vt_cur"] = child
+    R.vt_cur = child
     return None
 
 
@@ -320,68 +314,68 @@ def y_tick_second(g, R, bit):
     """y symbol in the index stage: drain the queue into b_x's trie."""
     _enqueue(g, R, bit)
     for _ in range(2):
-        if R["q_front"] is None:
+        if R.q_front is None:
             break
         qbit = _dequeue(g, R)
-        child = g.neighbor(R["pv_cur"], LEFT + qbit)
+        child = g.neighbor(R.pv_cur, LEFT + qbit)
         if child is None:
             return _REJ_FORMAT  # no index with value b_x continues this way
-        R["pv_cur"] = child
+        R.pv_cur = child
     return None
 
 
 def finalize(g, R):
     """Third '#': accept iff the y walk used every bit and hit a mark."""
-    if R["q_front"] is not None:
+    if R.q_front is not None:
         return _REJ_FORMAT  # y shorter than n
-    if g.get_color(R["pv_cur"]) != MARK:
+    if g.get_color(R.pv_cur) != MARK:
         return _REJ_FORMAT  # y not an index carrying value b_x
-    R["ph_y_index"] = None
-    R["ph_done"] = ANCHOR
+    R.ph_y_index = None
+    R.ph_done = ANCHOR
     return None
 
 
 def _on_start(g, R):
-    R["vroot"] = g.create_node(BLANK)
+    R.vroot = g.create_node(BLANK)
     sentinel = g.create_node(BLANK)
-    R["vs_head"] = sentinel
-    R["vs_tail"] = sentinel
-    R["vt_cur"] = R["vroot"]
-    R["icur"] = ANCHOR
-    R["ph_first_block"] = ANCHOR
+    R.vs_head = sentinel
+    R.vs_tail = sentinel
+    R.vt_cur = R.vroot
+    R.icur = ANCHOR
+    R.ph_first_block = ANCHOR
     return None
 
 
 def _on_symbol(g, R, ch):
     if ch == "0" or ch == "1":
         bit = ONE if ch == "1" else ZERO
-        if R["ph_blocks"] is not None:
+        if R.ph_blocks is not None:
             return base_tick(g, R, bit)
-        if R["ph_x"] is not None:
+        if R.ph_x is not None:
             return x_tick(g, R, bit)
-        if R["ph_y_index"] is not None:
+        if R.ph_y_index is not None:
             return y_tick_second(g, R, bit)
-        if R["ph_y_value"] is not None:
+        if R.ph_y_value is not None:
             return y_tick_first(g, R, bit)
-        if R["ph_first_block"] is not None:
+        if R.ph_first_block is not None:
             return phase0_tick(g, R, bit)
         return _REJ_SUFFIX
     if ch == "@":
-        if R["ph_blocks"] is not None:
+        if R.ph_blocks is not None:
             return phase_boundary(g, R)
-        if R["ph_first_block"] is not None:
+        if R.ph_first_block is not None:
             return phase0_boundary(g, R)
-        if R["ph_done"] is not None:
+        if R.ph_done is not None:
             return _REJ_SUFFIX
         return _REJ_FORMAT  # '@' inside the index fields
     # ch == '#', anything else is stopped by the driver
-    if R["ph_blocks"] is not None:
+    if R.ph_blocks is not None:
         return base_end_and_x_tick(g, R)
-    if R["ph_x"] is not None:
+    if R.ph_x is not None:
         return x_end(g, R)
-    if R["ph_y_index"] is not None:
+    if R.ph_y_index is not None:
         return finalize(g, R)
-    if R["ph_done"] is not None:
+    if R.ph_done is not None:
         return _REJ_SUFFIX
     return _REJ_FORMAT  # '#' before any '@', or mid way through y
 
@@ -389,7 +383,7 @@ def _on_symbol(g, R, ch):
 def _on_end(g, R):
     # Decided purely from registers: a finished run costs no extra steps,
     # so the flat per-symbol gap is also the global maximum.
-    if R["ph_done"] is not None:
+    if R.ph_done is not None:
         return _ACCEPT
     return _REJ_TRUNCATED
 

@@ -20,9 +20,8 @@ import enum
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Optional, Sequence
 
+from kumsim.blocklang import ALPHABET
 from kumsim.engine import EngineError, StorageGraph
-
-ALPHABET = frozenset("01@#")
 
 MAX_REGISTERS = 32
 
@@ -61,24 +60,65 @@ class Verdict:
 _ACCEPT = Verdict(True, None)
 
 
-class Registers(dict):
-    """Fixed-name map from register name to NodeRef or None.
+class Registers:
+    """Fixed-name register file holding a NodeRef or None per name.
 
-    The name set is closed at construction; assigning an unnamed register
-    raises KeyError.  Values are the machine's distinguished node handles
-    (or None); reading and writing registers is finite control, not graph
+    Registers(names) builds a file for that name set, every register
+    None.  Its class has one __slots__ entry per name, so handlers read
+    and write registers as attributes (R.icur) and assigning an unnamed
+    register fails inside CPython with AttributeError.  The harness may
+    subscript instead: R[name] reads, R[name] = v writes, both raising
+    KeyError on an unknown name, and keys() lists the names, so dict(R)
+    works.  Values are the machine's distinguished node handles (or
+    None); reading and writing registers is finite control, not graph
     work, so it costs no steps.
     """
 
     __slots__ = ()
+    _names: tuple = ()
 
-    def __init__(self, names: Iterable[str]):
-        super().__init__((n, None) for n in names)
+    def __new__(cls, names: Optional[Iterable[str]] = None):
+        if cls is Registers:
+            cls = register_class(names)
+        R = object.__new__(cls)
+        for name in cls._names:
+            setattr(R, name, None)
+        return R
+
+    def keys(self) -> tuple:
+        return self._names
+
+    def __getitem__(self, name):
+        if name not in self._names:
+            raise KeyError("unknown register %r" % (name,))
+        return getattr(self, name)
 
     def __setitem__(self, name, value):
-        if name not in self:
+        if name not in self._names:
             raise KeyError("unknown register %r" % (name,))
-        dict.__setitem__(self, name, value)
+        setattr(self, name, value)
+
+    def copy(self) -> "Registers":
+        """A second file of the same class holding the same values."""
+        R = object.__new__(type(self))
+        for name in self._names:
+            setattr(R, name, getattr(self, name))
+        return R
+
+
+def register_class(names: Iterable[str]) -> type:
+    """The Registers subclass with one slot per name, in order.
+
+    A name must be an identifier that does not start with an underscore
+    or shadow an attribute of Registers (such as keys).
+    """
+    names = tuple(names)
+    for name in names:
+        if (not isinstance(name, str) or not name.isidentifier()
+                or name.startswith("_") or hasattr(Registers, name)):
+            raise ValueError("bad register name %r" % (name,))
+    return type("Registers", (Registers,),
+                {"__slots__": names, "_names": names})
 
 
 class Trace:
@@ -106,7 +146,8 @@ class Program:
     """A machine program: a register file plus three handlers.
 
     Handlers act only through engine primitives on the given graph and
-    through the register map.  on_symbol may return a rejecting Verdict to
+    through the register file, whose class (register_class) is built once
+    here from register_names.  on_symbol may return a rejecting Verdict to
     stop the run early; accepting early is a program bug (membership can
     depend on the unread suffix) and is reported as MACHINE_FAULT.  on_end
     must decide the final verdict.
@@ -123,6 +164,7 @@ class Program:
     on_symbol: Callable
     on_end: Callable
     cadence: Optional[int] = None
+    register_class: type = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if len(self.register_names) > MAX_REGISTERS:
@@ -131,6 +173,8 @@ class Program:
             raise ValueError("duplicate register names")
         if self.cadence is not None and self.cadence < 1:
             raise ValueError("cadence must be positive")
+        object.__setattr__(self, "register_class",
+                           register_class(self.register_names))
 
 
 @dataclass
@@ -157,7 +201,7 @@ class Runner:
     def __init__(self, program: Program):
         self.program = program
         self.graph = program.graph_factory()
-        self.registers = Registers(program.register_names)
+        self.registers = program.register_class()
         self.trace = Trace()
         self.position = 0
         self.verdict: Optional[Verdict] = None
@@ -223,8 +267,7 @@ class Runner:
         r = Runner.__new__(Runner)
         r.program = self.program
         r.graph = self.graph.fork()
-        r.registers = Registers.__new__(Registers)
-        dict.update(r.registers, self.registers)
+        r.registers = self.registers.copy()
         r.trace = Trace()
         r.trace.events = self.trace.events[:]
         r.trace.total_steps = self.trace.total_steps

@@ -36,8 +36,8 @@ from __future__ import annotations
 
 from .engine import ModelKind, new_graph
 from .gadgets import (ANCHOR, BLANK, CHAIN_REGISTERS, ONE, STEP_HEAD,
-                      STEP_OK, WALK_REGISTERS, ZERO, inc_step, read_step,
-                      reset_increment, rotate_chains)
+                      STEP_OK, WALK_REGISTERS, ZERO, grow_chains, inc_step,
+                      read_step, reset_increment, rotate_chains)
 from .runtime import Program, RejectReason, Verdict
 
 L, R_DIR, V = 0, 1, 2
@@ -77,24 +77,20 @@ def _descend(g, node, bit):
     return child
 
 
-def _append_chain(g, R, head, tail):
+def _append_chain(g, head):
+    """New zero node above head (None: the chain's first node)."""
     node = g.create_node(ZERO)
-    if R[head] is None:
-        R[head] = node
-        R[tail] = node
-    else:
-        g.set_pointer(R[head], L, node)
-        g.set_pointer(node, R_DIR, R[head])
-    R[head] = node
+    if head is not None:
+        g.set_pointer(head, L, node)
+        g.set_pointer(node, R_DIR, head)
+    return node
 
 
 def smm_phase0_tick(g, R, bit):
     for _ in range(2):
-        _append_chain(g, R, "c_prev_h", "c_prev_t")
-        _append_chain(g, R, "c_cur_h", "c_cur_t")
-        _append_chain(g, R, "c_next_h", "c_next_t")
-        R["icur"] = _descend(g, R["icur"], 0)
-    R["vt_cur"] = _descend(g, R["vt_cur"], bit)
+        grow_chains(g, R, _append_chain)
+        R.icur = _descend(g, R.icur, 0)
+    R.vt_cur = _descend(g, R.vt_cur, bit)
     return None
 
 
@@ -104,33 +100,31 @@ def _bind_representative(g, R):
     First carrier of a value allocates the rep and leaves a finder trail
     value leaf -v-> first index leaf -v-> rep; later carriers follow it.
     """
-    first = g.neighbor(R["vt_cur"], V)
+    first = g.neighbor(R.vt_cur, V)
     if first is None:
         rep = g.create_node(BLANK)
-        g.set_pointer(R["vt_cur"], V, R["icur"])
+        g.set_pointer(R.vt_cur, V, R.icur)
     else:
         rep = g.neighbor(first, V)
-    g.set_pointer(R["icur"], V, rep)
+    g.set_pointer(R.icur, V, rep)
 
 
 def _close_block(g, R):
     _bind_representative(g, R)
-    R["vt_cur"] = R["vroot"]
-    R["icur"] = ANCHOR
+    R.vt_cur = R.vroot
+    R.icur = ANCHOR
     rotate_chains(R)
     reset_increment(R)
-    R["idx_bits"] = R["c_cur_h"]
+    R.idx_bits = R.c_cur_h
 
 
 def smm_phase0_boundary(g, R):
-    _append_chain(g, R, "c_prev_h", "c_prev_t")
-    _append_chain(g, R, "c_cur_h", "c_cur_t")
-    _append_chain(g, R, "c_next_h", "c_next_t")
-    g.set_color(R["c_next_t"], ONE)
-    R["icur"] = _descend(g, R["icur"], 0)
+    grow_chains(g, R, _append_chain)
+    g.set_color(R.c_next_t, ONE)
+    R.icur = _descend(g, R.icur, 0)
     _close_block(g, R)
-    R["ph_first_block"] = None
-    R["ph_blocks"] = ANCHOR
+    R.ph_first_block = None
+    R.ph_blocks = ANCHOR
     return None
 
 
@@ -138,136 +132,136 @@ def smm_base_tick(g, R, bit):
     for _ in range(2):
         if inc_step(g, R, L) != STEP_OK:
             return _REJ_PACING
-        b = read_step(g, R, "idx_bits", R_DIR)
+        b, R.idx_bits = read_step(g, R.idx_bits, R_DIR)
         if b is None:
             return _REJ_PACING
-        R["icur"] = _descend(g, R["icur"], b)
-    R["vt_cur"] = _descend(g, R["vt_cur"], bit)
+        R.icur = _descend(g, R.icur, b)
+    R.vt_cur = _descend(g, R.vt_cur, bit)
     return None
 
 
 def smm_phase_boundary(g, R):
     if inc_step(g, R, L) != STEP_HEAD:
         return _REJ_PACING
-    if R["f_carry"] is not None:
+    if R.f_carry is not None:
         return _REJ_FORMAT  # counter wrapped: more than 2^w blocks
-    b = read_step(g, R, "idx_bits", R_DIR)
-    if b is None or R["idx_bits"] is not None:
+    b, R.idx_bits = read_step(g, R.idx_bits, R_DIR)
+    if b is None or R.idx_bits is not None:
         return _REJ_PACING
-    R["icur"] = _descend(g, R["icur"], b)
+    R.icur = _descend(g, R.icur, b)
     _close_block(g, R)
     return None
 
 
 def _restart_index_walk(g, R):
     """Point icur back at the root, eating the pad branch when n is even."""
-    R["icur"] = ANCHOR
-    if R["f_top_one"] is None:
+    R.icur = ANCHOR
+    if R.f_top_one is None:
         child = g.neighbor(ANCHOR, L)
         if child is None:
             return False
-        R["icur"] = child
+        R.icur = child
     return True
 
 
 def smm_base_end(g, R):
     if inc_step(g, R, L) != STEP_HEAD:
         return _REJ_PACING
-    if R["f_all_ones"] is None:
+    if R.f_all_ones is None:
         return _REJ_FORMAT  # block count not a power of two
-    b = read_step(g, R, "idx_bits", R_DIR)
-    if b is None or R["idx_bits"] is not None:
+    b, R.idx_bits = read_step(g, R.idx_bits, R_DIR)
+    if b is None or R.idx_bits is not None:
         return _REJ_PACING
-    R["icur"] = _descend(g, R["icur"], b)
+    R.icur = _descend(g, R.icur, b)
     _bind_representative(g, R)
     if not _restart_index_walk(g, R):
         return _REJ_FORMAT
-    R["ph_blocks"] = None
-    R["ph_x"] = ANCHOR
+    R.ph_blocks = None
+    R.ph_x = ANCHOR
     return None
 
 
 def smm_x_tick(g, R, bit):
-    child = g.neighbor(R["icur"], bit)
+    child = g.neighbor(R.icur, bit)
     if child is None:
         return _REJ_FORMAT  # x longer than n, or not over the block count
-    R["icur"] = child
+    R.icur = child
     return None
 
 
 def smm_x_end(g, R):
-    rep = g.neighbor(R["icur"], V)
+    rep = g.neighbor(R.icur, V)
     if rep is None:
         return _REJ_FORMAT  # x shorter than n
-    R["rep_x"] = rep
+    R.rep_x = rep
     if not _restart_index_walk(g, R):
         return _REJ_FORMAT
-    R["ph_x"] = None
-    R["ph_y"] = ANCHOR
+    R.ph_x = None
+    R.ph_y = ANCHOR
     return None
 
 
 def smm_y_tick(g, R, bit):
-    child = g.neighbor(R["icur"], bit)
+    child = g.neighbor(R.icur, bit)
     if child is None:
         return _REJ_FORMAT
-    R["icur"] = child
+    R.icur = child
     return None
 
 
 def smm_finalize(g, R):
-    rep = g.neighbor(R["icur"], V)
+    rep = g.neighbor(R.icur, V)
     if rep is None:
         return _REJ_FORMAT  # y shorter than n
-    if not g.identity_eq(rep, R["rep_x"]):
+    if not g.identity_eq(rep, R.rep_x):
         return _REJ_FORMAT  # blocks differ
-    R["ph_y"] = None
-    R["ph_done"] = ANCHOR
+    R.ph_y = None
+    R.ph_done = ANCHOR
     return None
 
 
 def _on_start(g, R):
-    R["vroot"] = g.create_node(BLANK)
-    R["vt_cur"] = R["vroot"]
-    R["icur"] = ANCHOR
-    R["ph_first_block"] = ANCHOR
+    R.vroot = g.create_node(BLANK)
+    R.vt_cur = R.vroot
+    R.icur = ANCHOR
+    R.ph_first_block = ANCHOR
     return None
 
 
 def _on_symbol(g, R, ch):
     if ch == "0" or ch == "1":
         bit = ONE if ch == "1" else ZERO
-        if R["ph_blocks"] is not None:
+        if R.ph_blocks is not None:
             return smm_base_tick(g, R, bit)
-        if R["ph_x"] is not None:
+        if R.ph_x is not None:
             return smm_x_tick(g, R, bit)
-        if R["ph_y"] is not None:
+        if R.ph_y is not None:
             return smm_y_tick(g, R, bit)
-        if R["ph_first_block"] is not None:
+        if R.ph_first_block is not None:
             return smm_phase0_tick(g, R, bit)
         return _REJ_SUFFIX
     if ch == "@":
-        if R["ph_blocks"] is not None:
+        if R.ph_blocks is not None:
             return smm_phase_boundary(g, R)
-        if R["ph_first_block"] is not None:
+        if R.ph_first_block is not None:
             return smm_phase0_boundary(g, R)
-        if R["ph_done"] is not None:
+        if R.ph_done is not None:
             return _REJ_SUFFIX
         return _REJ_FORMAT  # '@' inside the index fields
     # ch == '#'
-    if R["ph_blocks"] is not None:
+    if R.ph_blocks is not None:
         return smm_base_end(g, R)
-    if R["ph_x"] is not None:
+    if R.ph_x is not None:
         return smm_x_end(g, R)
-    if R["ph_y"] is not None:
+    if R.ph_y is not None:
         return smm_finalize(g, R)
-    if R["ph_done"] is not None:
+    if R.ph_done is not None:
         return _REJ_SUFFIX
     return _REJ_FORMAT  # '#' before any '@'
 
 
 def _on_end(g, R):
-    if R["ph_done"] is not None:
+    if R.ph_done is not None:
         return _ACCEPT
     return _REJ_TRUNCATED
 

@@ -14,7 +14,9 @@ Eight numbered checks, one test each, in this order:
     block structure of the input
  6. online behaviour: truncating the input never rewrites the event
     prefix already emitted
- 7. every corpus above reproduces bit for bit when run twice
+ 7. every corpus above reproduces bit for bit when run twice, and
+    matches the fingerprint pinned in
+    tests/data/acceptance_fingerprints.json
  8. the fuzz harness catches a deliberately broken build and passes a
     healthy one on 10,000 cases
 
@@ -42,8 +44,11 @@ SMM_PROG = build_smm_recognizer()
 
 MAX_SWEEP_LEN = 14
 ALPHABET = "01@#"
-GOLDEN = json.loads(
-    (pathlib.Path(__file__).parent / "data" / "realtime_golden.json").read_text())
+DATA = pathlib.Path(__file__).parent / "data"
+GOLDEN = json.loads((DATA / "realtime_golden.json").read_text())
+# Verdicts, traces, step counts and graph_stats are the machines' observable
+# behaviour; a speedup must leave every one of these hashes unchanged.
+PINNED = json.loads((DATA / "acceptance_fingerprints.json").read_text())
 
 _CACHE = {}
 
@@ -379,11 +384,14 @@ def test_criterion_7_determinism():
         ("structure", _structure_corpus),
         ("truncation", _truncation_corpus),
     )
+    assert sorted(PINNED) == sorted(key for key, _ in corpora)
     for key, builder in corpora:
         first = _cached(key, builder)
         again = builder()  # full second pass, cache bypassed
         assert again["fingerprint"] == first["fingerprint"], key
-    print("criterion 7 PASS: all 6 corpora reproduced bit for bit")
+        assert first["fingerprint"] == PINNED[key], key
+    print("criterion 7 PASS: all 6 corpora reproduced bit for bit and "
+          "match the pinned fingerprints")
 
 
 # ---------------------------------------------------------------- check 8

@@ -1,6 +1,11 @@
 """Oracle-level checks: encoding, parsing, membership, generators."""
 
+import os
+import pathlib
 import random
+import subprocess
+import sys
+import textwrap
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -124,6 +129,40 @@ def test_gen_negative_every_kind_fails_member():
             for _ in range(10):
                 s = gen_negative(n, kind, rng)
                 assert not member(s), (n, kind, s)
+
+
+def test_generator_self_checks_survive_python_O():
+    # With member() lying, every generator must refuse its own output,
+    # also under -O, which strips assert statements.
+    script = textwrap.dedent("""
+        import random
+        from kumsim import blocklang
+        NK = blocklang.NegativeKind
+        real = blocklang.member
+        blocklang.member = lambda s: not real(s)
+        calls = [lambda: blocklang.gen_positive(3, random.Random(1)),
+                 lambda: blocklang.gen_all_equal(3),
+                 lambda: blocklang.gen_negative(3, NK.VALUE_MISMATCH,
+                                                random.Random(1)),
+                 # the last site: member() must lie only about the mutant
+                 lambda: blocklang.gen_negative(3, NK.BAD_SUFFIX,
+                                                random.Random(1))]
+        for i, call in enumerate(calls):
+            if i == 3:
+                blocklang.member = lambda s: s.endswith("#") == real(s)
+            try:
+                call()
+            except RuntimeError:
+                continue
+            raise SystemExit("self-check %d did not fire" % i)
+        print("ok", __debug__)
+    """)
+    src = str(pathlib.Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run([sys.executable, "-O", "-c", script], env=env,
+                         capture_output=True, text=True, timeout=60)
+    assert out.returncode == 0, out.stderr + out.stdout
+    assert out.stdout.split() == ["ok", "False"]
 
 
 def test_gen_negative_n1_feasible_kinds():

@@ -4,8 +4,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from kumsim.engine import (
-    DegreeBoundExceeded, EngineError, ModelKind, ModelMismatch,
-    PortFree, PortOccupied, StorageGraph, UnknownColor, new_graph,
+    BadHandle, BadPort, DegreeBoundExceeded, EngineError, ModelKind,
+    ModelMismatch, PortFree, PortOccupied, StorageGraph, UnknownColor,
+    new_graph,
 )
 
 PALETTE = ("zero", "one", "blank", "mark")
@@ -180,6 +181,60 @@ def test_every_primitive_costs_exactly_one_step_and_observers_none():
     assert g.step_counter == 8
     g.idle(5)
     assert g.step_counter == 13
+
+
+@pytest.mark.parametrize("make", [kum, smm], ids=["kum", "smm"])
+def test_bad_handle_or_port_is_an_engine_error_and_costs_nothing(make):
+    g = make()
+    a = g.create_node(0)
+    b = g.create_node(0)
+    nports = len(g.labels)
+    before = g.step_counter
+    calls = [
+        (BadPort, lambda: g.neighbor(a, -1)),
+        (BadPort, lambda: g.neighbor(a, nports)),
+        (BadPort, lambda: g.neighbor(b, nports)),  # would be a row past b
+        (BadPort, lambda: g.neighbor(a, None)),
+        (BadPort, lambda: g.neighbor(a, 1.0)),
+        (BadPort, lambda: g.unlink(a, nports)),
+        (BadHandle, lambda: g.neighbor(-1, 0)),
+        (BadHandle, lambda: g.neighbor(3, 0)),
+        (BadHandle, lambda: g.neighbor(None, 0)),
+        (BadHandle, lambda: g.get_color(None)),
+        (BadHandle, lambda: g.get_color(1.0)),
+        (BadHandle, lambda: g.set_color(7, 0)),
+        (BadHandle, lambda: g.set_color(None, 0)),
+        (BadHandle, lambda: g.identity_eq(a, 3)),
+        (BadHandle, lambda: g.unlink(3, 0)),
+    ]
+    if g.model is ModelKind.KUM:
+        calls += [(BadPort, lambda: g.link(a, 0, b, nports)),
+                  (BadHandle, lambda: g.link(a, 0, 3, 0))]
+    else:
+        calls += [(BadPort, lambda: g.set_pointer(a, nports, b)),
+                  (BadHandle, lambda: g.set_pointer(a, 0, None))]
+    for error, call in calls:
+        with pytest.raises(error) as info:
+            call()
+        assert isinstance(info.value, EngineError)
+        assert isinstance(info.value, ValueError)
+    assert g.step_counter == before
+    assert g.graph_stats()["node_count"] == 3
+    assert all(g.neighbor(v, p) is None for v in (0, a, b)
+               for p in range(nports))
+
+
+def test_flat_rows_keep_ports_of_neighboring_nodes_apart():
+    g = kum()
+    a, b, c = (g.create_node(0) for _ in range(3))
+    g.link(a, 3, b, 0)
+    g.link(b, 3, c, 0)
+    assert [g.neighbor(b, p) for p in range(4)] == [a, None, None, c]
+    g.unlink(b, 0)
+    assert g.neighbor(a, 3) is None and g.neighbor(c, 0) == b
+    h = g.fork()
+    h.unlink(c, 0)
+    assert g.neighbor(b, 3) == c and h.neighbor(b, 3) is None
 
 
 def test_idle_rejects_negative():

@@ -134,6 +134,46 @@ def test_max_gap_and_mean_gap():
     assert max_gap(empty.trace) == 0  # lone halt event, no work done
 
 
+def test_bad_port_in_a_handler_is_a_machine_fault():
+    def bad_symbol(g, r, ch):
+        g.neighbor(g.initial_node, len(g.labels))  # one past the last port
+        return None
+
+    prog = Program(("cursor",), toy_graph, lambda g, r: None, bad_symbol,
+                   lambda g, r: Verdict.accept())
+    res = run(prog, "0")
+    assert str(res.verdict) == "reject:machine-fault"
+    assert res.trace.total_steps == 0
+
+
+def test_registers_are_attributes_for_handlers_and_a_map_for_the_harness():
+    prog = make_toy()
+    r = Runner(prog)
+    regs = r.registers
+    assert isinstance(regs, Registers)
+    assert type(regs) is prog.register_class       # built once per Program
+    assert type(Runner(prog).registers) is prog.register_class
+    assert regs.cursor == 0 and regs["cursor"] == 0  # set by on_start
+    regs.count = 5
+    assert dict(regs) == {"cursor": 0, "count": 5}
+    assert list(regs.keys()) == ["cursor", "count"]
+    with pytest.raises(AttributeError):
+        regs.counter = 1                            # no such slot
+    with pytest.raises(KeyError):
+        regs["counter"]
+    with pytest.raises(KeyError):
+        regs["keys"] = 1
+    twin = r.fork().registers
+    twin.count = 6
+    assert regs.count == 5 and twin.cursor == 0
+
+
+def test_register_names_must_be_plain_identifiers():
+    for bad in (("keys",), ("_names",), ("a b",), (3,)):
+        with pytest.raises(ValueError):
+            Program(bad, toy_graph, None, None, None)
+
+
 def test_runner_fork_explores_independent_futures():
     prog = make_toy(reject_at="@")
     base = Runner(prog)
