@@ -26,6 +26,7 @@ from dataclasses import dataclass
 from random import Random
 
 ALPHABET = frozenset("01@#")
+_BITS = frozenset("01")
 
 
 class NegativeKind(enum.Enum):
@@ -41,16 +42,22 @@ class NegativeKind(enum.Enum):
 
 
 class FormatError(ValueError):
-    """A malformed string, with the defect kind and first offending index."""
+    """A malformed string, with the defect kind and first offending index.
+
+    The message is formatted only when asked for: member() raises and
+    catches one of these for every malformed string it is shown.
+    """
 
     def __init__(self, kind: NegativeKind, position: int):
-        super().__init__("%s at position %d" % (kind.value, position))
         self.kind = kind
         self.position = position
 
+    def __str__(self) -> str:
+        return "%s at position %d" % (self.kind.value, self.position)
+
 
 def _is_bits(s: str) -> bool:
-    return all(c in "01" for c in s)
+    return _BITS.issuperset(s)
 
 
 @dataclass(frozen=True)
@@ -98,9 +105,10 @@ def parse(s: str) -> Instance:
     after the final '#' that is also outside the alphabet reports
     BAD_ALPHABET rather than BAD_SUFFIX.
     """
-    for i, c in enumerate(s):
-        if c not in ALPHABET:
-            raise FormatError(NegativeKind.BAD_ALPHABET, i)
+    if not ALPHABET.issuperset(s):
+        for i, c in enumerate(s):
+            if c not in ALPHABET:
+                raise FormatError(NegativeKind.BAD_ALPHABET, i)
 
     p1 = s.find("#")
     if p1 == -1:

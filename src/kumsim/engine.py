@@ -141,7 +141,8 @@ class StorageGraph:
             list(self._blank_row) if self._is_kum else [])
         self._color: list[int] = [0]
         self._deg: list[int] = [0]            # KUM degree / SMM out-degree
-        self._indeg: list[int] = [0]          # SMM only
+        self._indeg: list[int] = (            # SMM only; KUM in-degree is 0
+            [] if self._is_kum else [0])
         self._node_count = 1
         self._max_degree = 0
         self._max_in_degree = 0
@@ -188,9 +189,10 @@ class StorageGraph:
         self._adj += self._blank_row
         if self._is_kum:
             self._peer += self._blank_row
+        else:
+            self._indeg.append(0)
         self._color.append(c)
         self._deg.append(0)
-        self._indeg.append(0)
         self.step_counter += 1
         return v
 
@@ -363,7 +365,7 @@ class StorageGraph:
 
     def in_degree(self, a: NodeRef) -> int:
         self._check_node(a)
-        return self._indeg[a]
+        return 0 if self._is_kum else self._indeg[a]
 
     def fork(self) -> "StorageGraph":
         """Copy the graph state so two futures can be explored.

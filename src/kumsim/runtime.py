@@ -17,6 +17,8 @@ reads is itself the real-time constant c for that interval.
 from __future__ import annotations
 
 import enum
+import functools
+import keyword
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Optional, Sequence
 
@@ -76,6 +78,7 @@ class Registers:
 
     __slots__ = ()
     _names: tuple = ()
+    _name_set: frozenset = frozenset()
 
     def __new__(cls, names: Optional[Iterable[str]] = None):
         if cls is Registers:
@@ -89,36 +92,56 @@ class Registers:
         return self._names
 
     def __getitem__(self, name):
-        if name not in self._names:
+        if name not in self._name_set:
             raise KeyError("unknown register %r" % (name,))
         return getattr(self, name)
 
     def __setitem__(self, name, value):
-        if name not in self._names:
+        if name not in self._name_set:
             raise KeyError("unknown register %r" % (name,))
         setattr(self, name, value)
 
     def copy(self) -> "Registers":
-        """A second file of the same class holding the same values."""
-        R = object.__new__(type(self))
-        for name in self._names:
-            setattr(R, name, getattr(self, name))
-        return R
+        """A second file of the same class holding the same values.
+
+        Every subclass made by register_class replaces this with code
+        compiled for its names; the base class has no registers.
+        """
+        return object.__new__(type(self))
 
 
 def register_class(names: Iterable[str]) -> type:
     """The Registers subclass with one slot per name, in order.
 
-    A name must be an identifier that does not start with an underscore
-    or shadow an attribute of Registers (such as keys).
+    A name must be an identifier that is not a Python keyword, does not
+    start with an underscore and does not shadow an attribute of
+    Registers (such as keys or copy).  Classes are shared between calls
+    with the same names.
     """
     names = tuple(names)
     for name in names:
         if (not isinstance(name, str) or not name.isidentifier()
-                or name.startswith("_") or hasattr(Registers, name)):
+                or keyword.iskeyword(name) or name.startswith("_")
+                or hasattr(Registers, name)):
             raise ValueError("bad register name %r" % (name,))
-    return type("Registers", (Registers,),
-                {"__slots__": names, "_names": names})
+    return _compiled_register_class(names)
+
+
+@functools.lru_cache(maxsize=64)
+def _compiled_register_class(names: tuple) -> type:
+    cls = type("Registers", (Registers,),
+               {"__slots__": names, "_names": names,
+                "_name_set": frozenset(names)})
+    # copy() is compiled to straight-line attribute code (the exec
+    # technique of namedtuple and dataclasses): Runner.fork copies the
+    # file at every branch of a sweep, and a getattr/setattr loop by name
+    # costs about five times as much.
+    src = "def copy(self):\n    R = _new(_cls)\n%s    return R\n" % "".join(
+        "    R.%s = self.%s\n" % (name, name) for name in names)
+    env = {"_new": object.__new__, "_cls": cls}
+    exec(src, env)
+    cls.copy = env["copy"]
+    return cls
 
 
 class Trace:
@@ -268,9 +291,9 @@ class Runner:
         r.program = self.program
         r.graph = self.graph.fork()
         r.registers = self.registers.copy()
-        r.trace = Trace()
-        r.trace.events = self.trace.events[:]
-        r.trace.total_steps = self.trace.total_steps
+        r.trace = t = Trace.__new__(Trace)
+        t.events = self.trace.events[:]
+        t.total_steps = self.trace.total_steps
         r.position = self.position
         r._mark = self._mark
         r.verdict = self.verdict

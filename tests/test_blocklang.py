@@ -33,6 +33,8 @@ def test_instance_rejects_bad_shapes():
         Instance(2, ("0", "1", "0", "1"), "0", "10")    # short index
     with pytest.raises(ValueError):
         Instance(2, ("0", "1", "0", "2"), "00", "10")   # non-bit block
+    with pytest.raises(ValueError):
+        Instance(2, ("0", "1", "0", "1"), "00", "1@")   # non-bit index
 
 
 def test_parse_round_trips_encode():
@@ -75,6 +77,36 @@ def test_parse_error_kinds_and_positions():
         parse("0@1@0@1#0@#10#")    # '@' inside an index field
     assert e.value.kind is NegativeKind.MISSING_SEPARATOR
     assert e.value.position == 9
+
+
+# One malformed string per parse defect, with its pinned message.  The
+# bad-alphabet string has two bad characters; the first one is reported.
+PARSE_DEFECTS = {
+    NegativeKind.TRUNCATED_TAIL: ("0@1@0@1#00#10", 13),
+    NegativeKind.WRONG_BLOCK_LENGTH: ("0@11@0@1#00#10#", 2),
+    NegativeKind.WRONG_BLOCK_COUNT: ("0@1@0#00#01#", 5),
+    NegativeKind.MISSING_SEPARATOR: ("0@1@0@1#0@#10#", 9),
+    NegativeKind.BAD_SUFFIX: ("0@1@0@1#00#10#1", 14),
+    NegativeKind.BAD_ALPHABET: ("0@1@0@1#0a#1b#", 9),
+}
+
+
+def test_format_error_message_kind_and_position_are_pinned():
+    for kind in NegativeKind:
+        if kind is NegativeKind.VALUE_MISMATCH:   # well-formed: parse passes
+            assert member("0@1@0@1#00#01#") is False
+            err = FormatError(kind, 4)
+        else:
+            s, position = PARSE_DEFECTS[kind]
+            with pytest.raises(FormatError) as info:
+                parse(s)
+            err = info.value
+            assert err.position == position
+        assert err.kind is kind
+        assert isinstance(err, ValueError)
+        assert str(err) == "%s at position %d" % (kind.value, err.position)
+    assert str(FormatError(NegativeKind.BAD_ALPHABET, 9)) == (
+        "bad-alphabet at position 9")
 
 
 def test_parse_rejects_n_zero_shapes():

@@ -66,6 +66,10 @@ def test_link_is_symmetric():
     g.link(leaf, p("val"), head, p("parent"))
     assert g.neighbor(leaf, p("val")) == head
     assert g.neighbor(head, p("parent")) == leaf
+    # an edge has no direction: KUM in-degree is 0 and is not stored
+    assert g.in_degree(leaf) == g.in_degree(head) == 0
+    assert g.fork().in_degree(head) == 0
+    assert g.graph_stats()["max_in_degree"] == 0
 
 
 def test_link_rejects_occupied_port_and_leaves_graph_unchanged():

@@ -1,13 +1,19 @@
 """Driver-level checks: streaming delivery, metering, verdict plumbing."""
 
+import random
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from kumsim.blocklang import encode, gen_positive
 from kumsim.engine import ModelKind, new_graph
+from kumsim.kum_recognizer import build_kum_recognizer
 from kumsim.runtime import (
     EventKind, Program, RealTimeReport, RejectReason, Registers, Runner,
-    Verdict, assert_real_time, max_gap, mean_gap, real_time_report, run,
+    Verdict, assert_real_time, max_gap, mean_gap, real_time_report,
+    register_class, run,
 )
+from kumsim.smm_recognizer import build_smm_recognizer
 
 
 def toy_graph():
@@ -169,7 +175,10 @@ def test_registers_are_attributes_for_handlers_and_a_map_for_the_harness():
 
 
 def test_register_names_must_be_plain_identifiers():
-    for bad in (("keys",), ("_names",), ("a b",), (3,)):
+    # copy is a method of every register file; a keyword such as class
+    # could never be written as R.class by a handler or by copy()
+    for bad in (("keys",), ("copy",), ("class",), ("None",), ("_names",),
+                ("a b",), (3,)):
         with pytest.raises(ValueError):
             Program(bad, toy_graph, None, None, None)
 
@@ -238,3 +247,83 @@ def test_streaming_prefix_consistency(text, cut):
     forked = r1.fork().finish()
     assert forked.verdict == direct.verdict
     assert forked.trace.events == direct.trace.events
+
+
+# -- the real recognizers' register files and forks ------------------------
+
+RECOGNIZERS = {
+    "kum": build_kum_recognizer(), "kum0": build_kum_recognizer(None),
+    "smm": build_smm_recognizer(), "smm0": build_smm_recognizer(None),
+}
+
+
+def test_register_classes_are_shared_by_name_set():
+    assert (RECOGNIZERS["kum"].register_class
+            is RECOGNIZERS["kum0"].register_class)
+    assert register_class(("a", "b")) is register_class(["a", "b"])
+    assert register_class(("a", "b")) is not register_class(("b", "a"))
+
+
+def _register_writes(names):
+    return st.lists(st.tuples(st.sampled_from(names),
+                              st.one_of(st.none(), st.integers(0, 999))),
+                    max_size=40)
+
+
+@given(st.sampled_from(["kum", "smm"]), st.data())
+@settings(max_examples=60, deadline=None)
+def test_register_copy_is_equal_then_independent(machine, data):
+    cls = RECOGNIZERS[machine].register_class
+    writes = _register_writes(cls().keys())
+    R = cls()
+    for name, value in data.draw(writes):
+        setattr(R, name, value)
+    C = R.copy()
+    assert type(C) is cls
+    assert dict(C) == dict(R)
+    want_r, want_c = dict(R), dict(C)
+    for name, value in data.draw(writes):
+        setattr(R, name, value)
+        want_r[name] = value
+    for name, value in data.draw(writes):
+        C[name] = value
+        want_c[name] = value
+    assert dict(R) == want_r
+    assert dict(C) == want_c
+
+
+def _finish(runner, text):
+    for ch in text:
+        if runner.verdict is not None:
+            break
+        runner.feed(ch)
+    return runner.finish()
+
+
+def _same_run(got, want):
+    assert got.verdict == want.verdict
+    assert got.trace.events == want.trace.events
+    assert got.trace.total_steps == want.trace.total_steps
+    assert got.stats == want.stats
+    assert dict(got.registers) == dict(want.registers)
+
+
+@given(st.sampled_from(sorted(RECOGNIZERS)), st.integers(1, 2),
+       st.integers(0, 2 ** 16), st.data())
+@settings(max_examples=80, deadline=None)
+def test_forked_recognizer_matches_a_fresh_run(machine, n, seed, data):
+    """Fork mid-input, feed both sides any suffix: each equals a fresh run."""
+    prog = RECOGNIZERS[machine]
+    word = encode(gen_positive(n, random.Random(seed)))
+    cut = data.draw(st.integers(0, len(word)))
+    suffixes = st.one_of(st.just(word[cut:]),
+                         st.text(alphabet="01@#", max_size=16))
+    fork_suffix = data.draw(suffixes)
+    base_suffix = data.draw(suffixes)
+    base = Runner(prog)
+    for ch in word[:cut]:
+        if base.feed(ch) is not None:
+            break
+    fork = base.fork()
+    _same_run(_finish(fork, fork_suffix), run(prog, word[:cut] + fork_suffix))
+    _same_run(_finish(base, base_suffix), run(prog, word[:cut] + base_suffix))
