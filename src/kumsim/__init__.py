@@ -18,7 +18,7 @@ from kumsim.engine import (
 from kumsim.kum_recognizer import KUM_CADENCE, build_kum_recognizer
 from kumsim.runtime import (
     Program, Registers, RejectReason, RunResult, Runner, Trace, Verdict,
-    assert_real_time, max_gap, mean_gap, real_time_report, run,
+    max_gap, mean_gap, run,
 )
 from kumsim.smm_recognizer import SMM_CADENCE, build_smm_recognizer
 
@@ -29,8 +29,8 @@ __all__ = [
     "KUM_CADENCE", "ModelKind", "ModelMismatch", "NegativeKind", "NodeRef",
     "PortFree", "PortOccupied", "Program", "Registers", "RejectReason",
     "RunResult", "Runner", "SMM_CADENCE", "StorageGraph", "Trace",
-    "UnknownColor", "Verdict", "assert_real_time", "build_kum_recognizer",
+    "UnknownColor", "Verdict", "build_kum_recognizer",
     "build_smm_recognizer", "encode", "gen_all_equal", "gen_negative",
     "gen_positive", "max_gap", "mean_gap", "member", "new_graph", "parse",
-    "real_time_report", "run", "__version__",
+    "run", "__version__",
 ]

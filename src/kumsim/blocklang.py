@@ -82,6 +82,18 @@ class Instance:
             if len(field) != self.n or not _is_bits(field):
                 raise ValueError("indices must be %d-bit strings" % self.n)
 
+    @classmethod
+    def _unchecked(cls, n: int, blocks: tuple, x: str, y: str) -> "Instance":
+        """An Instance built without __post_init__, for fields already checked.
+
+        parse() has verified n, the block count and every block and index
+        length and alphabet by the time it builds its result, so checking
+        them again would double the cost of every oracle call.
+        """
+        inst = object.__new__(cls)
+        vars(inst).update(n=n, blocks=blocks, x=x, y=y)
+        return inst
+
     @property
     def k(self) -> int:
         return self.n // 2
@@ -147,7 +159,7 @@ def parse(s: str) -> Instance:
     if start != len(s):
         raise FormatError(NegativeKind.BAD_SUFFIX, start)
 
-    return Instance(n=n, blocks=tuple(blocks), x=fields[0], y=fields[1])
+    return Instance._unchecked(n, tuple(blocks), fields[0], fields[1])
 
 
 def member(s: str) -> bool:

@@ -245,6 +245,45 @@ def test_parse_never_crashes_and_member_is_bool(s):
     assert isinstance(member(s), bool)
 
 
+@st.composite
+def near_words(draw):
+    """Word-shaped strings: n may be 0, the block count may be off by one
+    and one block, one index field or the suffix may be mangled."""
+    n = draw(st.integers(0, 5))
+    k = n // 2
+    count = draw(st.sampled_from([1 << n, 1 << (n + 1), (1 << n) + 1]))
+    blocks = [draw(st.text(alphabet="01", min_size=k, max_size=k))
+              for _ in range(count)]
+    fields = [draw(st.text(alphabet="01", min_size=n, max_size=n))
+              for _ in range(2)]
+    suffix = ""
+    defect = draw(st.sampled_from(["none", "none", "block", "field",
+                                   "suffix"]))
+    if defect == "block":
+        blocks[draw(st.integers(0, count - 1))] += draw(
+            st.sampled_from(["0", "1", "@"]))
+    elif defect == "field":
+        fields[draw(st.integers(0, 1))] += draw(st.sampled_from(["0", "@"]))
+    elif defect == "suffix":
+        suffix = draw(st.sampled_from(["0", "#", "@"]))
+    return "@".join(blocks) + "#" + "#".join(fields) + "#" + suffix
+
+
+@given(st.one_of(near_words(), st.text(alphabet="01@#", max_size=24)))
+@settings(max_examples=300, deadline=None)
+def test_parse_accepts_only_valid_instance_fields(s):
+    """parse builds its Instance without re-validating; whatever it accepts
+    must pass Instance's own checks and give an equal instance."""
+    try:
+        inst = parse(s)
+    except FormatError:
+        return
+    again = Instance(inst.n, inst.blocks, inst.x, inst.y)
+    assert again == inst
+    assert type(inst.blocks) is tuple and encode(again) == s
+    assert member(s) == again.is_member()
+
+
 def test_gen_golden_pinned():
     # seeded generation is part of the contract: n=2, seed 7 must keep
     # producing this exact line (see tests/data/gen_golden.txt)

@@ -8,8 +8,7 @@ from kumsim import blocklang
 from kumsim.gadgets import MARK
 from kumsim.kum_recognizer import (KUM_CADENCE, LEFT, REGISTERS, RIGHT, VAL,
                                    build_kum_recognizer)
-from kumsim.runtime import (RejectReason, Runner, max_gap, real_time_report,
-                            run)
+from kumsim.runtime import RejectReason, Runner, max_gap, run
 
 import helpers
 
@@ -127,15 +126,12 @@ def test_gap_profile_is_flat_at_cadence():
 
 
 def test_real_time_report_constant_across_n():
+    # every run's worst gap is the cadence itself, at every n
     rng = random.Random(6)
-    results = []
     for n in (1, 2, 3, 4, 6):
         for _ in range(5):
             s = blocklang.encode(blocklang.gen_positive(n, rng))
-            results.append((n, run(PROG, s)))
-    rep = real_time_report(results)
-    assert rep.c_observed == KUM_CADENCE
-    assert rep.constant_in_n
+            assert max_gap(run(PROG, s).trace) == KUM_CADENCE, (n, s)
 
 
 def test_rejects_never_exceed_cadence():

@@ -1,6 +1,7 @@
 """Driver-level checks: streaming delivery, metering, verdict plumbing."""
 
 import random
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -9,9 +10,8 @@ from kumsim.blocklang import encode, gen_positive
 from kumsim.engine import ModelKind, new_graph
 from kumsim.kum_recognizer import build_kum_recognizer
 from kumsim.runtime import (
-    EventKind, Program, RealTimeReport, RejectReason, Registers, Runner,
-    Verdict, assert_real_time, max_gap, mean_gap, real_time_report,
-    register_class, run,
+    EventKind, Program, RejectReason, Registers, Runner, Trace, Verdict,
+    max_gap, mean_gap, register_class, run,
 )
 from kumsim.smm_recognizer import build_smm_recognizer
 
@@ -208,30 +208,130 @@ def test_replay_determinism():
     assert a.stats == b.stats
 
 
-def test_real_time_report_aggregates_and_flags():
-    res4 = [run(make_toy(cadence=6), "0101") for _ in range(3)]
-    res8 = [run(make_toy(cadence=6), "01010101") for _ in range(2)]
-    report = real_time_report([(4, r) for r in res4] + [(8, r) for r in res8])
-    assert report.per_n[4]["max_gap"] == 6
-    assert report.per_n[8]["max_gap"] == 6
-    assert report.c_observed == 6
-    assert report.constant_in_n
-    assert assert_real_time(report, 6)
-    assert assert_real_time(report, 64)
-    assert not assert_real_time(report, 5)
+# -- the trace: gaps stored, events rebuilt on demand ----------------------
+
+def _rebuilt(trace):
+    """The (kind, position, gap) tuples that trace.gaps() stands for."""
+    gaps = trace.gaps()
+    reads = len(gaps) - trace.halted
+    return ([(EventKind.READ_SYMBOL, i, gaps[i]) for i in range(reads)]
+            + [(EventKind.HALT, reads, g) for g in gaps[reads:]])
 
 
-def test_real_time_report_flags_growth():
-    slow = run(make_toy(steps_per_symbol=9), "0000")
-    fast = run(make_toy(steps_per_symbol=2), "00")
-    report = real_time_report([(4, fast), (8, slow)])
-    assert not report.constant_in_n
-    assert report.c_observed == 9
+def _faulting_start(g, r):
+    g.get_color(g.initial_node)
+    g.link(0, 0, 0, 0)  # self-link on the same port is illegal
 
 
-def test_report_rejects_empty():
-    with pytest.raises(ValueError):
-        real_time_report([])
+START_FAULT = Program(("cursor",), toy_graph, _faulting_start,
+                      lambda g, r, ch: None, lambda g, r: Verdict.accept())
+WORD = encode(gen_positive(2, random.Random(3)))
+
+
+@pytest.mark.parametrize("machine, text, verdict, length", [
+    ("kum", WORD, "accept", len(WORD) + 1),
+    # three blocks: rejected at the first '#', position 5 of 12
+    ("kum", "0@1@0#00#01#", "reject:format", 7),
+    ("kum", "0@x", "reject:bad-alphabet", 4),
+    ("kum", "", "reject:truncated", 1),
+    ("start-fault", "0101", "reject:machine-fault", 1),
+], ids=["accept", "early-reject", "bad-alphabet", "empty", "start-fault"])
+def test_events_view_equals_tuples_rebuilt_from_gaps(machine, text, verdict,
+                                                     length):
+    prog = START_FAULT if machine == "start-fault" else RECOGNIZERS[machine]
+    res = run(prog, text)
+    assert str(res.verdict) == verdict
+    tr = res.trace
+    want = _rebuilt(tr)
+    assert tr.halted
+    assert want[-1][0] is EventKind.HALT and len(want) == length
+    ev = tr.events
+    assert list(ev) == want and ev == want and want == ev
+    assert len(ev) == len(want) and bool(ev)
+    assert [ev[i] for i in range(len(want))] == want
+    assert [ev[-i] for i in range(1, len(want) + 1)] == want[::-1]
+    assert ev[-1] == want[-1] and ev[-1][1] == len(want) - 1
+    assert ev[1:-1] == want[1:-1] and ev[::2] == want[::2]
+    assert ev[:0] == [] and ev[-3:] == want[-3:]
+    for bad in (len(want), -len(want) - 1):
+        with pytest.raises(IndexError):
+            ev[bad]
+    if machine == "start-fault":
+        assert want == [(EventKind.HALT, 0, 1)]
+
+
+def test_events_view_of_an_unfinished_run_and_an_empty_trace():
+    r = Runner(make_toy(cadence=5))
+    assert not r.trace.events and len(r.trace.events) == 0
+    assert r.trace.events == [] and r.position == 0
+    with pytest.raises(IndexError):
+        r.trace.events[-1]
+    for ch in "01@":
+        r.feed(ch)
+    assert not r.trace.halted and r.position == 3
+    assert r.trace.events == [(EventKind.READ_SYMBOL, i, g)
+                              for i, g in enumerate([0, 5, 5])]
+    view = r.trace.events
+    res = r.finish()
+    assert r.position == 3
+    assert view[-1] == (EventKind.HALT, 3, 5)   # the view is live
+    assert view == res.trace.events and view != res.trace.events[:-1]
+    assert view != run(make_toy(cadence=5), "01").trace.events
+    assert Trace().events == Trace().events
+
+
+def test_gaps_returns_a_copy():
+    res = run(make_toy(cadence=4), "0101")
+    gaps = res.trace.gaps()
+    gaps.append(99)
+    gaps[0] = 77
+    assert res.trace.gaps() == [0, 4, 4, 4, 4]
+    assert len(res.trace.events) == 5 and max_gap(res.trace) == 4
+
+
+def test_fork_and_original_fed_different_suffixes_match_fresh_runs():
+    prog = build_kum_recognizer()
+    word = "0@1@0@1#00#10#"
+    base = Runner(prog)
+    for ch in word[:9]:
+        assert base.feed(ch) is None
+    fork = base.fork()
+    suffixes = {"fork": "01#", "base": word[9:]}
+    for ch in suffixes["fork"]:
+        if fork.feed(ch) is not None:
+            break
+    for ch in suffixes["base"]:
+        assert base.feed(ch) is None
+    for side, runner in (("fork", fork), ("base", base)):
+        got = runner.finish()
+        want = run(prog, word[:9] + suffixes[side])
+        assert got.verdict == want.verdict
+        assert got.trace.events == want.trace.events
+        assert got.trace.gaps() == want.trace.gaps()
+        assert got.trace.total_steps == want.trace.total_steps
+    assert base.verdict.accepted and not fork.verdict.accepted
+
+
+@pytest.mark.parametrize("build", [build_kum_recognizer,
+                                   build_smm_recognizer])
+def test_trace_retains_at_most_16_bytes_per_symbol(build):
+    """A padded run's trace is one small int per symbol (a tuple and a
+    position int per event would be about 104 bytes)."""
+    prog = build()
+    word = encode(gen_positive(10, random.Random(4)))
+    tracemalloc.start()
+    try:
+        res = run(prog, word)
+        res.graph = res.registers = None
+        with_trace = tracemalloc.get_traced_memory()[0]
+        trace, res.trace = res.trace, None
+        assert len(trace.events) == len(word) + 1
+        del trace
+        without = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert res.verdict.accepted
+    assert (with_trace - without) / len(word) <= 16
 
 
 @given(st.text(alphabet="01@#", max_size=40), st.integers(1, 12))
