@@ -21,13 +21,17 @@ name strings in new_graph() and addressed as small ints afterwards, in
 declaration order; palette[0] is the default color of every fresh node.
 
 Port rows are stored flat: one list holds every node's port targets, and
-port p of node v lives at index v * nports + p (for KUM a second list of
-the same shape holds the far-side port of each edge).  create_node()
-extends both lists by one prebuilt blank row and fork() is a handful of
-whole-list copies.  Because a port out of range would silently address
-the next node's row, every primitive range-checks its ports as well as
-its node handles; a bad handle or port raises BadHandle or BadPort, which
-are EngineErrors (so the driver reports a machine fault) and ValueErrors.
+port p of node v lives at index v * nports + p (for KUM a bytearray of
+the same shape holds the far-side port of each edge, read only where a
+target is set).  Port ids, colors and degrees fit in a byte (at most
+MAX_PORTS labels and MAX_PALETTE colors; a degree is at most the port
+count), so colors and degrees are bytearrays too; only SMM in-degrees,
+which are unbounded, stay a list.  create_node() extends every column by
+one prebuilt blank row and fork() is a handful of whole-column copies.
+Because a port out of range would silently address the next node's row,
+every primitive range-checks its ports as well as its node handles; a
+bad handle or port raises BadHandle or BadPort, which are EngineErrors
+(so the driver reports a machine fault) and ValueErrors.
 """
 
 from __future__ import annotations
@@ -48,6 +52,7 @@ Color = int
 PortLabel = int
 
 MAX_PALETTE = 64
+MAX_PORTS = 64
 
 
 class EngineError(Exception):
@@ -92,6 +97,7 @@ class StorageGraph:
     __slots__ = (
         "model", "degree_bound", "palette", "labels",
         "step_counter", "_is_kum", "_ncolors", "_nports", "_blank_row",
+        "_zero_row",
         "_adj", "_peer", "_color", "_deg", "_indeg",
         "_node_count", "_max_degree", "_max_in_degree",
         "_color_ids", "_port_ids",
@@ -107,6 +113,8 @@ class StorageGraph:
             raise ValueError("palette size capped at %d" % MAX_PALETTE)
         if not labels:
             raise ValueError("label alphabet must not be empty")
+        if len(labels) > MAX_PORTS:
+            raise ValueError("label alphabet capped at %d" % MAX_PORTS)
         if len(set(palette)) != len(palette):
             raise ValueError("duplicate color names")
         if len(set(labels)) != len(labels):
@@ -134,13 +142,14 @@ class StorageGraph:
         self._ncolors = len(self.palette)
         self._nports = len(self.labels)
         self._blank_row = (None,) * self._nports
+        self._zero_row = bytes(self._nports)
 
         # The initial node; construction costs no steps.
         self._adj: list[Optional[int]] = list(self._blank_row)
-        self._peer: list[Optional[int]] = (   # KUM: far-side port ids
-            list(self._blank_row) if self._is_kum else [])
-        self._color: list[int] = [0]
-        self._deg: list[int] = [0]            # KUM degree / SMM out-degree
+        self._peer = bytearray(               # KUM: far-side port ids
+            self._zero_row if self._is_kum else b"")
+        self._color = bytearray(1)
+        self._deg = bytearray(1)              # KUM degree / SMM out-degree
         self._indeg: list[int] = (            # SMM only; KUM in-degree is 0
             [] if self._is_kum else [0])
         self._node_count = 1
@@ -188,7 +197,7 @@ class StorageGraph:
         self._node_count = v + 1
         self._adj += self._blank_row
         if self._is_kum:
-            self._peer += self._blank_row
+            self._peer += self._zero_row
         else:
             self._indeg.append(0)
         self._color.append(c)
@@ -216,27 +225,23 @@ class StorageGraph:
             raise PortOccupied((a, pa) if adj[ia] is not None else (b, pb))
         if ia == ib:
             raise PortOccupied((a, pa))
+        # New degrees, read once: a bytearray index is not specialized by
+        # the interpreter the way a list index is.
         deg = self._deg
+        da = deg[a] + 1
+        db = da + 1 if a == b else deg[b] + 1
         bound = self.degree_bound
-        if a == b:
-            if deg[a] + 2 > bound:
-                raise DegreeBoundExceeded(
-                    "node %d would exceed degree bound %d" % (a, bound))
-        elif deg[a] + 1 > bound or deg[b] + 1 > bound:
-            v = a if deg[a] + 1 > bound else b
-            raise DegreeBoundExceeded(
-                "node %d would exceed degree bound %d" % (v, bound))
+        if da > bound or db > bound:
+            raise DegreeBoundExceeded("node %d would exceed degree bound %d"
+                                      % (a if da > bound else b, bound))
         adj[ia] = b
         adj[ib] = a
         peer = self._peer
         peer[ia] = pb
         peer[ib] = pa
-        if a == b:
-            deg[a] += 2
-        else:
-            deg[a] += 1
-            deg[b] += 1
-        m = deg[a] if deg[a] >= deg[b] else deg[b]
+        deg[a] = da
+        deg[b] = db
+        m = da if da >= db else db
         if m > self._max_degree:
             self._max_degree = m
         self.step_counter += 1
@@ -255,17 +260,17 @@ class StorageGraph:
         adj = self._adj
         old = adj[i]
         indeg = self._indeg
-        deg = self._deg
         if old is not None:
             indeg[old] -= 1
         else:
-            deg[a] += 1
+            d = self._deg[a] + 1
+            self._deg[a] = d
+            if d > self._max_degree:
+                self._max_degree = d
         adj[i] = b
         indeg[b] += 1
         if indeg[b] > self._max_in_degree:
             self._max_in_degree = indeg[b]
-        if deg[a] > self._max_degree:
-            self._max_degree = deg[a]
         self.step_counter += 1
 
     def unlink(self, a: NodeRef, p: PortLabel) -> None:
@@ -281,12 +286,8 @@ class StorageGraph:
         if b is None:
             raise PortFree((a, p))
         if self._is_kum:
-            peer = self._peer
-            j = b * k + peer[i]
             adj[i] = None
-            peer[i] = None
-            adj[j] = None
-            peer[j] = None
+            adj[b * k + self._peer[i]] = None
             deg = self._deg
             if a == b:
                 deg[a] -= 2
@@ -383,6 +384,7 @@ class StorageGraph:
         g._ncolors = self._ncolors
         g._nports = self._nports
         g._blank_row = self._blank_row
+        g._zero_row = self._zero_row
         g._adj = self._adj[:]
         g._peer = self._peer[:]
         g._color = self._color[:]

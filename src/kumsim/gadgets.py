@@ -1,4 +1,13 @@
-"""Shared machine gadgets: rotating counter chains and bit walks.
+"""The recognizer skeleton and shared gadgets: phase tables, counter chains.
+
+Both recognizers share one skeleton.  The phase register holds their
+finite-control state as a phase table (built by phase()): a dict from
+each input symbol to the handler that phase runs on it, a FORMAT reject
+for a symbol the phase does not expect.  on_symbol dispatches through it
+with the symbol's bit (None for a separator), and a handler changes
+phase with one register write, which costs no steps.  After the last '#'
+the phase is DONE, where every symbol is a BAD_SUFFIX, and on_end
+accepts exactly when the run ended there.  build() makes the Program.
 
 Both recognizers meter out their per-symbol work against three chains of
 bit-colored nodes holding the previous, current, and next block index.
@@ -25,10 +34,14 @@ then means the counter wrapped, i.e. one block too many); f_all_ones
 records whether every bit below the head read as one during the walk, and
 f_top_one the head bit itself, which together decide the all-ones check
 and the parity of n at the end of the block section.  Flags are plain
-registers holding the anchor node when set and None when clear.
+registers holding the anchor node when set and None when clear.  With n
+even, every index path starts with a pad bit 0 that the x and y fields
+do not carry, so skip_pad starts their walks one level down.
 """
 
 from __future__ import annotations
+
+from .runtime import Program, RejectReason, Verdict
 
 # Palette ids shared by both recognizers; bit values double as color ids.
 ZERO, ONE, BLANK, MARK = 0, 1, 2, 3
@@ -42,11 +55,65 @@ STEP_OK = 0      # processed a non-head position
 STEP_HEAD = 1    # processed the head; the walk is complete
 STEP_PAST = 2    # walk was already complete: one position too many
 
-CHAIN_REGISTERS = ("c_prev_h", "c_prev_t", "c_cur_h", "c_cur_t",
-                   "c_next_h", "c_next_t")
+REJ_PACING = Verdict.reject(RejectReason.PACING)
+REJ_FORMAT = Verdict.reject(RejectReason.FORMAT)
+REJ_SUFFIX = Verdict.reject(RejectReason.BAD_SUFFIX)
+REJ_TRUNCATED = Verdict.reject(RejectReason.TRUNCATED)
+ACCEPT = Verdict.accept()
 
-WALK_REGISTERS = ("inc_read", "inc_write", "f_carry", "f_all_ones",
-                  "f_top_one")
+# The bit a symbol hands its handler; separators hand None.
+BIT = {"0": ZERO, "1": ONE, "@": None, "#": None}
+
+# First in every recognizer's register file: the phase, the three counter
+# chains (head and tail each) and the increment walk.
+SKELETON_REGISTERS = (
+    "phase",
+    "c_prev_h", "c_prev_t", "c_cur_h", "c_cur_t", "c_next_h", "c_next_t",
+    "inc_read", "inc_write", "f_carry", "f_all_ones", "f_top_one",
+)
+
+
+def _rejects(verdict):
+    def handler(g, R, bit):
+        return verdict
+    return handler
+
+
+_format = _rejects(REJ_FORMAT)
+
+
+def phase(on_bit=_format, on_at=_format, on_hash=_format):
+    """The phase table that runs on_bit on '0' and '1', on_at on '@' and
+    on_hash on '#'; a handler left out rejects as FORMAT."""
+    return {"0": on_bit, "1": on_bit, "@": on_at, "#": on_hash}
+
+
+DONE = phase(*[_rejects(REJ_SUFFIX)] * 3)
+
+
+def on_symbol(g, R, ch):
+    return R.phase[ch](g, R, BIT[ch])
+
+
+def on_end(g, R):
+    # Decided purely from registers: a finished run costs no extra steps,
+    # so the flat per-symbol gap is also the global maximum.
+    return ACCEPT if R.phase is DONE else REJ_TRUNCATED
+
+
+def build(registers, graph_factory, on_start, cadence):
+    """The recognizer Program; on_start must set the first phase."""
+    return Program(register_names=registers, graph_factory=graph_factory,
+                   on_start=on_start, on_symbol=on_symbol, on_end=on_end,
+                   cadence=cadence)
+
+
+def skip_pad(g, R, root, zero_port):
+    """Where an x or y walk down the trie at root starts: root itself for
+    odd n, its zero_port child for even n (None if that is absent)."""
+    if R.f_top_one is not None:
+        return root
+    return g.neighbor(root, zero_port)
 
 
 def inc_step(g, R, toward_head):

@@ -52,10 +52,10 @@ all four bit pairs because both blocks are the empty string.
 from __future__ import annotations
 
 from .engine import ModelKind, new_graph
-from .gadgets import (ANCHOR, BLANK, CHAIN_REGISTERS, MARK, ONE,
-                      STEP_HEAD, STEP_OK, WALK_REGISTERS, ZERO, grow_chains,
-                      inc_step, read_step, reset_increment, rotate_chains)
-from .runtime import Program, RejectReason, Verdict
+from .gadgets import (ANCHOR, BLANK, DONE, MARK, ONE, REJ_FORMAT,
+                      REJ_PACING, SKELETON_REGISTERS, STEP_HEAD, STEP_OK,
+                      ZERO, build, grow_chains, inc_step, phase, read_step,
+                      reset_increment, rotate_chains, skip_pad)
 
 PARENT, LEFT, RIGHT, VAL = 0, 1, 2, 3
 
@@ -68,10 +68,7 @@ DEGREE_BOUND = 4
 # where every walk level allocates). The driver pads every symbol to this.
 KUM_CADENCE = 33
 
-REGISTERS = (
-    "ph_first_block", "ph_blocks", "ph_x", "ph_y_value", "ph_y_index",
-    "ph_done",
-) + CHAIN_REGISTERS + WALK_REGISTERS + (
+REGISTERS = SKELETON_REGISTERS + (
     "idx_bits",   # read walk feeding the index trie (current chain)
     "pv_bits",    # read walk feeding the per-value trie (previous chain)
     "icur",       # index trie cursor
@@ -83,14 +80,6 @@ REGISTERS = (
     "vs_cur",     # replay cursor into b_x's string during y
     "q_front", "q_back",  # FIFO of pending y bits
 )
-
-_REJ_PACING = Verdict.reject(RejectReason.PACING)
-_REJ_FORMAT = Verdict.reject(RejectReason.FORMAT)
-_REJ_SUFFIX = Verdict.reject(RejectReason.BAD_SUFFIX)
-_REJ_TRUNCATED = Verdict.reject(RejectReason.TRUNCATED)
-
-_ACCEPT = Verdict.accept()
-
 
 def _descend(g, node, bit):
     """Child of node along bit, creating and wiring it if absent."""
@@ -168,14 +157,13 @@ def phase0_tick(g, R, bit):
     return None
 
 
-def phase0_boundary(g, R):
+def phase0_boundary(g, R, _bit):
     """First '@': fix w = 2k + 1, seed the counter at 1."""
     grow_chains(g, R, _append_chain)
     g.set_color(R.c_next_t, ONE)
     R.icur = _descend(g, R.icur, 0)
     _close_phase(g, R)
-    R.ph_first_block = None
-    R.ph_blocks = ANCHOR
+    R.phase = BLOCKS
     return None
 
 
@@ -183,40 +171,40 @@ def base_tick(g, R, bit):
     """Block i >= 1 symbol: one fixed unit of each of the five walks."""
     for _ in range(2):
         if inc_step(g, R, LEFT) != STEP_OK:
-            return _REJ_PACING
+            return REJ_PACING
         b, R.idx_bits = read_step(g, R.idx_bits, RIGHT)
         if b is None:
-            return _REJ_PACING
+            return REJ_PACING
         R.icur = _descend(g, R.icur, b)
         b, R.pv_bits = read_step(g, R.pv_bits, RIGHT)
         if b is None:
-            return _REJ_PACING
+            return REJ_PACING
         R.pv_cur = _descend(g, R.pv_cur, b)
     R.vt_cur = _descend(g, R.vt_cur, bit)
     _append_value_bit(g, R, bit)
     return None
 
 
-def phase_boundary(g, R):
+def phase_boundary(g, R, _bit):
     """'@' after block i >= 1: all walks must land on their head unit."""
     if inc_step(g, R, LEFT) != STEP_HEAD:
-        return _REJ_PACING
+        return REJ_PACING
     if R.f_carry is not None:
-        return _REJ_FORMAT  # counter wrapped: more than 2^w blocks
+        return REJ_FORMAT  # counter wrapped: more than 2^w blocks
     b, R.idx_bits = read_step(g, R.idx_bits, RIGHT)
     if b is None or R.idx_bits is not None:
-        return _REJ_PACING
+        return REJ_PACING
     R.icur = _descend(g, R.icur, b)
     b, R.pv_bits = read_step(g, R.pv_bits, RIGHT)
     if b is None or R.pv_bits is not None:
-        return _REJ_PACING
+        return REJ_PACING
     R.pv_cur = _descend(g, R.pv_cur, b)
     g.set_color(R.pv_cur, MARK)
     _close_phase(g, R)
     return None
 
 
-def base_end_and_x_tick(g, R):
+def base_end_and_x_tick(g, R, _bit):
     """First '#': the counter must sit exactly at an all-ones value.
 
     The head bit of that value distinguishes n = 2k (head 0, the count
@@ -226,30 +214,25 @@ def base_end_and_x_tick(g, R):
     its bits keep coming from the current chain, two per x symbol.
     """
     if inc_step(g, R, LEFT) != STEP_HEAD:
-        return _REJ_PACING
+        return REJ_PACING
     if R.f_all_ones is None:
-        return _REJ_FORMAT  # block count not a power of two
+        return REJ_FORMAT  # block count not a power of two
     b, R.idx_bits = read_step(g, R.idx_bits, RIGHT)
     if b is None or R.idx_bits is not None:
-        return _REJ_PACING
+        return REJ_PACING
     R.icur = _descend(g, R.icur, b)
     g.link(R.icur, VAL, R.vs_head, PARENT)
     b, R.pv_bits = read_step(g, R.pv_bits, RIGHT)
     if b is None or R.pv_bits is not None:
-        return _REJ_PACING
+        return REJ_PACING
     R.pv_cur = _descend(g, R.pv_cur, b)
     g.set_color(R.pv_cur, MARK)
     R.pv_cur = R.vt_cur
     R.pv_bits = R.c_cur_h
-    R.icur = ANCHOR
-    if R.f_top_one is None:
-        # n even: index paths are one longer than x, eat the pad branch
-        child = g.neighbor(ANCHOR, LEFT)
-        if child is None:
-            return _REJ_FORMAT
-        R.icur = child
-    R.ph_blocks = None
-    R.ph_x = ANCHOR
+    R.icur = skip_pad(g, R, ANCHOR, LEFT)
+    if R.icur is None:
+        return REJ_FORMAT
+    R.phase = X_FIELD
     return None
 
 
@@ -263,22 +246,19 @@ def x_tick(g, R, bit):
                 g.set_color(R.pv_cur, MARK)
     child = g.neighbor(R.icur, LEFT + bit)
     if child is None:
-        return _REJ_FORMAT  # x longer than n, or not over the block count
+        return REJ_FORMAT  # x longer than n, or not over the block count
     R.icur = child
     return None
 
 
-def x_end(g, R):
+def x_end(g, R, _bit):
     """Second '#': x must sit on an index leaf; fetch its value string."""
     head = g.neighbor(R.icur, VAL)
     if head is None:
-        return _REJ_FORMAT  # x shorter than n
+        return REJ_FORMAT  # x shorter than n
     R.vs_cur = head
     R.vt_cur = R.vroot
-    R.q_front = None
-    R.q_back = None
-    R.ph_x = None
-    R.ph_y_value = ANCHOR
+    R.phase = Y_VALUE
     return None
 
 
@@ -291,21 +271,17 @@ def y_tick_first(g, R, bit):
     """
     nxt = g.neighbor(R.vs_cur, RIGHT)
     if nxt is None:
-        R.pv_cur = R.vt_cur
-        if R.f_top_one is None:
-            child = g.neighbor(R.pv_cur, LEFT)
-            if child is None:
-                return _REJ_FORMAT
-            R.pv_cur = child
-        R.ph_y_value = None
-        R.ph_y_index = ANCHOR
+        R.pv_cur = skip_pad(g, R, R.vt_cur, LEFT)
+        if R.pv_cur is None:
+            return REJ_FORMAT
+        R.phase = Y_INDEX
         return y_tick_second(g, R, bit)
     _enqueue(g, R, bit)
     vbit = g.get_color(nxt)
     R.vs_cur = nxt
     child = g.neighbor(R.vt_cur, LEFT + vbit)
     if child is None:
-        return _REJ_FORMAT  # unreachable: the path was built with b_x
+        return REJ_FORMAT  # unreachable: the path was built with b_x
     R.vt_cur = child
     return None
 
@@ -319,20 +295,26 @@ def y_tick_second(g, R, bit):
         qbit = _dequeue(g, R)
         child = g.neighbor(R.pv_cur, LEFT + qbit)
         if child is None:
-            return _REJ_FORMAT  # no index with value b_x continues this way
+            return REJ_FORMAT  # no index with value b_x continues this way
         R.pv_cur = child
     return None
 
 
-def finalize(g, R):
+def finalize(g, R, _bit):
     """Third '#': accept iff the y walk used every bit and hit a mark."""
     if R.q_front is not None:
-        return _REJ_FORMAT  # y shorter than n
+        return REJ_FORMAT  # y shorter than n
     if g.get_color(R.pv_cur) != MARK:
-        return _REJ_FORMAT  # y not an index carrying value b_x
-    R.ph_y_index = None
-    R.ph_done = ANCHOR
+        return REJ_FORMAT  # y not an index carrying value b_x
+    R.phase = DONE
     return None
+
+
+FIRST_BLOCK = phase(phase0_tick, phase0_boundary)
+BLOCKS = phase(base_tick, phase_boundary, base_end_and_x_tick)
+X_FIELD = phase(x_tick, on_hash=x_end)
+Y_VALUE = phase(y_tick_first)
+Y_INDEX = phase(y_tick_second, on_hash=finalize)
 
 
 def _on_start(g, R):
@@ -342,50 +324,8 @@ def _on_start(g, R):
     R.vs_tail = sentinel
     R.vt_cur = R.vroot
     R.icur = ANCHOR
-    R.ph_first_block = ANCHOR
+    R.phase = FIRST_BLOCK
     return None
-
-
-def _on_symbol(g, R, ch):
-    if ch == "0" or ch == "1":
-        bit = ONE if ch == "1" else ZERO
-        if R.ph_blocks is not None:
-            return base_tick(g, R, bit)
-        if R.ph_x is not None:
-            return x_tick(g, R, bit)
-        if R.ph_y_index is not None:
-            return y_tick_second(g, R, bit)
-        if R.ph_y_value is not None:
-            return y_tick_first(g, R, bit)
-        if R.ph_first_block is not None:
-            return phase0_tick(g, R, bit)
-        return _REJ_SUFFIX
-    if ch == "@":
-        if R.ph_blocks is not None:
-            return phase_boundary(g, R)
-        if R.ph_first_block is not None:
-            return phase0_boundary(g, R)
-        if R.ph_done is not None:
-            return _REJ_SUFFIX
-        return _REJ_FORMAT  # '@' inside the index fields
-    # ch == '#', anything else is stopped by the driver
-    if R.ph_blocks is not None:
-        return base_end_and_x_tick(g, R)
-    if R.ph_x is not None:
-        return x_end(g, R)
-    if R.ph_y_index is not None:
-        return finalize(g, R)
-    if R.ph_done is not None:
-        return _REJ_SUFFIX
-    return _REJ_FORMAT  # '#' before any '@', or mid way through y
-
-
-def _on_end(g, R):
-    # Decided purely from registers: a finished run costs no extra steps,
-    # so the flat per-symbol gap is also the global maximum.
-    if R.ph_done is not None:
-        return _ACCEPT
-    return _REJ_TRUNCATED
 
 
 def _graph_factory():
@@ -394,11 +334,4 @@ def _graph_factory():
 
 def build_kum_recognizer(cadence=KUM_CADENCE):
     """Recognizer program; cadence=None disables padding (measurement)."""
-    return Program(
-        register_names=REGISTERS,
-        graph_factory=_graph_factory,
-        on_start=_on_start,
-        on_symbol=_on_symbol,
-        on_end=_on_end,
-        cadence=cadence,
-    )
+    return build(REGISTERS, _graph_factory, _on_start, cadence)

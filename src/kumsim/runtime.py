@@ -75,7 +75,7 @@ _ACCEPT = Verdict(True, None)
 
 
 class Registers:
-    """Fixed-name register file holding a NodeRef or None per name.
+    """Fixed-name register file holding a value per name, None at first.
 
     Registers(names) builds a file for that name set, every register
     None.  Its class has one __slots__ entry per name, so handlers read
@@ -84,8 +84,10 @@ class Registers:
     subscript instead: R[name] reads, R[name] = v writes, both raising
     KeyError on an unknown name, and keys() lists the names, so dict(R)
     works.  Values are the machine's distinguished node handles (or
-    None); reading and writing registers is finite control, not graph
-    work, so it costs no steps.
+    None), except that a recognizer's phase register holds its finite-
+    control state, a phase table (see gadgets), not a node.  Reading and
+    writing registers is finite control, not graph work, so it costs no
+    steps.
     """
 
     __slots__ = ()

@@ -35,10 +35,10 @@ compares it with y's by node identity.
 from __future__ import annotations
 
 from .engine import ModelKind, new_graph
-from .gadgets import (ANCHOR, BLANK, CHAIN_REGISTERS, ONE, STEP_HEAD,
-                      STEP_OK, WALK_REGISTERS, ZERO, grow_chains, inc_step,
-                      read_step, reset_increment, rotate_chains)
-from .runtime import Program, RejectReason, Verdict
+from .gadgets import (ANCHOR, BLANK, DONE, ONE, REJ_FORMAT, REJ_PACING,
+                      SKELETON_REGISTERS, STEP_HEAD, STEP_OK, ZERO, build,
+                      grow_chains, inc_step, phase, read_step,
+                      reset_increment, rotate_chains, skip_pad)
 
 L, R_DIR, V = 0, 1, 2
 
@@ -50,23 +50,13 @@ DIRECTIONS = ("l", "r", "v")
 # links). Measured over the same corpus as the other machine.
 SMM_CADENCE = 27
 
-REGISTERS = (
-    "ph_first_block", "ph_blocks", "ph_x", "ph_y", "ph_done",
-) + CHAIN_REGISTERS + WALK_REGISTERS + (
+REGISTERS = SKELETON_REGISTERS + (
     "idx_bits",   # read walk feeding the index trie (current chain)
     "icur",       # index trie cursor
     "vroot",      # value trie root
     "vt_cur",     # value trie cursor
     "rep_x",      # representative of b_x, held between the last two '#'
 )
-
-_REJ_PACING = Verdict.reject(RejectReason.PACING)
-_REJ_FORMAT = Verdict.reject(RejectReason.FORMAT)
-_REJ_SUFFIX = Verdict.reject(RejectReason.BAD_SUFFIX)
-_REJ_TRUNCATED = Verdict.reject(RejectReason.TRUNCATED)
-
-_ACCEPT = Verdict.accept()
-
 
 def _descend(g, node, bit):
     """Child of node along direction bit, creating it if absent."""
@@ -118,152 +108,100 @@ def _close_block(g, R):
     R.idx_bits = R.c_cur_h
 
 
-def smm_phase0_boundary(g, R):
+def smm_phase0_boundary(g, R, _bit):
     grow_chains(g, R, _append_chain)
     g.set_color(R.c_next_t, ONE)
     R.icur = _descend(g, R.icur, 0)
     _close_block(g, R)
-    R.ph_first_block = None
-    R.ph_blocks = ANCHOR
+    R.phase = BLOCKS
     return None
 
 
 def smm_base_tick(g, R, bit):
     for _ in range(2):
         if inc_step(g, R, L) != STEP_OK:
-            return _REJ_PACING
+            return REJ_PACING
         b, R.idx_bits = read_step(g, R.idx_bits, R_DIR)
         if b is None:
-            return _REJ_PACING
+            return REJ_PACING
         R.icur = _descend(g, R.icur, b)
     R.vt_cur = _descend(g, R.vt_cur, bit)
     return None
 
 
-def smm_phase_boundary(g, R):
+def smm_phase_boundary(g, R, _bit):
     if inc_step(g, R, L) != STEP_HEAD:
-        return _REJ_PACING
+        return REJ_PACING
     if R.f_carry is not None:
-        return _REJ_FORMAT  # counter wrapped: more than 2^w blocks
+        return REJ_FORMAT  # counter wrapped: more than 2^w blocks
     b, R.idx_bits = read_step(g, R.idx_bits, R_DIR)
     if b is None or R.idx_bits is not None:
-        return _REJ_PACING
+        return REJ_PACING
     R.icur = _descend(g, R.icur, b)
     _close_block(g, R)
     return None
 
 
-def _restart_index_walk(g, R):
-    """Point icur back at the root, eating the pad branch when n is even."""
-    R.icur = ANCHOR
-    if R.f_top_one is None:
-        child = g.neighbor(ANCHOR, L)
-        if child is None:
-            return False
-        R.icur = child
-    return True
-
-
-def smm_base_end(g, R):
+def smm_base_end(g, R, _bit):
     if inc_step(g, R, L) != STEP_HEAD:
-        return _REJ_PACING
+        return REJ_PACING
     if R.f_all_ones is None:
-        return _REJ_FORMAT  # block count not a power of two
+        return REJ_FORMAT  # block count not a power of two
     b, R.idx_bits = read_step(g, R.idx_bits, R_DIR)
     if b is None or R.idx_bits is not None:
-        return _REJ_PACING
+        return REJ_PACING
     R.icur = _descend(g, R.icur, b)
     _bind_representative(g, R)
-    if not _restart_index_walk(g, R):
-        return _REJ_FORMAT
-    R.ph_blocks = None
-    R.ph_x = ANCHOR
+    R.icur = skip_pad(g, R, ANCHOR, L)
+    if R.icur is None:
+        return REJ_FORMAT
+    R.phase = X_FIELD
     return None
 
 
-def smm_x_tick(g, R, bit):
+def smm_index_tick(g, R, bit):
+    """x or y symbol: one index-trie level down."""
     child = g.neighbor(R.icur, bit)
     if child is None:
-        return _REJ_FORMAT  # x longer than n, or not over the block count
+        return REJ_FORMAT  # field longer than n, or not over the block count
     R.icur = child
     return None
 
 
-def smm_x_end(g, R):
+def smm_x_end(g, R, _bit):
     rep = g.neighbor(R.icur, V)
     if rep is None:
-        return _REJ_FORMAT  # x shorter than n
+        return REJ_FORMAT  # x shorter than n
     R.rep_x = rep
-    if not _restart_index_walk(g, R):
-        return _REJ_FORMAT
-    R.ph_x = None
-    R.ph_y = ANCHOR
+    R.icur = skip_pad(g, R, ANCHOR, L)
+    if R.icur is None:
+        return REJ_FORMAT
+    R.phase = Y_FIELD
     return None
 
 
-def smm_y_tick(g, R, bit):
-    child = g.neighbor(R.icur, bit)
-    if child is None:
-        return _REJ_FORMAT
-    R.icur = child
-    return None
-
-
-def smm_finalize(g, R):
+def smm_finalize(g, R, _bit):
     rep = g.neighbor(R.icur, V)
     if rep is None:
-        return _REJ_FORMAT  # y shorter than n
+        return REJ_FORMAT  # y shorter than n
     if not g.identity_eq(rep, R.rep_x):
-        return _REJ_FORMAT  # blocks differ
-    R.ph_y = None
-    R.ph_done = ANCHOR
+        return REJ_FORMAT  # blocks differ
+    R.phase = DONE
     return None
+
+
+FIRST_BLOCK = phase(smm_phase0_tick, smm_phase0_boundary)
+BLOCKS = phase(smm_base_tick, smm_phase_boundary, smm_base_end)
+X_FIELD = phase(smm_index_tick, on_hash=smm_x_end)
+Y_FIELD = phase(smm_index_tick, on_hash=smm_finalize)
 
 
 def _on_start(g, R):
     R.vroot = g.create_node(BLANK)
     R.vt_cur = R.vroot
     R.icur = ANCHOR
-    R.ph_first_block = ANCHOR
+    R.phase = FIRST_BLOCK
     return None
-
-
-def _on_symbol(g, R, ch):
-    if ch == "0" or ch == "1":
-        bit = ONE if ch == "1" else ZERO
-        if R.ph_blocks is not None:
-            return smm_base_tick(g, R, bit)
-        if R.ph_x is not None:
-            return smm_x_tick(g, R, bit)
-        if R.ph_y is not None:
-            return smm_y_tick(g, R, bit)
-        if R.ph_first_block is not None:
-            return smm_phase0_tick(g, R, bit)
-        return _REJ_SUFFIX
-    if ch == "@":
-        if R.ph_blocks is not None:
-            return smm_phase_boundary(g, R)
-        if R.ph_first_block is not None:
-            return smm_phase0_boundary(g, R)
-        if R.ph_done is not None:
-            return _REJ_SUFFIX
-        return _REJ_FORMAT  # '@' inside the index fields
-    # ch == '#'
-    if R.ph_blocks is not None:
-        return smm_base_end(g, R)
-    if R.ph_x is not None:
-        return smm_x_end(g, R)
-    if R.ph_y is not None:
-        return smm_finalize(g, R)
-    if R.ph_done is not None:
-        return _REJ_SUFFIX
-    return _REJ_FORMAT  # '#' before any '@'
-
-
-def _on_end(g, R):
-    if R.ph_done is not None:
-        return _ACCEPT
-    return _REJ_TRUNCATED
 
 
 def _graph_factory():
@@ -272,11 +210,4 @@ def _graph_factory():
 
 def build_smm_recognizer(cadence=SMM_CADENCE):
     """Recognizer program; cadence=None disables padding (measurement)."""
-    return Program(
-        register_names=REGISTERS,
-        graph_factory=_graph_factory,
-        on_start=_on_start,
-        on_symbol=_on_symbol,
-        on_end=_on_end,
-        cadence=cadence,
-    )
+    return build(REGISTERS, _graph_factory, _on_start, cadence)

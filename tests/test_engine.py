@@ -45,6 +45,12 @@ def test_new_graph_rejects_bad_arguments():
         new_graph(ModelKind.KUM, 4, PALETTE, ())
     with pytest.raises(ValueError):
         new_graph(ModelKind.KUM, 4, tuple("c%d" % i for i in range(65)), KUM_PORTS)
+    # a port id must fit the byte that stores it
+    many_ports = tuple("p%d" % i for i in range(65))
+    with pytest.raises(ValueError):
+        new_graph(ModelKind.KUM, 4, PALETTE, many_ports)
+    with pytest.raises(ValueError):
+        new_graph(ModelKind.SMM, None, PALETTE, many_ports)
 
 
 def test_create_node_returns_fresh_unequal_handles():

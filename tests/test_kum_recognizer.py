@@ -56,6 +56,9 @@ def test_reject_reasons():
         ("0@1@0@1#0#10#", RejectReason.FORMAT),     # x too short
         ("0@1@0@1#00#100#", RejectReason.FORMAT),   # y too long
         ("0@1@0@1#00#1#", RejectReason.FORMAT),     # y too short
+        ("0@1@0@1#00##", RejectReason.FORMAT),      # '#' in y's value stage
+        ("0@1@0@1#00#@", RejectReason.FORMAT),      # '@' in y's value stage
+        ("0@1@0@1#00#1@", RejectReason.FORMAT),     # '@' in y's index stage
     ]
     for s, want in cases:
         v = verdict_of(s)

@@ -334,6 +334,27 @@ def test_trace_retains_at_most_16_bytes_per_symbol(build):
     assert (with_trace - without) / len(word) <= 16
 
 
+@pytest.mark.parametrize("build, bound", [(build_kum_recognizer, 80),
+                                          (build_smm_recognizer, 70)])
+def test_graph_retains_few_bytes_per_node(build, bound):
+    """Colors, degrees and KUM far-side ports take a byte each per node and
+    port (lists of ints would take about 116 (KUM) and 78 (SMM) bytes)."""
+    prog = build()
+    word = encode(gen_positive(10, random.Random(4)))
+    tracemalloc.start()
+    try:
+        res = run(prog, word)
+        res.trace = res.registers = None
+        with_graph = tracemalloc.get_traced_memory()[0]
+        nodes = res.stats["node_count"]
+        res.graph = None
+        without = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert res.verdict.accepted
+    assert (with_graph - without) / nodes <= bound
+
+
 @given(st.text(alphabet="01@#", max_size=40), st.integers(1, 12))
 @settings(max_examples=50, deadline=None)
 def test_streaming_prefix_consistency(text, cut):

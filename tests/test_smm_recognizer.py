@@ -35,6 +35,7 @@ def test_reject_reasons_match_bounded_machine():
         "0@11@0@1#00#10#", "0@@1@1#00#10#", "0@1@0#00#01#",
         "@@#0#1#", "#0#1#", "0@1@0@1#0@#10#", "0@1@0@1#000#10#",
         "0@1@0@1#0#10#", "0@1@0@1#00#100#", "0@1@0@1#00#1#",
+        "0@1@0@1#00##", "0@1@0@1#00#@", "0@1@0@1#00#1@",
     ]
     for s in cases:
         a = verdict_of(s)
