@@ -155,6 +155,9 @@ def cmd_fuzz(args):
     if args.cases < 1:
         print("kumsim fuzz: --cases must be at least 1", file=sys.stderr)
         return 2
+    if args.max_n < 1:
+        print("kumsim fuzz: --max-n must be at least 1", file=sys.stderr)
+        return 2
     rng = random.Random(args.seed)
     progs = [(name, MACHINES[name]()) for name in args.machines]
     for i in range(args.cases):

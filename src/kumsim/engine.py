@@ -17,8 +17,9 @@ graph_stats() is harness instrumentation and costs nothing.
 
 Node handles are plain ints, stable for the life of the graph (nodes are
 never deleted, only unlinked).  Colors and port labels are declared as
-name strings in new_graph() and addressed as small ints afterwards, in
-declaration order; palette[0] is the default color of every fresh node.
+name strings in new_graph(), which checks them; every primitive takes
+their index in that declaration, and the graph looks no name up.
+palette[0] is the default color of every fresh node.
 
 Port rows are stored flat: one list holds every node's port targets, and
 port p of node v lives at index v * nports + p (for KUM a bytearray of
@@ -30,8 +31,9 @@ which are unbounded, stay a list.  create_node() extends every column by
 one prebuilt blank row and fork() is a handful of whole-column copies.
 Because a port out of range would silently address the next node's row,
 every primitive range-checks its ports as well as its node handles; a
-bad handle or port raises BadHandle or BadPort, which are EngineErrors
-(so the driver reports a machine fault) and ValueErrors.
+bad handle, port or idle count raises BadHandle, BadPort or BadCount,
+which are EngineErrors (so the driver reports a machine fault) and
+ValueErrors.
 """
 
 from __future__ import annotations
@@ -87,6 +89,10 @@ class BadPort(EngineError, ValueError):
     """An argument that is not a port id of this graph."""
 
 
+class BadCount(EngineError, ValueError):
+    """An idle count that is not a nonnegative int."""
+
+
 class StorageGraph:
     """Ported-graph storage with step-exact cost accounting.
 
@@ -100,7 +106,6 @@ class StorageGraph:
         "_zero_row",
         "_adj", "_peer", "_color", "_deg", "_indeg",
         "_node_count", "_max_degree", "_max_in_degree",
-        "_color_ids", "_port_ids",
     )
 
     def __init__(self, model: ModelKind, degree_bound: Optional[int],
@@ -137,8 +142,6 @@ class StorageGraph:
 
         self.palette = tuple(palette)
         self.labels = tuple(labels)
-        self._color_ids = {name: i for i, name in enumerate(self.palette)}
-        self._port_ids = {name: i for i, name in enumerate(self.labels)}
         self._ncolors = len(self.palette)
         self._nports = len(self.labels)
         self._blank_row = (None,) * self._nports
@@ -156,20 +159,6 @@ class StorageGraph:
         self._max_degree = 0
         self._max_in_degree = 0
         self.step_counter = 0
-
-    # -- name resolution (free, harness-side) ------------------------------
-
-    def color_id(self, name: str) -> Color:
-        try:
-            return self._color_ids[name]
-        except KeyError:
-            raise UnknownColor(name) from None
-
-    def port_id(self, name: str) -> PortLabel:
-        try:
-            return self._port_ids[name]
-        except KeyError:
-            raise ValueError("unknown port label %r" % (name,)) from None
 
     @property
     def initial_node(self) -> NodeRef:
@@ -346,8 +335,9 @@ class StorageGraph:
 
     def idle(self, count: int = 1) -> None:
         """Spend count do-nothing steps (used to pad work to a fixed cadence)."""
-        if count < 0:
-            raise ValueError("idle count must be nonnegative")
+        if type(count) is not int or count < 0:
+            raise BadCount("idle count must be a nonnegative int: %r"
+                           % (count,))
         self.step_counter += count
 
     # -- observers (zero steps) ----------------------------------------------
@@ -379,8 +369,6 @@ class StorageGraph:
         g.degree_bound = self.degree_bound
         g.palette = self.palette
         g.labels = self.labels
-        g._color_ids = self._color_ids
-        g._port_ids = self._port_ids
         g._ncolors = self._ncolors
         g._nports = self._nports
         g._blank_row = self._blank_row

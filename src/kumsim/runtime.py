@@ -14,8 +14,7 @@ delivers one symbol per time unit, so the step gap between consecutive
 reads is itself the real-time constant c for that interval.
 
 A trace stores only those gaps, one int per symbol (about 8 bytes, since
-the gaps are small cached ints); the (kind, position, gap) events a
-harness reads are rebuilt from them on demand by a read-only view.
+the gaps are small cached ints).
 """
 
 from __future__ import annotations
@@ -23,7 +22,6 @@ from __future__ import annotations
 import enum
 import functools
 import keyword
-from collections.abc import Sequence
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Optional
 
@@ -31,18 +29,6 @@ from kumsim.blocklang import ALPHABET
 from kumsim.engine import EngineError, StorageGraph
 
 MAX_REGISTERS = 32
-
-
-class EventKind(enum.Enum):
-    READ_SYMBOL = "read"
-    HALT = "halt"
-
-
-# EventKind.READ_SYMBOL runs the enum's member descriptor, about 140 ns on
-# CPython 3.11; the event view builds one tuple per symbol, so it reads
-# these module constants instead.
-READ_SYMBOL = EventKind.READ_SYMBOL
-HALT = EventKind.HALT
 
 
 class RejectReason(enum.Enum):
@@ -83,11 +69,12 @@ class Registers:
     register fails inside CPython with AttributeError.  The harness may
     subscript instead: R[name] reads, R[name] = v writes, both raising
     KeyError on an unknown name, and keys() lists the names, so dict(R)
-    works.  Values are the machine's distinguished node handles (or
-    None), except that a recognizer's phase register holds its finite-
-    control state, a phase table (see gadgets), not a node.  Reading and
-    writing registers is finite control, not graph work, so it costs no
-    steps.
+    works.  copy() returns a second file of the same class holding the
+    same values; register_class compiles it for each name set.  Values
+    are the machine's distinguished node handles (or None), except that
+    a recognizer's phase register holds its finite-control state, a
+    phase table (see gadgets), not a node.  Reading and writing
+    registers is finite control, not graph work, so it costs no steps.
     """
 
     __slots__ = ()
@@ -115,28 +102,20 @@ class Registers:
             raise KeyError("unknown register %r" % (name,))
         setattr(self, name, value)
 
-    def copy(self) -> "Registers":
-        """A second file of the same class holding the same values.
-
-        Every subclass made by register_class replaces this with code
-        compiled for its names; the base class has no registers.
-        """
-        return object.__new__(type(self))
-
 
 def register_class(names: Iterable[str]) -> type:
     """The Registers subclass with one slot per name, in order.
 
     A name must be an identifier that is not a Python keyword, does not
-    start with an underscore and does not shadow an attribute of
-    Registers (such as keys or copy).  Classes are shared between calls
-    with the same names.
+    start with an underscore and does not shadow an attribute of a
+    register file (keys, copy).  Classes are shared between calls with
+    the same names.
     """
     names = tuple(names)
     for name in names:
         if (not isinstance(name, str) or not name.isidentifier()
                 or keyword.iskeyword(name) or name.startswith("_")
-                or hasattr(Registers, name)):
+                or name == "copy" or hasattr(Registers, name)):
             raise ValueError("bad register name %r" % (name,))
     return _compiled_register_class(names)
 
@@ -167,11 +146,10 @@ class Trace:
     faulted) and halted becomes true; total_steps is the step counter at
     the halt.  gaps() returns a copy of the gap list.
 
-    events is a read-only sequence view of the same record as
-    (EventKind, position, steps_since_previous_event) tuples: read i is
-    (READ_SYMBOL, i, gap i), and the halt is (HALT, number of reads, last
-    gap), so an event's position is always its index.  The tuples are
-    built on demand and never stored.
+    events is a read-only view of the same record as (kind, position,
+    gap) tuples, kept for the benchmark harness: read i is ("read", i,
+    gap i) and the halt is ("halt", number of reads, last gap), so an
+    event's position is its index.  New code reads gaps() and halted.
     """
 
     __slots__ = ("_gaps", "halted", "total_steps")
@@ -189,13 +167,8 @@ class Trace:
         return self._gaps[:]
 
 
-class TraceEvents(Sequence):
-    """Live read-only view of a Trace as (EventKind, position, gap) tuples.
-
-    Supports len, truth, int indexing (negative too), slices (a list of
-    tuples), iteration, and == against another view (equal gaps and halt
-    flag) or a list of tuples.
-    """
+class TraceEvents:
+    """Live view of a Trace: len, truth, int indexing and iteration."""
 
     __slots__ = ("_trace",)
 
@@ -205,38 +178,22 @@ class TraceEvents(Sequence):
     def __len__(self) -> int:
         return len(self._trace._gaps)
 
-    def __getitem__(self, i):
+    def __getitem__(self, i: int):
         t = self._trace
         n = len(t._gaps)
-        if isinstance(i, slice):
-            return [self[j] for j in range(*i.indices(n))]
         j = i + n if i < 0 else i
         if not 0 <= j < n:
             raise IndexError("trace event index out of range")
-        kind = HALT if t.halted and j == n - 1 else READ_SYMBOL
-        return (kind, j, t._gaps[j])
+        return ("halt" if t.halted and j == n - 1 else "read", j, t._gaps[j])
 
     def __iter__(self):
         t = self._trace
         gaps = t._gaps
         reads = len(gaps) - t.halted
         for i in range(reads):
-            yield (READ_SYMBOL, i, gaps[i])
+            yield ("read", i, gaps[i])
         if t.halted:
-            yield (HALT, reads, gaps[reads])
-
-    def __eq__(self, other):
-        if isinstance(other, TraceEvents):
-            a, b = self._trace, other._trace
-            return a.halted == b.halted and a._gaps == b._gaps
-        if isinstance(other, list):
-            return list(self) == other
-        return NotImplemented
-
-    __hash__ = None
-
-    def __repr__(self) -> str:
-        return "TraceEvents(%r)" % (list(self),)
+            yield ("halt", reads, gaps[reads])
 
 
 @dataclass(frozen=True)

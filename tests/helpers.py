@@ -39,6 +39,21 @@ def count_color(g, color):
     return sum(1 for node in range(n) if g.get_color(node) == color)
 
 
+# repr() of each event kind from when kinds were EventKind members; the
+# pinned fingerprints in tests/data/acceptance_fingerprints.json hash it.
+_KIND_REPRS = {"read": "<EventKind.READ_SYMBOL: 'read'>",
+               "halt": "<EventKind.HALT: 'halt'>"}
+
+
+def event_reprs(trace):
+    """repr() of each (kind, position, gap) event of trace, as pinned."""
+    gaps = trace.gaps()
+    last = len(gaps) - 1 if trace.halted else -1
+    return ["(%s, %d, %d)" % (_KIND_REPRS["halt" if i == last else "read"],
+                              i, gap)
+            for i, gap in enumerate(gaps)]
+
+
 def broken_kum_builder():
     """A deliberately wrong machine: flips every accepting verdict.
 

@@ -128,7 +128,8 @@ def test_fuzz_healthy_build_agrees(capsys):
 
 
 def test_fuzz_zero_cases_is_usage_error(capsys):
-    assert cli.main(["fuzz", "--cases", "0"]) == 2
+    for flags in (["--cases", "0"], ["--cases", "1", "--max-n", "0"]):
+        assert cli.main(["fuzz"] + flags) == 2, flags
 
 
 def test_fuzz_broken_machine_prints_reproducer(monkeypatch, capsys):

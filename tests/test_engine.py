@@ -10,7 +10,9 @@ from kumsim.engine import (
 )
 
 PALETTE = ("zero", "one", "blank", "mark")
+ZERO, ONE, BLANK, MARK = range(4)
 KUM_PORTS = ("parent", "left", "right", "val")
+PARENT, LEFT, RIGHT, VAL = range(4)
 SMM_DIRS = ("L", "R", "V")
 
 
@@ -55,8 +57,8 @@ def test_new_graph_rejects_bad_arguments():
 
 def test_create_node_returns_fresh_unequal_handles():
     g = kum()
-    a = g.create_node(g.color_id("zero"))
-    b = g.create_node(g.color_id("zero"))
+    a = g.create_node(ZERO)
+    b = g.create_node(ZERO)
     assert a != b
     assert g.degree(a) == 0
     assert g.step_counter == 2
@@ -66,12 +68,11 @@ def test_create_node_returns_fresh_unequal_handles():
 
 def test_link_is_symmetric():
     g = kum()
-    p = g.port_id
     leaf = g.create_node(0)
     head = g.create_node(2)
-    g.link(leaf, p("val"), head, p("parent"))
-    assert g.neighbor(leaf, p("val")) == head
-    assert g.neighbor(head, p("parent")) == leaf
+    g.link(leaf, VAL, head, PARENT)
+    assert g.neighbor(leaf, VAL) == head
+    assert g.neighbor(head, PARENT) == leaf
     # an edge has no direction: KUM in-degree is 0 and is not stored
     assert g.in_degree(leaf) == g.in_degree(head) == 0
     assert g.fork().in_degree(head) == 0
@@ -117,7 +118,7 @@ def test_set_pointer_overwrites_and_tracks_in_degree():
     rep = g.create_node(0)
     other = g.create_node(0)
     leaves = [g.create_node(1) for _ in range(4)]
-    V = g.port_id("V")
+    V = SMM_DIRS.index("V")
     for leaf in leaves:
         g.set_pointer(leaf, V, rep)
     assert g.in_degree(rep) == 4
@@ -160,11 +161,11 @@ def test_unlink_smm_is_one_sided():
 
 def test_colors_round_trip_and_default():
     g = kum()
-    a = g.create_node(g.color_id("one"))
-    assert g.get_color(a) == g.color_id("one")
-    assert g.get_color(g.initial_node) == 0  # palette[0] is the default
-    g.set_color(a, g.color_id("mark"))
-    assert g.get_color(a) == g.color_id("mark")
+    a = g.create_node(ONE)
+    assert g.get_color(a) == ONE
+    assert g.get_color(g.initial_node) == ZERO  # palette[0] is the default
+    g.set_color(a, MARK)
+    assert g.get_color(a) == MARK
     with pytest.raises(UnknownColor):
         g.set_color(a, 64)
 
@@ -249,8 +250,12 @@ def test_flat_rows_keep_ports_of_neighboring_nodes_apart():
 
 def test_idle_rejects_negative():
     g = kum()
-    with pytest.raises(ValueError):
-        g.idle(-1)
+    g.idle(2)
+    for bad in (-1, 2.5, True):
+        with pytest.raises(ValueError) as info:
+            g.idle(bad)
+        assert isinstance(info.value, EngineError)
+        assert g.step_counter == 2 and type(g.step_counter) is int
 
 
 def test_fork_is_independent():
