@@ -21,28 +21,34 @@ Storage layout, all grown incrementally while reading:
                  value.  Below each leaf hangs a per-value index trie of
                  depth w holding exactly the indices carrying that value,
                  each completed path's last node colored mark.
-  counter chains three bit chains driven by the gadgets module, tracking
-                 the previous, current, and next block index.
+  counter chain  one chain of w nodes driven by the gadgets module; each
+                 node's color packs its bit of the previous, current and
+                 next block index, and the rot register says which is
+                 which.
 
 Per symbol during the block section the machine advances the increment
-walk two positions, extends the index-trie path for the current index two
-levels (consuming the current chain most significant bit first), extends
-the per-value path for the previous index two levels (consuming the
-previous chain), descends the value trie one level on the input bit, and
-appends the bit to the value string.  All five walks have length linear
-in the block, so each boundary symbol finishes them in one final unit
-apiece; a walk finishing early or late is a block-length mismatch and
-rejects as pacing.
+walk two positions, advances the read walk two positions, extends the
+index-trie path for the current index and the per-value path for the
+previous index two levels each (both fed by the one read walk, which
+decodes the current and the previous bit from each chain color, most
+significant first), descends the value trie one level on the input bit,
+and appends the bit to the value string.  That is 2 x (increment 3 +
+read 2 + two descends 3 + 3) + descend 3 + append 2 = 27 primitives, the
+cadence.  Block 0 costs 2 x (chain append 2 + descend 3) + 3 + 2 = 15.
+All the walks have length linear in the block, so each boundary symbol
+finishes them in one final unit apiece; a walk finishing early or late
+is a block-length mismatch and rejects as pacing.
 
 After the blocks, x replays its bits into the index trie (descend only:
 a missing branch means x is not a valid index), while the per-value path
 for the final index 2^n - 1, whose usual build slot does not exist, is
-finished on the same symbols.  The second '#' jumps through the val port
-to x's value string.  The y bits then go through a small FIFO queue: they
-are consumed one per symbol but checked in two stages, first against the
-value trie while walking b_x's string (locating b_x's per-value trie),
-then two per symbol against that per-value trie.  y is a member index
-for b_x exactly when the walk ends on a marked node with the queue empty.
+finished on the same symbols from a fresh read walk of the current
+index.  The second '#' jumps through the val port to x's value string.
+The y bits then go through a small FIFO queue: they are consumed one per
+symbol but checked in two stages, first against the value trie while
+walking b_x's string (locating b_x's per-value trie), then two per
+symbol against that per-value trie.  y is a member index for b_x
+exactly when the walk ends on a marked node with the queue empty.
 
 n = 1 has empty blocks, so the first symbol is already the '@' boundary
 and every walk degenerates to its single head unit; '@#x#y#' accepts for
@@ -52,25 +58,23 @@ all four bit pairs because both blocks are the empty string.
 from __future__ import annotations
 
 from .engine import ModelKind, new_graph
-from .gadgets import (ANCHOR, BLANK, DONE, MARK, ONE, REJ_FORMAT,
-                      REJ_PACING, SKELETON_REGISTERS, STEP_HEAD, STEP_OK,
-                      ZERO, build, grow_chains, inc_step, phase, read_step,
-                      reset_increment, rotate_chains, skip_pad)
+from .gadgets import (ANCHOR, BLANK, CHAIN0, DONE, FIRST_ROTATION, MARK,
+                      PALETTE, REJ_FORMAT, REJ_PACING, SKELETON_REGISTERS,
+                      STEP_HEAD, STEP_OK, build, grow_chain, inc_step,
+                      next_block, phase, read_step, seed_counter, skip_pad)
 
 PARENT, LEFT, RIGHT, VAL = 0, 1, 2, 3
 
-PALETTE = ("zero", "one", "blank", "mark")
 PORTS = ("parent", "left", "right", "val")
 DEGREE_BOUND = 4
 
 # Worst primitive count of any single symbol handler, measured over the
-# exhaustive short-string sweep and the generated corpus (a block symbol
-# where every walk level allocates). The driver pads every symbol to this.
-KUM_CADENCE = 33
+# exhaustive short-string sweep and the generated corpus, and equal to
+# the hand count in the module docstring (a later-block symbol where
+# every walk level allocates). The driver pads every symbol to this.
+KUM_CADENCE = 27
 
 REGISTERS = SKELETON_REGISTERS + (
-    "idx_bits",   # read walk feeding the index trie (current chain)
-    "pv_bits",    # read walk feeding the per-value trie (previous chain)
     "icur",       # index trie cursor
     "vroot",      # value trie root
     "vt_cur",     # value trie cursor
@@ -92,8 +96,8 @@ def _descend(g, node, bit):
 
 
 def _append_chain(g, head):
-    """New zero node above head (None: the chain's first node)."""
-    node = g.create_node(ZERO)
+    """New all-zero chain node above head (None: the chain's first node)."""
+    node = g.create_node(CHAIN0)
     if head is not None:
         g.link(head, LEFT, node, RIGHT)
     return node
@@ -132,7 +136,7 @@ def _close_phase(g, R):
 
     Links the finished value string under the index leaf, re-roots the
     per-value walk at the value leaf just reached, starts a fresh string,
-    and rotates the counters for the next block.
+    and rotates the counter for the next block.
     """
     g.link(R.icur, VAL, R.vs_head, PARENT)
     sentinel = g.create_node(BLANK)
@@ -141,16 +145,13 @@ def _close_phase(g, R):
     R.pv_cur = R.vt_cur
     R.vt_cur = R.vroot
     R.icur = ANCHOR
-    rotate_chains(R)
-    reset_increment(R)
-    R.idx_bits = R.c_cur_h
-    R.pv_bits = R.c_prev_h
+    next_block(R)
 
 
 def phase0_tick(g, R, bit):
-    """Block 0 symbol: grow chains and the all-zero index path."""
+    """Block 0 symbol: grow the chain and the all-zero index path."""
     for _ in range(2):
-        grow_chains(g, R, _append_chain)
+        grow_chain(g, R, _append_chain)
         R.icur = _descend(g, R.icur, 0)
     R.vt_cur = _descend(g, R.vt_cur, bit)
     _append_value_bit(g, R, bit)
@@ -159,8 +160,8 @@ def phase0_tick(g, R, bit):
 
 def phase0_boundary(g, R, _bit):
     """First '@': fix w = 2k + 1, seed the counter at 1."""
-    grow_chains(g, R, _append_chain)
-    g.set_color(R.c_next_t, ONE)
+    grow_chain(g, R, _append_chain)
+    seed_counter(g, R)
     R.icur = _descend(g, R.icur, 0)
     _close_phase(g, R)
     R.phase = BLOCKS
@@ -168,18 +169,16 @@ def phase0_boundary(g, R, _bit):
 
 
 def base_tick(g, R, bit):
-    """Block i >= 1 symbol: one fixed unit of each of the five walks."""
+    """Block i >= 1 symbol: one fixed unit of each of the walks."""
+    rot = R.rot
     for _ in range(2):
         if inc_step(g, R, LEFT) != STEP_OK:
             return REJ_PACING
-        b, R.idx_bits = read_step(g, R.idx_bits, RIGHT)
-        if b is None:
+        c = read_step(g, R, RIGHT)
+        if c is None:
             return REJ_PACING
-        R.icur = _descend(g, R.icur, b)
-        b, R.pv_bits = read_step(g, R.pv_bits, RIGHT)
-        if b is None:
-            return REJ_PACING
-        R.pv_cur = _descend(g, R.pv_cur, b)
+        R.icur = _descend(g, R.icur, rot.cur[c])
+        R.pv_cur = _descend(g, R.pv_cur, rot.prev[c])
     R.vt_cur = _descend(g, R.vt_cur, bit)
     _append_value_bit(g, R, bit)
     return None
@@ -191,14 +190,11 @@ def phase_boundary(g, R, _bit):
         return REJ_PACING
     if R.f_carry is not None:
         return REJ_FORMAT  # counter wrapped: more than 2^w blocks
-    b, R.idx_bits = read_step(g, R.idx_bits, RIGHT)
-    if b is None or R.idx_bits is not None:
+    c = read_step(g, R, RIGHT)
+    if c is None or R.read_pos is not None:
         return REJ_PACING
-    R.icur = _descend(g, R.icur, b)
-    b, R.pv_bits = read_step(g, R.pv_bits, RIGHT)
-    if b is None or R.pv_bits is not None:
-        return REJ_PACING
-    R.pv_cur = _descend(g, R.pv_cur, b)
+    R.icur = _descend(g, R.icur, R.rot.cur[c])
+    R.pv_cur = _descend(g, R.pv_cur, R.rot.prev[c])
     g.set_color(R.pv_cur, MARK)
     _close_phase(g, R)
     return None
@@ -211,24 +207,21 @@ def base_end_and_x_tick(g, R, _bit):
     ran to 2^(2k), and index paths carry a pad bit) from n = 2k + 1
     (head 1, count 2^(2k + 1)).  The per-value path for the last index
     has no successor block to build it, so it is handed to the x phase:
-    its bits keep coming from the current chain, two per x symbol.
+    a fresh read walk hands out the current index, two bits per x symbol.
     """
     if inc_step(g, R, LEFT) != STEP_HEAD:
         return REJ_PACING
     if R.f_all_ones is None:
         return REJ_FORMAT  # block count not a power of two
-    b, R.idx_bits = read_step(g, R.idx_bits, RIGHT)
-    if b is None or R.idx_bits is not None:
+    c = read_step(g, R, RIGHT)
+    if c is None or R.read_pos is not None:
         return REJ_PACING
-    R.icur = _descend(g, R.icur, b)
+    R.icur = _descend(g, R.icur, R.rot.cur[c])
     g.link(R.icur, VAL, R.vs_head, PARENT)
-    b, R.pv_bits = read_step(g, R.pv_bits, RIGHT)
-    if b is None or R.pv_bits is not None:
-        return REJ_PACING
-    R.pv_cur = _descend(g, R.pv_cur, b)
+    R.pv_cur = _descend(g, R.pv_cur, R.rot.prev[c])
     g.set_color(R.pv_cur, MARK)
     R.pv_cur = R.vt_cur
-    R.pv_bits = R.c_cur_h
+    R.read_pos = R.c_head
     R.icur = skip_pad(g, R, ANCHOR, LEFT)
     if R.icur is None:
         return REJ_FORMAT
@@ -239,10 +232,10 @@ def base_end_and_x_tick(g, R, _bit):
 def x_tick(g, R, bit):
     """x symbol: descend the index trie; finish the last per-value path."""
     for _ in range(2):
-        b, R.pv_bits = read_step(g, R.pv_bits, RIGHT)
-        if b is not None:
-            R.pv_cur = _descend(g, R.pv_cur, b)
-            if R.pv_bits is None:
+        c = read_step(g, R, RIGHT)
+        if c is not None:
+            R.pv_cur = _descend(g, R.pv_cur, R.rot.cur[c])
+            if R.read_pos is None:
                 g.set_color(R.pv_cur, MARK)
     child = g.neighbor(R.icur, LEFT + bit)
     if child is None:
@@ -325,6 +318,7 @@ def _on_start(g, R):
     R.vt_cur = R.vroot
     R.icur = ANCHOR
     R.phase = FIRST_BLOCK
+    R.rot = FIRST_ROTATION
     return None
 
 

@@ -72,9 +72,10 @@ class Registers:
     works.  copy() returns a second file of the same class holding the
     same values; register_class compiles it for each name set.  Values
     are the machine's distinguished node handles (or None), except that
-    a recognizer's phase register holds its finite-control state, a
-    phase table (see gadgets), not a node.  Reading and writing
-    registers is finite control, not graph work, so it costs no steps.
+    a recognizer's phase and rot registers hold finite control, not a
+    node: the phase a phase table, rot the counter chain's rotation (see
+    gadgets).  Reading and writing registers is finite control, not
+    graph work, so it costs no steps.
     """
 
     __slots__ = ()
@@ -359,6 +360,9 @@ def max_gap(trace: Trace) -> int:
 
 
 def mean_gap(trace: Trace) -> float:
+    """Steps per gap over a halted run (total_steps counts on_start too)."""
     if not trace._gaps:
         raise ValueError("empty trace")
+    if not trace.halted:
+        raise ValueError("trace has not halted")
     return trace.total_steps / len(trace._gaps)

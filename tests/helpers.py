@@ -23,12 +23,13 @@ def levels(g, root, left_port, right_port):
         frontier = nxt
 
 
-def chain_bits(g, head, toward_tail_port):
-    """Chain colors head to tail as a bit string (head = most significant)."""
+def chain_bits(g, head, toward_tail_port, decode):
+    """Chain head to tail as a bit string (head = most significant), each
+    node's bit read as decode[color], e.g. R.rot.cur for the current index."""
     bits = []
     node = head
     while node is not None:
-        bits.append(str(g.get_color(node)))
+        bits.append(str(decode[g.get_color(node)]))
         node = g.neighbor(node, toward_tail_port)
     return "".join(bits)
 

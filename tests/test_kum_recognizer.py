@@ -71,17 +71,29 @@ def test_register_file_fits():
     assert len(set(REGISTERS)) == len(REGISTERS)
 
 
-def test_pad_width_and_counter_after_first_boundary():
-    # one block symbol fixes k=1, so the chains must be w = 2k+1 = 3 long
+@pytest.mark.parametrize("n", [3, 4])
+def test_counter_chain_at_every_boundary(n):
+    # the chain is w = 2k + 1 long; at the boundary that opens block i it
+    # holds i - 1 as the previous index and i as the current one
+    w = 2 * (n // 2) + 1
+    s = blocklang.encode(blocklang.gen_positive(n, random.Random(n)))
     r = Runner(PROG)
-    for ch in "0@":
+    i = 0
+    for ch in s:
         assert r.feed(ch) is None
-    g, R = r.graph, r.registers
-    assert helpers.chain_bits(g, R["c_cur_h"], RIGHT) == "001"   # index 1
-    assert helpers.chain_bits(g, R["c_prev_h"], RIGHT) == "000"  # index 0
-    assert len(helpers.chain_bits(g, R["c_next_h"], RIGHT)) == 3
-    # the all-zero index path exists to full depth
-    assert len(helpers.levels(g, 0, LEFT, RIGHT)) == 4  # root + 3 levels
+        if ch != "@":
+            continue
+        i += 1
+        probe = r.fork()  # probing costs steps; keep them off the run
+        g, R = probe.graph, probe.registers
+        assert helpers.chain_bits(g, R.c_head, RIGHT, R.rot.prev) == \
+            format(i - 1, "0%db" % w), (n, i)
+        assert helpers.chain_bits(g, R.c_head, RIGHT, R.rot.cur) == \
+            format(i, "0%db" % w), (n, i)
+        if i == 1:  # the all-zero index path exists to full depth
+            assert len(helpers.levels(g, 0, LEFT, RIGHT)) == w + 1
+    assert i == 2 ** n - 1
+    assert r.finish().verdict.accepted
 
 
 def test_structure_counts_after_accepting_run():

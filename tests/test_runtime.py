@@ -156,6 +156,21 @@ def test_max_gap_and_mean_gap():
     assert max_gap(empty.trace) == 0  # lone halt event, no work done
 
 
+def test_mean_gap_refuses_an_unhalted_trace():
+    # total_steps is set only at the halt, so a mean taken mid-run would
+    # read 0 while the gaps say otherwise
+    r = Runner(build_kum_recognizer())
+    for ch in "0@1@":
+        assert r.feed(ch) is None
+    assert max_gap(r.trace) > 0
+    with pytest.raises(ValueError):
+        mean_gap(r.trace)
+    with pytest.raises(ValueError):
+        mean_gap(Trace())
+    tr = r.finish().trace
+    assert mean_gap(tr) == tr.total_steps / len(tr.gaps())
+
+
 def test_bad_port_in_a_handler_is_a_machine_fault():
     def bad_symbol(g, r, ch):
         g.neighbor(g.initial_node, len(g.labels))  # one past the last port

@@ -48,13 +48,27 @@ def test_register_file_fits():
     assert len(set(REGISTERS)) == len(REGISTERS)
 
 
-def test_counter_reuse_after_first_boundary():
+@pytest.mark.parametrize("n", [3, 4])
+def test_counter_chain_at_every_boundary(n):
+    # the chain is w = 2k + 1 long; at the boundary that opens block i it
+    # holds i - 1 as the previous index and i as the current one
+    w = 2 * (n // 2) + 1
+    s = blocklang.encode(blocklang.gen_positive(n, random.Random(n)))
     r = Runner(PROG)
-    for ch in "0@":
+    i = 0
+    for ch in s:
         assert r.feed(ch) is None
-    g, R = r.graph, r.registers
-    assert helpers.chain_bits(g, R["c_cur_h"], R_DIR) == "001"
-    assert helpers.chain_bits(g, R["c_prev_h"], R_DIR) == "000"
+        if ch != "@":
+            continue
+        i += 1
+        probe = r.fork()  # probing costs steps; keep them off the run
+        g, R = probe.graph, probe.registers
+        assert helpers.chain_bits(g, R.c_head, R_DIR, R.rot.prev) == \
+            format(i - 1, "0%db" % w), (n, i)
+        assert helpers.chain_bits(g, R.c_head, R_DIR, R.rot.cur) == \
+            format(i, "0%db" % w), (n, i)
+    assert i == 2 ** n - 1
+    assert r.finish().verdict.accepted
 
 
 def test_value_sharing_by_pointer_identity():
