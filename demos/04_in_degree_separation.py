@@ -6,8 +6,9 @@ The directed machine shares one representative node per distinct block
 value and points every index leaf at it.  When all 2^n blocks carry
 the same value, that one node collects 2^n pointers, and the max
 in-degree statistic says so exactly.  The undirected machine cannot do
-this: its degree bound forces it to copy the value per block, so its
-max degree stays flat no matter how skewed the input is.
+this: its degree bound forces it to give every index its own leaf in a
+per-value trie, so its max degree stays flat no matter how skewed the
+input is.
 """
 
 from kumsim import blocklang, build_kum_recognizer, build_smm_recognizer, run

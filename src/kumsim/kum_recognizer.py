@@ -8,60 +8,63 @@ and independent of n).
 Storage layout, all grown incrementally while reading:
 
   index trie     binary trie of depth w = 2k + 1 keyed by padded block
-                 index; the leaf for index i links through its val port to
-                 that block's value string.  The root is the graph's
-                 initial node.  Depth w rather than n lets the machine
-                 start building before it can know n: w is determined by
-                 the first block alone, and the two candidate n (2k and
-                 2k + 1) share the trie with pads resolving the even case.
-  value strings  one doubly linked bit list per block, headed by a blank
-                 sentinel so empty blocks (k = 0) still have a node to
-                 link.
+                 index; the leaf for index i links through its val port
+                 to the val port of i's leaf in the per-value trie below.
+                 The root is the graph's initial node.  Depth w rather
+                 than n lets the machine start building before it can
+                 know n: w is determined by the first block alone, and
+                 the two candidate n (2k and 2k + 1) share the trie with
+                 pads resolving the even case.
   value trie     binary trie of depth k with one leaf per distinct block
                  value.  Below each leaf hangs a per-value index trie of
                  depth w holding exactly the indices carrying that value,
                  each completed path's last node colored mark.
   counter chain  one chain of w nodes driven by the gadgets module; each
                  node's color packs its bit of the previous, current and
-                 next block index, and the rot register says which is
-                 which.
+                 next block index and two marker bits, and the rot
+                 register says which is which.
 
-Per symbol during the block section the machine advances the increment
-walk two positions, advances the read walk two positions, extends the
-index-trie path for the current index and the per-value path for the
-previous index two levels each (both fed by the one read walk, which
-decodes the current and the previous bit from each chain color, most
-significant first), descends the value trie one level on the input bit,
-and appends the bit to the value string.  That is 2 x (increment 3 +
-read 2 + two descends 3 + 3) + descend 3 + append 2 = 27 primitives, the
-cadence.  Block 0 costs 2 x (chain append 2 + descend 3) + 3 + 2 = 15.
-All the walks have length linear in the block, so each boundary symbol
-finishes them in one final unit apiece; a walk finishing early or late
-is a block-length mismatch and rejects as pacing.
+Per symbol during the block section the machine advances the counter
+walk two positions, extends the index-trie path for the current index
+and the per-value path for the previous index two levels each (both fed
+by the walk, which decodes the current and the previous bit from each
+chain color, most significant first), and descends the value trie one
+level on the input bit.  That is 2 x (walk 3 + two descends 3 + 3) +
+descend 3 = 21 primitives, the cadence.  Block 0 costs 2 x (chain append
+2 + descend 3) + 3 = 13.  The walk has length linear in the block, so
+each boundary symbol finishes it at the tail; a walk finishing early or
+late is a block-length mismatch and rejects as pacing.  The boundary
+also completes both paths: it marks the previous index's per-value leaf
+and links the previous index leaf, held in prev_leaf since its own
+boundary, to it, which with the walk's tail (up to 5) costs 13.
 
 After the blocks, x replays its bits into the index trie (descend only:
 a missing branch means x is not a valid index), while the per-value path
 for the final index 2^n - 1, whose usual build slot does not exist, is
-finished on the same symbols from a fresh read walk of the current
-index.  The second '#' jumps through the val port to x's value string.
-The y bits then go through a small FIFO queue: they are consumed one per
-symbol but checked in two stages, first against the value trie while
-walking b_x's string (locating b_x's per-value trie), then two per
-symbol against that per-value trie.  y is a member index for b_x
-exactly when the walk ends on a marked node with the queue empty.
+finished on the same symbols from a read of the current index (neighbor
+and get_color, two positions per x symbol).  The second '#' follows val
+from x's index leaf to x's per-value leaf.  The y bits then go through a
+small FIFO queue: each y symbol queues its bit and makes three moves.
+The first w moves climb parent ports from x's per-value leaf to the root
+of b_x's per-value trie, counted by a walk down the counter chain; the
+rest drain queued bits down that trie.  A y symbol costs at most enqueue
+2 + 3 x (dequeue 3 + descend 1) = 14, and the final '#' makes three more
+moves, enough since w + n moves fit in 3(n + 1).  y is a member index
+for b_x exactly when the last move ends on a marked node with the queue
+empty.
 
 n = 1 has empty blocks, so the first symbol is already the '@' boundary
-and every walk degenerates to its single head unit; '@#x#y#' accepts for
-all four bit pairs because both blocks are the empty string.
+and the walk degenerates to its single tail position; '@#x#y#' accepts
+for all four bit pairs because both blocks are the empty string.
 """
 
 from __future__ import annotations
 
 from .engine import ModelKind, new_graph
-from .gadgets import (ANCHOR, BLANK, CHAIN0, DONE, FIRST_ROTATION, MARK,
+from .gadgets import (ANCHOR, BLANK, DONE, FIRST_ROTATION, MARK,
                       PALETTE, REJ_FORMAT, REJ_PACING, SKELETON_REGISTERS,
-                      STEP_HEAD, STEP_OK, build, grow_chain, inc_step,
-                      next_block, phase, read_step, seed_counter, skip_pad)
+                      build, grow_chain, next_block, phase, power_of_two,
+                      skip_pad, tail_step, walk_step, wrapped)
 
 PARENT, LEFT, RIGHT, VAL = 0, 1, 2, 3
 
@@ -71,17 +74,15 @@ DEGREE_BOUND = 4
 # Worst primitive count of any single symbol handler, measured over the
 # exhaustive short-string sweep and the generated corpus, and equal to
 # the hand count in the module docstring (a later-block symbol where
-# every walk level allocates). The driver pads every symbol to this.
-KUM_CADENCE = 27
+# every trie level allocates). The driver pads every symbol to this.
+KUM_CADENCE = 21
 
 REGISTERS = SKELETON_REGISTERS + (
     "icur",       # index trie cursor
     "vroot",      # value trie root
     "vt_cur",     # value trie cursor
     "pv_cur",     # per-value index trie cursor
-    "vs_head",    # value string sentinel of the block being read
-    "vs_tail",    # value string last node
-    "vs_cur",     # replay cursor into b_x's string during y
+    "prev_leaf",  # index leaf whose per-value leaf is being built
     "q_front", "q_back",  # FIFO of pending y bits
 )
 
@@ -95,18 +96,21 @@ def _descend(g, node, bit):
     return child
 
 
-def _append_chain(g, head):
-    """New all-zero chain node above head (None: the chain's first node)."""
-    node = g.create_node(CHAIN0)
+def _append_chain(g, head, color):
+    """New chain node of color above head (None: the chain's first)."""
+    node = g.create_node(color)
     if head is not None:
         g.link(head, LEFT, node, RIGHT)
     return node
 
 
-def _append_value_bit(g, R, bit):
-    node = g.create_node(bit)
-    g.link(R.vs_tail, RIGHT, node, LEFT)
-    R.vs_tail = node
+def _read_step(g, R):
+    """The color at walk, moving walk tail-ward; None past the tail."""
+    pos = R.walk
+    if pos is None:
+        return None
+    R.walk = g.neighbor(pos, RIGHT)
+    return g.get_color(pos)
 
 
 def _enqueue(g, R, bit):
@@ -131,17 +135,27 @@ def _dequeue(g, R):
     return bit
 
 
-def _close_phase(g, R):
+def _finish_value_path(g, R):
+    """Mark the per-value leaf at pv_cur and link prev_leaf to it."""
+    g.set_color(R.pv_cur, MARK)
+    g.link(R.prev_leaf, VAL, R.pv_cur, VAL)
+
+
+def _complete_paths(g, R, c):
+    """The boundary's tail color c: the last level of both paths, whose
+    per-value leaf (the previous index's) is then marked and linked."""
+    R.icur = _descend(g, R.icur, R.rot.cur[c])
+    R.pv_cur = _descend(g, R.pv_cur, R.rot.prev[c])
+    _finish_value_path(g, R)
+
+
+def _close_block(R):
     """Block boundary bookkeeping shared by the first and later blocks.
 
-    Links the finished value string under the index leaf, re-roots the
-    per-value walk at the value leaf just reached, starts a fresh string,
-    and rotates the counter for the next block.
+    Holds the finished index leaf in prev_leaf, re-roots the per-value
+    walk at the value leaf just reached, and rotates the counter.
     """
-    g.link(R.icur, VAL, R.vs_head, PARENT)
-    sentinel = g.create_node(BLANK)
-    R.vs_head = sentinel
-    R.vs_tail = sentinel
+    R.prev_leaf = R.icur
     R.pv_cur = R.vt_cur
     R.vt_cur = R.vroot
     R.icur = ANCHOR
@@ -154,77 +168,63 @@ def phase0_tick(g, R, bit):
         grow_chain(g, R, _append_chain)
         R.icur = _descend(g, R.icur, 0)
     R.vt_cur = _descend(g, R.vt_cur, bit)
-    _append_value_bit(g, R, bit)
     return None
 
 
 def phase0_boundary(g, R, _bit):
-    """First '@': fix w = 2k + 1, seed the counter at 1."""
+    """First '@': fix w = 2k + 1; the counter stands at 1."""
     grow_chain(g, R, _append_chain)
-    seed_counter(g, R)
     R.icur = _descend(g, R.icur, 0)
-    _close_phase(g, R)
+    _close_block(R)
     R.phase = BLOCKS
     return None
 
 
 def base_tick(g, R, bit):
-    """Block i >= 1 symbol: one fixed unit of each of the walks."""
+    """Block i >= 1 symbol: two walk positions, each one level of both
+    paths, and a value-trie level."""
     rot = R.rot
     for _ in range(2):
-        if inc_step(g, R, LEFT) != STEP_OK:
-            return REJ_PACING
-        c = read_step(g, R, RIGHT)
-        if c is None:
-            return REJ_PACING
+        c = walk_step(g, R, RIGHT)
+        if R.walk is None:
+            return REJ_PACING  # the tail belongs to the boundary
         R.icur = _descend(g, R.icur, rot.cur[c])
         R.pv_cur = _descend(g, R.pv_cur, rot.prev[c])
     R.vt_cur = _descend(g, R.vt_cur, bit)
-    _append_value_bit(g, R, bit)
     return None
 
 
 def phase_boundary(g, R, _bit):
-    """'@' after block i >= 1: all walks must land on their head unit."""
-    if inc_step(g, R, LEFT) != STEP_HEAD:
+    """'@' after block i >= 1: the walk must land on its tail."""
+    c = tail_step(g, R, RIGHT)
+    if c is None:
         return REJ_PACING
-    if R.f_carry is not None:
-        return REJ_FORMAT  # counter wrapped: more than 2^w blocks
-    c = read_step(g, R, RIGHT)
-    if c is None or R.read_pos is not None:
-        return REJ_PACING
-    R.icur = _descend(g, R.icur, R.rot.cur[c])
-    R.pv_cur = _descend(g, R.pv_cur, R.rot.prev[c])
-    g.set_color(R.pv_cur, MARK)
-    _close_phase(g, R)
+    if wrapped(R):
+        return REJ_FORMAT  # more than 2^w blocks
+    _complete_paths(g, R, c)
+    _close_block(R)
     return None
 
 
 def base_end_and_x_tick(g, R, _bit):
-    """First '#': the counter must sit exactly at an all-ones value.
+    """First '#': the block count must be a power of two.
 
-    The head bit of that value distinguishes n = 2k (head 0, the count
-    ran to 2^(2k), and index paths carry a pad bit) from n = 2k + 1
-    (head 1, count 2^(2k + 1)).  The per-value path for the last index
+    Which one, 2^w or 2^(w - 1), tells n = 2k + 1 from n = 2k, where
+    index paths carry a pad bit.  The per-value path for the last index
     has no successor block to build it, so it is handed to the x phase:
-    a fresh read walk hands out the current index, two bits per x symbol.
+    a fresh read of the chain hands out the current index, two bits per
+    x symbol.
     """
-    if inc_step(g, R, LEFT) != STEP_HEAD:
+    c = tail_step(g, R, RIGHT)
+    if c is None:
         return REJ_PACING
-    if R.f_all_ones is None:
-        return REJ_FORMAT  # block count not a power of two
-    c = read_step(g, R, RIGHT)
-    if c is None or R.read_pos is not None:
-        return REJ_PACING
-    R.icur = _descend(g, R.icur, R.rot.cur[c])
-    g.link(R.icur, VAL, R.vs_head, PARENT)
-    R.pv_cur = _descend(g, R.pv_cur, R.rot.prev[c])
-    g.set_color(R.pv_cur, MARK)
-    R.pv_cur = R.vt_cur
-    R.read_pos = R.c_head
-    R.icur = skip_pad(g, R, ANCHOR, LEFT)
-    if R.icur is None:
+    if not power_of_two(R):
         return REJ_FORMAT
+    _complete_paths(g, R, c)
+    R.prev_leaf = R.icur
+    R.pv_cur = R.vt_cur
+    R.walk = R.c_head
+    R.icur = skip_pad(g, R, ANCHOR, LEFT)
     R.phase = X_FIELD
     return None
 
@@ -232,11 +232,11 @@ def base_end_and_x_tick(g, R, _bit):
 def x_tick(g, R, bit):
     """x symbol: descend the index trie; finish the last per-value path."""
     for _ in range(2):
-        c = read_step(g, R, RIGHT)
+        c = _read_step(g, R)
         if c is not None:
             R.pv_cur = _descend(g, R.pv_cur, R.rot.cur[c])
-            if R.read_pos is None:
-                g.set_color(R.pv_cur, MARK)
+            if R.walk is None:
+                _finish_value_path(g, R)
     child = g.neighbor(R.icur, LEFT + bit)
     if child is None:
         return REJ_FORMAT  # x longer than n, or not over the block count
@@ -245,60 +245,46 @@ def x_tick(g, R, bit):
 
 
 def x_end(g, R, _bit):
-    """Second '#': x must sit on an index leaf; fetch its value string."""
-    head = g.neighbor(R.icur, VAL)
-    if head is None:
+    """Second '#': x must sit on an index leaf; go to its per-value leaf
+    and arm the chain walk that counts the climb."""
+    leaf = g.neighbor(R.icur, VAL)
+    if leaf is None:
         return REJ_FORMAT  # x shorter than n
-    R.vs_cur = head
-    R.vt_cur = R.vroot
-    R.phase = Y_VALUE
+    R.pv_cur = leaf
+    R.walk = R.c_head
+    R.phase = Y_FIELD
     return None
 
 
-def y_tick_first(g, R, bit):
-    """y symbol while b_x's value string lasts: walk toward b_x's leaf.
+def _y_moves(g, R):
+    """Three moves: climb one level toward b_x's value leaf while the
+    chain walk lasts, then drain one queued bit down b_x's trie."""
+    for _ in range(3):
+        if R.walk is not None:
+            R.walk = g.neighbor(R.walk, RIGHT)
+            R.pv_cur = g.neighbor(R.pv_cur, PARENT)
+            if R.walk is None:
+                R.pv_cur = skip_pad(g, R, R.pv_cur, LEFT)
+        elif R.q_front is not None:
+            child = g.neighbor(R.pv_cur, LEFT + _dequeue(g, R))
+            if child is None:
+                return REJ_FORMAT  # no index with value b_x continues so
+            R.pv_cur = child
+    return None
 
-    Input bits are queued; the value trie is descended on b_x's own bits,
-    so the walk lands on b_x's value leaf no matter what y says.  When the
-    string runs out the remaining symbols belong to the index stage.
-    """
-    nxt = g.neighbor(R.vs_cur, RIGHT)
-    if nxt is None:
-        R.pv_cur = skip_pad(g, R, R.vt_cur, LEFT)
-        if R.pv_cur is None:
-            return REJ_FORMAT
-        R.phase = Y_INDEX
-        return y_tick_second(g, R, bit)
+
+def y_tick(g, R, bit):
+    """y symbol: queue the bit, then three moves."""
     _enqueue(g, R, bit)
-    vbit = g.get_color(nxt)
-    R.vs_cur = nxt
-    child = g.neighbor(R.vt_cur, LEFT + vbit)
-    if child is None:
-        return REJ_FORMAT  # unreachable: the path was built with b_x
-    R.vt_cur = child
-    return None
-
-
-def y_tick_second(g, R, bit):
-    """y symbol in the index stage: drain the queue into b_x's trie."""
-    _enqueue(g, R, bit)
-    for _ in range(2):
-        if R.q_front is None:
-            break
-        qbit = _dequeue(g, R)
-        child = g.neighbor(R.pv_cur, LEFT + qbit)
-        if child is None:
-            return REJ_FORMAT  # no index with value b_x continues this way
-        R.pv_cur = child
-    return None
+    return _y_moves(g, R)
 
 
 def finalize(g, R, _bit):
     """Third '#': accept iff the y walk used every bit and hit a mark."""
-    if R.q_front is not None:
-        return REJ_FORMAT  # y shorter than n
+    if _y_moves(g, R) is not None or R.q_front is not None:
+        return REJ_FORMAT
     if g.get_color(R.pv_cur) != MARK:
-        return REJ_FORMAT  # y not an index carrying value b_x
+        return REJ_FORMAT  # y shorter than n, or not an index carrying b_x
     R.phase = DONE
     return None
 
@@ -306,15 +292,11 @@ def finalize(g, R, _bit):
 FIRST_BLOCK = phase(phase0_tick, phase0_boundary)
 BLOCKS = phase(base_tick, phase_boundary, base_end_and_x_tick)
 X_FIELD = phase(x_tick, on_hash=x_end)
-Y_VALUE = phase(y_tick_first)
-Y_INDEX = phase(y_tick_second, on_hash=finalize)
+Y_FIELD = phase(y_tick, on_hash=finalize)
 
 
 def _on_start(g, R):
     R.vroot = g.create_node(BLANK)
-    sentinel = g.create_node(BLANK)
-    R.vs_head = sentinel
-    R.vs_tail = sentinel
     R.vt_cur = R.vroot
     R.icur = ANCHOR
     R.phase = FIRST_BLOCK

@@ -24,25 +24,26 @@ Layout:
                this machine buys its simplicity with in-degree that the
                bounded-degree model cannot have.
 
-Per block symbol: two increment positions, two index-trie levels fed by
-the read walk's current bits, one value-trie level on the input bit, so
-2 x (increment 3 + read 2 + descend 3) + descend 3 = 19 primitives, the
-cadence.  Block 0 costs 2 x (chain append 3 + descend 3) + 3 = 15: a
-chain node costs three primitives without symmetric links, but there is
-only one chain (see gadgets).  No value strings, no per-value tries, no
-queue.  x and y each descend the index trie one level per symbol (after
-eating the pad branch when n is even); the second '#' banks x's
-representative in a register and the final '#' compares it with y's by
-node identity.
+Per block symbol: two counter walk positions, each one index-trie level
+fed by the walk's current bit, and one value-trie level on the input
+bit, so 2 x (walk 3 + descend 3) + descend 3 = 15 primitives, the
+cadence.  Block 0 costs 2 x (chain append 2 + descend 3) + 3 = 13: the
+walk only ever goes from head to tail, so a chain node needs just its
+tail-ward pointer (see gadgets).  A boundary costs at most the walk's
+tail 5 + descend 3 + binding the representative 4 = 12.  No value
+strings, no per-value tries, no queue.  x and y each descend the index
+trie one level per symbol (after eating the pad branch when n is even);
+the second '#' banks x's representative in a register and the final '#'
+compares it with y's by node identity.
 """
 
 from __future__ import annotations
 
 from .engine import ModelKind, new_graph
-from .gadgets import (ANCHOR, BLANK, CHAIN0, DONE, FIRST_ROTATION, PALETTE,
-                      REJ_FORMAT, REJ_PACING, SKELETON_REGISTERS, STEP_HEAD,
-                      STEP_OK, build, grow_chain, inc_step, next_block, phase,
-                      read_step, seed_counter, skip_pad)
+from .gadgets import (ANCHOR, BLANK, DONE, FIRST_ROTATION, PALETTE,
+                      REJ_FORMAT, REJ_PACING, SKELETON_REGISTERS, build,
+                      grow_chain, next_block, phase, power_of_two, skip_pad,
+                      tail_step, walk_step, wrapped)
 
 L, R_DIR, V = 0, 1, 2
 
@@ -51,7 +52,7 @@ DIRECTIONS = ("l", "r", "v")
 # Worst primitive count of any single symbol handler, a later-block
 # symbol, as counted by hand in the module docstring.  Measured over the
 # same corpus as the other machine.
-SMM_CADENCE = 19
+SMM_CADENCE = 15
 
 REGISTERS = SKELETON_REGISTERS + (
     "icur",       # index trie cursor
@@ -69,11 +70,11 @@ def _descend(g, node, bit):
     return child
 
 
-def _append_chain(g, head):
-    """New all-zero chain node above head (None: the chain's first node)."""
-    node = g.create_node(CHAIN0)
+def _append_chain(g, head, color):
+    """New chain node of color above head (None: the chain's first),
+    pointing tail-ward at head."""
+    node = g.create_node(color)
     if head is not None:
-        g.set_pointer(head, L, node)
         g.set_pointer(node, R_DIR, head)
     return node
 
@@ -110,7 +111,6 @@ def _close_block(g, R):
 
 def smm_phase0_boundary(g, R, _bit):
     grow_chain(g, R, _append_chain)
-    seed_counter(g, R)
     R.icur = _descend(g, R.icur, 0)
     _close_block(g, R)
     R.phase = BLOCKS
@@ -120,42 +120,34 @@ def smm_phase0_boundary(g, R, _bit):
 def smm_base_tick(g, R, bit):
     cur = R.rot.cur
     for _ in range(2):
-        if inc_step(g, R, L) != STEP_OK:
-            return REJ_PACING
-        c = read_step(g, R, R_DIR)
-        if c is None:
-            return REJ_PACING
+        c = walk_step(g, R, R_DIR)
+        if R.walk is None:
+            return REJ_PACING  # the tail belongs to the boundary
         R.icur = _descend(g, R.icur, cur[c])
     R.vt_cur = _descend(g, R.vt_cur, bit)
     return None
 
 
 def smm_phase_boundary(g, R, _bit):
-    if inc_step(g, R, L) != STEP_HEAD:
+    c = tail_step(g, R, R_DIR)
+    if c is None:
         return REJ_PACING
-    if R.f_carry is not None:
-        return REJ_FORMAT  # counter wrapped: more than 2^w blocks
-    c = read_step(g, R, R_DIR)
-    if c is None or R.read_pos is not None:
-        return REJ_PACING
+    if wrapped(R):
+        return REJ_FORMAT  # more than 2^w blocks
     R.icur = _descend(g, R.icur, R.rot.cur[c])
     _close_block(g, R)
     return None
 
 
 def smm_base_end(g, R, _bit):
-    if inc_step(g, R, L) != STEP_HEAD:
+    c = tail_step(g, R, R_DIR)
+    if c is None:
         return REJ_PACING
-    if R.f_all_ones is None:
-        return REJ_FORMAT  # block count not a power of two
-    c = read_step(g, R, R_DIR)
-    if c is None or R.read_pos is not None:
-        return REJ_PACING
+    if not power_of_two(R):
+        return REJ_FORMAT
     R.icur = _descend(g, R.icur, R.rot.cur[c])
     _bind_representative(g, R)
     R.icur = skip_pad(g, R, ANCHOR, L)
-    if R.icur is None:
-        return REJ_FORMAT
     R.phase = X_FIELD
     return None
 
@@ -175,8 +167,6 @@ def smm_x_end(g, R, _bit):
         return REJ_FORMAT  # x shorter than n
     R.rep_x = rep
     R.icur = skip_pad(g, R, ANCHOR, L)
-    if R.icur is None:
-        return REJ_FORMAT
     R.phase = Y_FIELD
     return None
 

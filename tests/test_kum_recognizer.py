@@ -56,9 +56,9 @@ def test_reject_reasons():
         ("0@1@0@1#0#10#", RejectReason.FORMAT),     # x too short
         ("0@1@0@1#00#100#", RejectReason.FORMAT),   # y too long
         ("0@1@0@1#00#1#", RejectReason.FORMAT),     # y too short
-        ("0@1@0@1#00##", RejectReason.FORMAT),      # '#' in y's value stage
-        ("0@1@0@1#00#@", RejectReason.FORMAT),      # '@' in y's value stage
-        ("0@1@0@1#00#1@", RejectReason.FORMAT),     # '@' in y's index stage
+        ("0@1@0@1#00##", RejectReason.FORMAT),      # y empty
+        ("0@1@0@1#00#@", RejectReason.FORMAT),      # '@' opens y
+        ("0@1@0@1#00#1@", RejectReason.FORMAT),     # '@' inside y
     ]
     for s, want in cases:
         v = verdict_of(s)
@@ -107,13 +107,25 @@ def test_structure_counts_after_accepting_run():
     lv = helpers.levels(g, 0, LEFT, RIGHT)
     assert len(lv) == w + 1
     assert len(lv[w]) == 2 ** inst.n  # one index leaf per block
-    # every index leaf hangs on to a value string
-    assert all(g.neighbor(leaf, VAL) is not None for leaf in lv[w])
+    # every index leaf and its marked per-value leaf link val to val
+    for leaf in lv[w]:
+        pv_leaf = g.neighbor(leaf, VAL)
+        assert g.get_color(pv_leaf) == MARK
+        assert g.neighbor(pv_leaf, VAL) == leaf
     # value trie has one leaf per distinct block value
     vlv = helpers.levels(g, res.registers["vroot"], LEFT, RIGHT)
     assert len(vlv[inst.k]) == len(set(inst.blocks))
     # one marked per-value leaf per index
     assert helpers.count_color(g, MARK) == 2 ** inst.n
+
+
+def test_nodes_per_symbol():
+    # one index leaf per block and one per-value leaf per index, but no
+    # copy of the block values: the graph stays within 1.5 nodes a symbol
+    s = blocklang.encode(blocklang.gen_positive(10, random.Random(10)))
+    res = run(PROG, s)
+    assert res.verdict.accepted
+    assert res.stats["node_count"] <= 1.5 * len(s), res.stats
 
 
 def test_degree_never_exceeds_bound():

@@ -68,8 +68,8 @@ def _segment_maxima(build):
 
 
 @pytest.mark.parametrize("build, cadence, want", [
-    (build_kum_recognizer, KUM_CADENCE, (15, 27, 14, 11, 12)),
-    (build_smm_recognizer, SMM_CADENCE, (15, 19, 13, 2, 2)),
+    (build_kum_recognizer, KUM_CADENCE, (13, 21, 13, 11, 14)),
+    (build_smm_recognizer, SMM_CADENCE, (13, 15, 12, 2, 2)),
 ], ids=["kum", "smm"])
 def test_per_segment_work_maxima(build, cadence, want):
     top = _segment_maxima(build)
