@@ -4,7 +4,8 @@ Subcommands
 
   gen      write generated instance lines (one per line)
   run      one "<verdict>\\t<total_steps>\\t<max_gap>" line per input line
-  profile  CSV of per-run timing and graph statistics over an n range
+  profile  CSV of per-run timing and graph statistics over an n range;
+           exit 1 if a machine verdict disagrees with the oracle
   fuzz     differential machines-vs-oracle sweep; exit 1 on any mismatch
   stats    JSON graph statistics per input line
 
@@ -15,8 +16,9 @@ are 0 and its stats are empty).  Oracle reject verdicts print as plain
 
 Input is newline-delimited text from a file path or "-" for stdin.
 Identical flags and seed give byte-identical output.  Exit codes:
-0 success or agreement, 1 differential mismatch or threshold overrun,
-2 usage error or I/O failure.
+0 success or agreement, 1 a verdict that disagrees with the oracle
+(fuzz, profile) or a max_gap over profile's --realtime-c, 2 usage error
+or I/O failure.
 """
 
 from __future__ import annotations
@@ -103,6 +105,7 @@ def cmd_profile(args):
     prog = None if args.machine == "oracle" else MACHINES[args.machine]()
     rows = [PROFILE_HEADER]
     worst = 0
+    wrong = 0
     try:
         for n in range(args.n_min, args.n_max + 1):
             for _ in range(args.per_n):
@@ -113,6 +116,8 @@ def cmd_profile(args):
                                 % (n, len(s), verdict))
                     continue
                 res = run(prog, s)
+                if res.verdict.accepted != blocklang.member(s):
+                    wrong += 1
                 mg = max_gap(res.trace)
                 worst = max(worst, mg)
                 rows.append("%d,%d,%s,%d,%d,%.6f,%d,%d,%d" % (
@@ -123,11 +128,16 @@ def cmd_profile(args):
         print("kumsim profile: %s" % exc, file=sys.stderr)
         return 2
     _emit(args.output, "".join(r + "\n" for r in rows))
+    status = 0
+    if wrong:
+        print("kumsim profile: %d verdicts disagree with the oracle" % wrong,
+              file=sys.stderr)
+        status = 1
     if args.realtime_c is not None and worst > args.realtime_c:
         print("kumsim profile: max_gap %d exceeds threshold %d"
               % (worst, args.realtime_c), file=sys.stderr)
-        return 1
-    return 0
+        status = 1
+    return status
 
 
 def _fuzz_case(rng, max_n):
@@ -220,7 +230,9 @@ def _build_parser():
     pr.add_argument("--kind", choices=GEN_KINDS, default="positive")
     pr.add_argument("--seed", type=int, default=0)
     pr.add_argument("--realtime-c", type=int, default=None, metavar="C",
-                    help="exit 1 if any run's max_gap exceeds C")
+                    help="exit 1 if any run's max_gap exceeds C (a "
+                         "verdict that disagrees with the oracle exits 1 "
+                         "with or without it)")
     pr.add_argument("-o", "--output", default="-", metavar="PATH")
     pr.set_defaults(func=cmd_profile)
 

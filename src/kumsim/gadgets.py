@@ -16,23 +16,25 @@ block index, and two marker bits.  The rotation, finite control kept in
 the rot register like the phase (both machine models allow any finite
 palette), says which slot is which and which marker bit is current's.
 
-During block i one walk runs from head to tail, two positions per
-symbol and the tail on the boundary symbol, at 3 primitives a position
-(get_color, neighbor, set_color on the same node).  The color it reads
-gives the current bit (i), the previous bit (i - 1, for the structure
-builders) and whether the node carries current's marker, which sits on
-the lowest zero of i.  next = i + 1 keeps i above its lowest zero, sets
-that bit and clears every bit below it (Warren, Hacker's Delight, 2nd
-ed., sec. 2-1), so the walk writes next as current above the marker, 1
-at it and 0 below it.  It also writes next's marker, in the other
-marker bit.  When i's lowest zero lies above the tail, next's is the
-tail, and the same set_color marks it.  Otherwise (i even) next's lowest
-zero is the last node above the tail that kept a 0; last_zero holds it,
-and the tail's position marks it for 2 more primitives.  A walk that
-sees no marker read all ones: at '@' the counter wrapped (more than 2^w
-blocks), and at '#' the block count 2^n is 2^w.  The only other count
-'#' allows is 2^(w - 1), current 01...1, whose marker is on the head:
-f_lead says the marker was the first node walked.
+During block i one walk runs from head to tail, two positions per symbol
+and the tail on the boundary symbol, at most 3 primitives a position
+(get_color, neighbor, set_color on the same node); a write that leaves
+the color unchanged is skipped, since comparing two colors is finite
+control.  The color it reads gives the current bit (i), the previous bit
+(i - 1, for the structure builders) and whether the node carries
+current's marker, which sits on the lowest zero of i.  next = i + 1
+keeps i above its lowest zero, sets that bit and clears every bit below
+it (Warren, Hacker's Delight, 2nd ed., sec. 2-1), so the walk writes
+next as current above the marker, 1 at it and 0 below it.  It also
+writes next's marker, in the other marker bit.  When i's lowest zero
+lies above the tail, next's is the tail, and the same set_color marks
+it.  Otherwise (i even) next's lowest zero is the last node above the
+tail that kept a 0; last_zero holds it, and the tail's position marks it
+for 2 more primitives.  A walk that sees no marker read all ones: at '@'
+the counter wrapped (more than 2^w blocks), and at '#' the block count
+2^n is 2^w.  The only other count '#' allows is 2^(w - 1), current
+01...1, whose marker is on the head: f_lead says the marker was the
+first node walked.
 
 At a block boundary the rotation advances with one register write:
 previous <- current <- next <- recycled previous, and the two marker
@@ -193,20 +195,21 @@ def walk_step(g, R, toward_tail):
         new = rot.zero[c]
         if nxt is None:  # the tail: next's lowest zero
             new = rot.mark[new]
-        g.set_color(pos, new)
     elif rot.marked[c]:  # current's lowest zero
         R.f_past = ANCHOR
-        g.set_color(pos, rot.one[c])
+        new = rot.one[c]
         z = R.last_zero
         if nxt is None and z is not None:  # next's lowest zero is above
             g.set_color(z, rot.mark[g.get_color(z)])
     else:  # above it: next keeps current's bit
         R.f_lead = None
         if rot.cur[c]:
-            g.set_color(pos, rot.one[c])
+            new = rot.one[c]
         else:
-            g.set_color(pos, rot.zero[c])
+            new = rot.zero[c]
             R.last_zero = pos
+    if new != c:  # comparing two colors is finite control
+        g.set_color(pos, new)
     return c
 
 

@@ -29,21 +29,46 @@ walk two positions, extends the index-trie path for the current index
 and the per-value path for the previous index two levels each (both fed
 by the walk, which decodes the current and the previous bit from each
 chain color, most significant first), and descends the value trie one
-level on the input bit.  That is 2 x (walk 3 + two descends 3 + 3) +
-descend 3 = 21 primitives, the cadence.  Block 0 costs 2 x (chain append
-2 + descend 3) + 3 = 13.  The walk has length linear in the block, so
-each boundary symbol finishes it at the tail; a walk finishing early or
-late is a block-length mismatch and rejects as pacing.  The boundary
-also completes both paths: it marks the previous index's per-value leaf
-and links the previous index leaf, held in prev_leaf since its own
-boundary, to it, which with the walk's tail (up to 5) costs 13.
+level on the input bit.
+
+A descend costs 1 when the child exists and 3 when the probe finds none
+and creates it.  Each of the three paths has a fresh flag (f_ifresh,
+f_pvfresh, f_vtfresh), set once the path creates a node and cleared
+where its cursor is re-rooted; a node the path created has no child to
+probe for, so on a fresh path a descend costs 2.  Two levels of one path
+then cost at most 5 (create, then fresh), and a block symbol at most
+walk 6 + index 5 + per-value 5 + value 3 = 19.  The two 5s never fall on
+one symbol, since the paths never first create at the same level:
+
+  - the index path for i first creates at i's lowest set bit, where i - 1
+    holds 0 (above it, i shares i - 1's path);
+  - the per-value path for i - 1 first creates only where i - 1 holds 1:
+    where it holds 0, an earlier index of the same value sharing the
+    bits above holds 0 there too, so the node exists if any such index
+    does.  A value leaf created in this block has an empty per-value
+    trie; the per-value flag inherits the value path's at the boundary,
+    so that path is fresh from its first level and never pays 3.
+
+Beside a 5 the other path's two levels cost at most 1 + 3 or 2 + 2, so
+a block symbol costs at most 6 + 5 + 4 + 3 = 18, the cadence.
+Block 0 costs 2 x (chain append 2 + descend 2) + 2 = 10: neither root
+has a child yet, so on_start sets both flags.  The walk has length
+linear in the block, so each boundary symbol finishes it at the tail; a
+walk finishing early or late is a block-length mismatch and rejects as
+pacing.  The boundary also completes both paths: it marks the previous
+index's per-value leaf and links the previous index leaf, held in
+prev_leaf since its own boundary, to it (2).  For even i the walk's tail
+costs 5 but the index path is already fresh there, 5 + 2 + 3 + 2 = 12;
+for odd i it is 3 + 3 + 3 + 2 = 11, and 12 at the first '#' with its
+pad probe.
 
 After the blocks, x replays its bits into the index trie (descend only:
 a missing branch means x is not a valid index), while the per-value path
 for the final index 2^n - 1, whose usual build slot does not exist, is
 finished on the same symbols from a read of the current index (neighbor
-and get_color, two positions per x symbol).  The second '#' follows val
-from x's index leaf to x's per-value leaf.  The y bits then go through a
+and get_color, two positions per x symbol): at most 2 x 2 + 5 + 1 = 10
+with x's own index-trie probe.  The second '#' follows val from x's
+index leaf to x's per-value leaf.  The y bits then go through a
 small FIFO queue: each y symbol queues its bit and makes three moves.
 The first w moves climb parent ports from x's per-value leaf to the root
 of b_x's per-value trie, counted by a walk down the counter chain; the
@@ -73,9 +98,9 @@ DEGREE_BOUND = 4
 
 # Worst primitive count of any single symbol handler, measured over the
 # exhaustive short-string sweep and the generated corpus, and equal to
-# the hand count in the module docstring (a later-block symbol where
-# every trie level allocates). The driver pads every symbol to this.
-KUM_CADENCE = 21
+# the hand count in the module docstring (a later-block symbol where one
+# trie path starts allocating). The driver pads every symbol to this.
+KUM_CADENCE = 18
 
 REGISTERS = SKELETON_REGISTERS + (
     "icur",       # index trie cursor
@@ -84,15 +109,27 @@ REGISTERS = SKELETON_REGISTERS + (
     "pv_cur",     # per-value index trie cursor
     "prev_leaf",  # index leaf whose per-value leaf is being built
     "q_front", "q_back",  # FIFO of pending y bits
+    # set while the path at that cursor runs through nodes it created
+    "f_ifresh", "f_pvfresh", "f_vtfresh",
 )
 
-def _descend(g, node, bit):
-    """Child of node along bit, creating and wiring it if absent."""
+def _descend(g, R, node, bit, fresh, flag):
+    """Child of node along bit, creating and wiring it if absent.
+
+    fresh is the path's fresh flag and flag the name of its register.  A
+    fresh path's node was created on it, so it has no child to probe for:
+    the child is created at once, 2 primitives instead of 3.  A probe that
+    finds no child sets the flag.  The caller reads the flag (cheaper than
+    a read by name); it is written only when it turns on.
+    """
     port = LEFT + bit
-    child = g.neighbor(node, port)
-    if child is None:
-        child = g.create_node(BLANK)
-        g.link(node, port, child, PARENT)
+    if fresh is None:
+        child = g.neighbor(node, port)
+        if child is not None:
+            return child
+        setattr(R, flag, ANCHOR)
+    child = g.create_node(BLANK)
+    g.link(node, port, child, PARENT)
     return child
 
 
@@ -144,21 +181,30 @@ def _finish_value_path(g, R):
 def _complete_paths(g, R, c):
     """The boundary's tail color c: the last level of both paths, whose
     per-value leaf (the previous index's) is then marked and linked."""
-    R.icur = _descend(g, R.icur, R.rot.cur[c])
-    R.pv_cur = _descend(g, R.pv_cur, R.rot.prev[c])
+    R.icur = _descend(g, R, R.icur, R.rot.cur[c], R.f_ifresh, "f_ifresh")
+    R.pv_cur = _descend(g, R, R.pv_cur, R.rot.prev[c], R.f_pvfresh,
+                        "f_pvfresh")
     _finish_value_path(g, R)
 
 
-def _close_block(R):
-    """Block boundary bookkeeping shared by the first and later blocks.
-
-    Holds the finished index leaf in prev_leaf, re-roots the per-value
-    walk at the value leaf just reached, and rotates the counter.
-    """
+def _hold_leaves(R):
+    """Hold the finished index leaf in prev_leaf and start the per-value
+    walk at the value leaf just reached, which has an empty per-value
+    trie if this block created it."""
     R.prev_leaf = R.icur
     R.pv_cur = R.vt_cur
+    R.f_pvfresh = R.f_vtfresh
+
+
+def _close_block(R):
+    """Block boundary bookkeeping shared by the first and later blocks:
+    hold the leaves, re-root the index and value walks, rotate the
+    counter."""
+    _hold_leaves(R)
     R.vt_cur = R.vroot
+    R.f_vtfresh = None
     R.icur = ANCHOR
+    R.f_ifresh = None
     next_block(R)
 
 
@@ -166,15 +212,15 @@ def phase0_tick(g, R, bit):
     """Block 0 symbol: grow the chain and the all-zero index path."""
     for _ in range(2):
         grow_chain(g, R, _append_chain)
-        R.icur = _descend(g, R.icur, 0)
-    R.vt_cur = _descend(g, R.vt_cur, bit)
+        R.icur = _descend(g, R, R.icur, 0, R.f_ifresh, "f_ifresh")
+    R.vt_cur = _descend(g, R, R.vt_cur, bit, R.f_vtfresh, "f_vtfresh")
     return None
 
 
 def phase0_boundary(g, R, _bit):
     """First '@': fix w = 2k + 1; the counter stands at 1."""
     grow_chain(g, R, _append_chain)
-    R.icur = _descend(g, R.icur, 0)
+    R.icur = _descend(g, R, R.icur, 0, R.f_ifresh, "f_ifresh")
     _close_block(R)
     R.phase = BLOCKS
     return None
@@ -188,9 +234,10 @@ def base_tick(g, R, bit):
         c = walk_step(g, R, RIGHT)
         if R.walk is None:
             return REJ_PACING  # the tail belongs to the boundary
-        R.icur = _descend(g, R.icur, rot.cur[c])
-        R.pv_cur = _descend(g, R.pv_cur, rot.prev[c])
-    R.vt_cur = _descend(g, R.vt_cur, bit)
+        R.icur = _descend(g, R, R.icur, rot.cur[c], R.f_ifresh, "f_ifresh")
+        R.pv_cur = _descend(g, R, R.pv_cur, rot.prev[c], R.f_pvfresh,
+                            "f_pvfresh")
+    R.vt_cur = _descend(g, R, R.vt_cur, bit, R.f_vtfresh, "f_vtfresh")
     return None
 
 
@@ -212,8 +259,8 @@ def base_end_and_x_tick(g, R, _bit):
     Which one, 2^w or 2^(w - 1), tells n = 2k + 1 from n = 2k, where
     index paths carry a pad bit.  The per-value path for the last index
     has no successor block to build it, so it is handed to the x phase:
-    a fresh read of the chain hands out the current index, two bits per
-    x symbol.
+    a second read of the chain hands out the current index, two bits
+    per x symbol.
     """
     c = tail_step(g, R, RIGHT)
     if c is None:
@@ -221,8 +268,7 @@ def base_end_and_x_tick(g, R, _bit):
     if not power_of_two(R):
         return REJ_FORMAT
     _complete_paths(g, R, c)
-    R.prev_leaf = R.icur
-    R.pv_cur = R.vt_cur
+    _hold_leaves(R)
     R.walk = R.c_head
     R.icur = skip_pad(g, R, ANCHOR, LEFT)
     R.phase = X_FIELD
@@ -234,7 +280,8 @@ def x_tick(g, R, bit):
     for _ in range(2):
         c = _read_step(g, R)
         if c is not None:
-            R.pv_cur = _descend(g, R.pv_cur, R.rot.cur[c])
+            R.pv_cur = _descend(g, R, R.pv_cur, R.rot.cur[c], R.f_pvfresh,
+                                "f_pvfresh")
             if R.walk is None:
                 _finish_value_path(g, R)
     child = g.neighbor(R.icur, LEFT + bit)
@@ -299,6 +346,8 @@ def _on_start(g, R):
     R.vroot = g.create_node(BLANK)
     R.vt_cur = R.vroot
     R.icur = ANCHOR
+    # neither root has a child yet
+    R.f_ifresh = R.f_vtfresh = ANCHOR
     R.phase = FIRST_BLOCK
     R.rot = FIRST_ROTATION
     return None

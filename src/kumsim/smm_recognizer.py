@@ -26,15 +26,25 @@ Layout:
 
 Per block symbol: two counter walk positions, each one index-trie level
 fed by the walk's current bit, and one value-trie level on the input
-bit, so 2 x (walk 3 + descend 3) + descend 3 = 15 primitives, the
-cadence.  Block 0 costs 2 x (chain append 2 + descend 3) + 3 = 13: the
-walk only ever goes from head to tail, so a chain node needs just its
-tail-ward pointer (see gadgets).  A boundary costs at most the walk's
-tail 5 + descend 3 + binding the representative 4 = 12.  No value
-strings, no per-value tries, no queue.  x and y each descend the index
-trie one level per symbol (after eating the pad branch when n is even);
-the second '#' banks x's representative in a register and the final '#'
-compares it with y's by node identity.
+bit.  A descend costs 1 when the child exists and 3 when the probe finds
+none and creates it.  Each path has a fresh flag (f_ifresh, f_vtfresh),
+set once the path creates a node and cleared where its cursor is
+re-rooted; a node the path created has no child to probe for, so on a
+fresh path a descend costs 2.  Two index levels then cost at most 5
+(create, then fresh), and a block symbol walk 6 + 5 + descend 3 = 14,
+the cadence.  Block 0 costs 2 x (chain append 2 + descend 2) + 2 = 10:
+neither root has a child yet, so on_start sets both flags, and the walk
+only ever goes from head to tail, so a chain node needs just its
+tail-ward pointer (see gadgets).  Binding the representative costs 3: a
+value leaf created in this block has no carrier, so the rep is made
+without probing for one.  A boundary for even i costs the walk's tail 5
++ descend 2 (the index path first creates at i's lowest set bit, above
+the tail) + 3 = 10; for odd i, 3 + 3 + 3 = 9, and 10 at the first '#'
+with its pad probe.  No value strings, no per-value tries, no queue.
+
+x and y each descend the index trie one level per symbol (after eating
+the pad branch when n is even); the second '#' banks x's representative
+in a register and the final '#' compares it with y's by node identity.
 """
 
 from __future__ import annotations
@@ -50,23 +60,33 @@ L, R_DIR, V = 0, 1, 2
 DIRECTIONS = ("l", "r", "v")
 
 # Worst primitive count of any single symbol handler, a later-block
-# symbol, as counted by hand in the module docstring.  Measured over the
-# same corpus as the other machine.
-SMM_CADENCE = 15
+# symbol whose index path starts allocating, as counted by hand in the
+# module docstring.  Measured over the same corpus as the other machine.
+SMM_CADENCE = 14
 
 REGISTERS = SKELETON_REGISTERS + (
     "icur",       # index trie cursor
     "vroot",      # value trie root
     "vt_cur",     # value trie cursor
     "rep_x",      # representative of b_x, held between the last two '#'
+    # set while the path at that cursor runs through nodes it created
+    "f_ifresh", "f_vtfresh",
 )
 
-def _descend(g, node, bit):
-    """Child of node along direction bit, creating it if absent."""
-    child = g.neighbor(node, bit)
-    if child is None:
-        child = g.create_node(BLANK)
-        g.set_pointer(node, bit, child)
+def _descend(g, R, node, bit, fresh, flag):
+    """Child of node along direction bit, creating it if absent.
+
+    fresh is the path's fresh flag and flag the name of its register, as
+    for the other machine: a fresh path creates the child without a probe,
+    and a probe that finds no child sets the flag.
+    """
+    if fresh is None:
+        child = g.neighbor(node, bit)
+        if child is not None:
+            return child
+        setattr(R, flag, ANCHOR)
+    child = g.create_node(BLANK)
+    g.set_pointer(node, bit, child)
     return child
 
 
@@ -82,8 +102,8 @@ def _append_chain(g, head, color):
 def smm_phase0_tick(g, R, bit):
     for _ in range(2):
         grow_chain(g, R, _append_chain)
-        R.icur = _descend(g, R.icur, 0)
-    R.vt_cur = _descend(g, R.vt_cur, bit)
+        R.icur = _descend(g, R, R.icur, 0, R.f_ifresh, "f_ifresh")
+    R.vt_cur = _descend(g, R, R.vt_cur, bit, R.f_vtfresh, "f_vtfresh")
     return None
 
 
@@ -92,8 +112,9 @@ def _bind_representative(g, R):
 
     First carrier of a value allocates the rep and leaves a finder trail
     value leaf -v-> first index leaf -v-> rep; later carriers follow it.
+    A value leaf created in this block has no carrier yet.
     """
-    first = g.neighbor(R.vt_cur, V)
+    first = None if R.f_vtfresh is not None else g.neighbor(R.vt_cur, V)
     if first is None:
         rep = g.create_node(BLANK)
         g.set_pointer(R.vt_cur, V, R.icur)
@@ -105,13 +126,15 @@ def _bind_representative(g, R):
 def _close_block(g, R):
     _bind_representative(g, R)
     R.vt_cur = R.vroot
+    R.f_vtfresh = None
     R.icur = ANCHOR
+    R.f_ifresh = None
     next_block(R)
 
 
 def smm_phase0_boundary(g, R, _bit):
     grow_chain(g, R, _append_chain)
-    R.icur = _descend(g, R.icur, 0)
+    R.icur = _descend(g, R, R.icur, 0, R.f_ifresh, "f_ifresh")
     _close_block(g, R)
     R.phase = BLOCKS
     return None
@@ -123,8 +146,8 @@ def smm_base_tick(g, R, bit):
         c = walk_step(g, R, R_DIR)
         if R.walk is None:
             return REJ_PACING  # the tail belongs to the boundary
-        R.icur = _descend(g, R.icur, cur[c])
-    R.vt_cur = _descend(g, R.vt_cur, bit)
+        R.icur = _descend(g, R, R.icur, cur[c], R.f_ifresh, "f_ifresh")
+    R.vt_cur = _descend(g, R, R.vt_cur, bit, R.f_vtfresh, "f_vtfresh")
     return None
 
 
@@ -134,7 +157,7 @@ def smm_phase_boundary(g, R, _bit):
         return REJ_PACING
     if wrapped(R):
         return REJ_FORMAT  # more than 2^w blocks
-    R.icur = _descend(g, R.icur, R.rot.cur[c])
+    R.icur = _descend(g, R, R.icur, R.rot.cur[c], R.f_ifresh, "f_ifresh")
     _close_block(g, R)
     return None
 
@@ -145,7 +168,7 @@ def smm_base_end(g, R, _bit):
         return REJ_PACING
     if not power_of_two(R):
         return REJ_FORMAT
-    R.icur = _descend(g, R.icur, R.rot.cur[c])
+    R.icur = _descend(g, R, R.icur, R.rot.cur[c], R.f_ifresh, "f_ifresh")
     _bind_representative(g, R)
     R.icur = skip_pad(g, R, ANCHOR, L)
     R.phase = X_FIELD
@@ -191,6 +214,8 @@ def _on_start(g, R):
     R.vroot = g.create_node(BLANK)
     R.vt_cur = R.vroot
     R.icur = ANCHOR
+    # neither root has a child yet
+    R.f_ifresh = R.f_vtfresh = ANCHOR
     R.phase = FIRST_BLOCK
     R.rot = FIRST_ROTATION
     return None

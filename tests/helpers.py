@@ -5,6 +5,11 @@ Probing costs steps on the (already halted) run's graph, which is fine:
 the run's stats and trace were captured at halt time.
 """
 
+import dataclasses
+
+from kumsim.engine import StorageGraph
+from kumsim.gadgets import BLANK
+
 
 def levels(g, root, left_port, right_port):
     """Breadth-first trie layout: list of node lists, index = depth."""
@@ -61,8 +66,6 @@ def broken_kum_builder():
     Used to prove the differential fuzz harness actually catches a bad
     build rather than waving everything through.
     """
-    import dataclasses
-
     from kumsim.kum_recognizer import build_kum_recognizer
     from kumsim.runtime import RejectReason, Verdict
 
@@ -76,3 +79,44 @@ def broken_kum_builder():
         return v
 
     return dataclasses.replace(prog, on_end=flipped_on_end)
+
+
+class WasteCountingGraph(StorageGraph):
+    """A graph that counts the primitives whose outcome the machine knew.
+
+    noop_writes counts set_color calls that write the color the node
+    already has.  empty_probes counts neighbor probes of a child port of
+    a trie node (BLANK, or the initial node, the index trie's root) whose
+    child ports are all empty.  Counting reads the graph's own columns
+    and costs no steps.
+    """
+
+    __slots__ = ("child_ports", "noop_writes", "empty_probes")
+
+    def set_color(self, a, c):
+        old = (self._color[a] if type(a) is int and 0 <= a < self._node_count
+               else None)
+        StorageGraph.set_color(self, a, c)
+        if old == c:
+            self.noop_writes += 1
+
+    def neighbor(self, a, p):
+        v = StorageGraph.neighbor(self, a, p)
+        ports = self.child_ports
+        if p in ports and (a == 0 or self._color[a] == BLANK):
+            row = a * self._nports
+            if all(self._adj[row + q] is None for q in ports):
+                self.empty_probes += 1
+        return v
+
+
+def waste_counting(prog, child_ports):
+    """prog running on WasteCountingGraphs that watch child_ports."""
+    def factory():
+        g0 = prog.graph_factory()
+        g = WasteCountingGraph(g0.model, g0.degree_bound, g0.palette,
+                               g0.labels)
+        g.child_ports = tuple(child_ports)
+        g.noop_writes = g.empty_probes = 0
+        return g
+    return dataclasses.replace(prog, graph_factory=factory)

@@ -112,6 +112,15 @@ def test_profile_threshold_violation_exits_1(capsys):
                      "--realtime-c", "1"]) == 1
 
 
+def test_profile_wrong_verdict_exits_1(monkeypatch, capsys):
+    monkeypatch.setitem(cli.MACHINES, "kum", helpers.broken_kum_builder)
+    assert cli.main(["profile", "--machine", "kum", "--n-min", "3",
+                     "--n-max", "4", "--per-n", "2", "--seed", "1",
+                     "--realtime-c", "100"]) == 1
+    body = [r.split(",") for r in out_of(capsys).splitlines()[1:]]
+    assert {r[2] for r in body} == {"reject:format"}
+
+
 def test_profile_output_is_byte_identical(tmp_path):
     a, b = tmp_path / "a.csv", tmp_path / "b.csv"
     flags = ["profile", "--machine", "smm", "--n-min", "2", "--n-max", "4",

@@ -6,16 +6,18 @@ to, split as the benchmark splits them: block 0's bits, later blocks'
 bits, the block section's separators ('@' and the first '#'), the x
 field with its closing '#', and everything after it.  The maximum of each
 segment is what a proof of the cadences has to reproduce, and the
-largest of them is the cadence itself.
+largest of them is the cadence itself.  On the same inputs neither
+machine spends a primitive whose outcome it already knew.
 """
 
 import random
 
 import pytest
 
-from kumsim import blocklang
+import helpers
+from kumsim import blocklang, kum_recognizer, smm_recognizer
 from kumsim.kum_recognizer import KUM_CADENCE, build_kum_recognizer
-from kumsim.runtime import Runner
+from kumsim.runtime import Runner, run
 from kumsim.smm_recognizer import SMM_CADENCE, build_smm_recognizer
 
 SEGMENTS = ("block0", "blocks", "sep", "x", "y")
@@ -45,33 +47,55 @@ def _segments(s):
     return out
 
 
-def _segment_maxima(build):
-    prog = build(cadence=None)
-    top = dict.fromkeys(SEGMENTS, 0)
+def _corpus():
+    """The accepting inputs, as strings."""
     for n in range(1, 11):
         rng = random.Random(n)
         insts = [blocklang.gen_positive(n, rng)
                  for _ in range(INPUTS_PER_N - 1)]
         insts.append(blocklang.gen_all_equal(n))
         for inst in insts:
-            s = blocklang.encode(inst)
-            r = Runner(prog)
-            for ch in s:
-                assert r.feed(ch) is None, (n, s)
-            res = r.finish()
-            assert res.verdict.accepted, (n, s)
-            # gap i + 1 is the work of symbol i; on_end costs nothing
-            for seg, work in zip(_segments(s), res.trace.gaps()[1:]):
-                if work > top[seg]:
-                    top[seg] = work
+            yield blocklang.encode(inst)
+
+
+def _segment_maxima(build):
+    prog = build(cadence=None)
+    top = dict.fromkeys(SEGMENTS, 0)
+    for s in _corpus():
+        r = Runner(prog)
+        for ch in s:
+            assert r.feed(ch) is None, s
+        res = r.finish()
+        assert res.verdict.accepted, s
+        # gap i + 1 is the work of symbol i; on_end costs nothing
+        for seg, work in zip(_segments(s), res.trace.gaps()[1:]):
+            if work > top[seg]:
+                top[seg] = work
     return top
 
 
 @pytest.mark.parametrize("build, cadence, want", [
-    (build_kum_recognizer, KUM_CADENCE, (13, 21, 13, 11, 14)),
-    (build_smm_recognizer, SMM_CADENCE, (13, 15, 12, 2, 2)),
+    (build_kum_recognizer, KUM_CADENCE, (10, 18, 12, 10, 14)),
+    (build_smm_recognizer, SMM_CADENCE, (10, 14, 10, 2, 2)),
 ], ids=["kum", "smm"])
 def test_per_segment_work_maxima(build, cadence, want):
     top = _segment_maxima(build)
     assert tuple(top[seg] for seg in SEGMENTS) == want, top
     assert max(top.values()) == cadence
+
+
+@pytest.mark.parametrize("build, child_ports", [
+    (build_kum_recognizer, (kum_recognizer.LEFT, kum_recognizer.RIGHT)),
+    (build_smm_recognizer, (smm_recognizer.L, smm_recognizer.R_DIR)),
+], ids=["kum", "smm"])
+def test_no_wasted_primitive(build, child_ports):
+    # no set_color rewrites a node's own color, and no neighbor probes a
+    # child port of a trie node that has no child
+    prog = helpers.waste_counting(build(cadence=None), child_ports)
+    noop_writes = empty_probes = 0
+    for s in _corpus():
+        res = run(prog, s)
+        assert res.verdict.accepted, s
+        noop_writes += res.graph.noop_writes
+        empty_probes += res.graph.empty_probes
+    assert (noop_writes, empty_probes) == (0, 0)
