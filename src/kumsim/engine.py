@@ -361,9 +361,12 @@ class StorageGraph:
     def fork(self) -> "StorageGraph":
         """Copy the graph state so two futures can be explored.
 
-        Harness-side; costs no steps on either copy.
+        Harness-side; costs no steps on either copy.  The copy has the
+        class of this graph; a subclass with slots of its own copies them
+        in its own fork.
         """
-        g = StorageGraph.__new__(StorageGraph)
+        cls = type(self)
+        g = cls.__new__(cls)
         g.model = self.model
         g._is_kum = self._is_kum
         g.degree_bound = self.degree_bound

@@ -10,40 +10,40 @@ the phase is DONE, where every symbol is a BAD_SUFFIX, and on_end
 accepts exactly when the run ended there.  build() makes the Program.
 
 Both recognizers meter out their per-symbol work against one counter
-chain of w = 2k + 1 nodes, the head most significant.  A chain color
-packs five bits: three slots holding the previous, current and next
-block index, and two marker bits.  The rotation, finite control kept in
-the rot register like the phase (both machine models allow any finite
-palette), says which slot is which and which marker bit is current's.
+chain of k + 1 nodes for an index of w = 2k + 1 bits, the head most
+significant.  The tail holds bit 0 alone and every other node a (hi, lo)
+pair of bits.  A chain color packs five bits: the node's bits of the
+current block index i and of the previous one, i - 1, and a marker set
+on the node that holds i's lowest zero (its lo bit if that is 0, else
+its hi bit, since every bit below a lowest zero is 1).  That is 32 chain
+colors, 36 with the four plain ones; CUR_HI, CUR_LO, PREV_HI, PREV_LO
+and MARKED decode a color, and the recoding tables below build the
+color a walk writes.
 
-During block i one walk runs from head to tail, two positions per symbol
-and the tail on the boundary symbol, at most 3 primitives a position
-(get_color, neighbor, set_color on the same node); a write that leaves
-the color unchanged is skipped, since comparing two colors is finite
-control.  The color it reads gives the current bit (i), the previous bit
-(i - 1, for the structure builders) and whether the node carries
-current's marker, which sits on the lowest zero of i.  next = i + 1
-keeps i above its lowest zero, sets that bit and clears every bit below
-it (Warren, Hacker's Delight, 2nd ed., sec. 2-1), so the walk writes
-next as current above the marker, 1 at it and 0 below it.  It also
-writes next's marker, in the other marker bit.  When i's lowest zero
-lies above the tail, next's is the tail, and the same set_color marks
-it.  Otherwise (i even) next's lowest zero is the last node above the
-tail that kept a 0; last_zero holds it, and the tail's position marks it
-for 2 more primitives.  A walk that sees no marker read all ones: at '@'
-the counter wrapped (more than 2^w blocks), and at '#' the block count
-2^n is 2^w.  The only other count '#' allows is 2^(w - 1), current
-01...1, whose marker is on the head: f_lead says the marker was the
-first node walked.
+During block i one walk runs from head to tail, one node per symbol and
+the tail on the boundary symbol, at most 3 primitives a node (get_color,
+neighbor, set_color on the same node); a write that leaves the color
+unchanged is skipped, since comparing two colors is finite control.  The
+color it reads gives the node's bits of i (for the index path) and of
+i - 1 (for the structure builders, most significant first), and whether
+the node carries i's marker.  The walk rewrites the node in place:
+previous <- current, current <- next, where next = i + 1 keeps i above
+its lowest zero, sets that bit and clears every bit below it (Warren,
+Hacker's Delight, 2nd ed., sec. 2-1).  It also places next's marker.
+When i's lowest zero lies above the tail, next's is the tail, and the
+same set_color marks it.  Otherwise (i even) next's lowest zero is on
+the last node above the tail that kept a 0; last_zero holds it, and the
+tail's position marks it for 2 more primitives.  A walk that sees no
+marker read all ones: at '@' the counter wrapped (more than 2^w blocks),
+and at '#' the block count 2^n is 2^w.  The only other count '#' allows
+is 2^(w - 1), current 01...1, whose marker is on the head's hi bit:
+f_lead says the walk met the marker there first.
 
-At a block boundary the rotation advances with one register write:
-previous <- current <- next <- recycled previous, and the two marker
-bits trade places.  That is a cycle of 6 rotations over 32 chain colors,
-36 with the four plain ones.  The walk overwrites the recycled slot and
-marker bit of every node before anything reads them.  Block 0 runs no
-walk: the chain is born holding its outcome, the tail's next bit 1 and,
-on the second node, 1's marker.  A Rotation decodes and recodes through
-tables indexed by color (see the class).
+Block 0 runs no walk: the chain is born holding block 1's counter,
+current 1 and previous 0.  Its first symbol appends the tail, current
+bit 1, and every later symbol and the '@' one pair; the pair just above
+the tail carries 1's marker.  For n = 1 the '@' appends only the tail.
+A block boundary then only re-arms the walk at the head.
 
 The helpers here only probe and recolor existing nodes, which makes them
 identical on both machine flavors; creating and wiring a chain node differs
@@ -67,8 +67,9 @@ from .runtime import Program, RejectReason, Verdict
 # color ids.
 ZERO, ONE, BLANK, MARK = 0, 1, 2, 3
 
-# Counter chain colors follow: CHAIN0 + s, where bit j of s is the node's
-# bit in slot j for j < 3 and bits 3 and 4 are the two marker bits.
+# Counter chain colors follow: CHAIN0 + s, where bits 0 and 1 of s are
+# the node's lo and hi bit of the current index, bits 2 and 3 its lo and
+# hi bit of the previous index, and bit 4 the marker.
 CHAIN0 = 4
 PALETTE = ("zero", "one", "blank", "mark") + tuple(
     "chain%s" % format(s, "05b") for s in range(32))
@@ -86,10 +87,10 @@ ACCEPT = Verdict.accept()
 # The bit a symbol hands its handler; separators hand None.
 BIT = {"0": ZERO, "1": ONE, "@": None, "#": None}
 
-# First in every recognizer's register file: the phase, the rotation, the
-# counter chain's head and the walk.
+# First in every recognizer's register file: the phase, the counter
+# chain's head and the walk.
 SKELETON_REGISTERS = (
-    "phase", "rot", "c_head", "walk", "f_past", "f_lead", "last_zero",
+    "phase", "c_head", "walk", "f_past", "f_lead", "last_zero",
 )
 
 
@@ -98,39 +99,24 @@ def _table(f):
     return (None,) * CHAIN0 + tuple(f(s) for s in range(32))
 
 
-class Rotation:
-    """Which chain slot holds the previous, current and next index, and
-    which marker bit is current's.
-
-    Finite control, like a phase table.  cur[c], prev[c] and marked[c]
-    read color c; one[c] and zero[c] are c with next set to 1 and to 0
-    and next's marker clear, and mark[c] is c with next's marker set.
-    following is the rotation after the next block boundary.
-    """
-
-    __slots__ = ("cur", "prev", "marked", "one", "zero", "mark", "following")
-
-    def __init__(self, r):
-        cur, nxt, prv = r % 3, (r + 1) % 3, (r + 2) % 3
-        cur_mark, next_mark = 3 + r % 2, 3 + (r + 1) % 2
-        keep = ~(1 << nxt | 1 << next_mark)
-        self.cur = _table(lambda s: s >> cur & 1)
-        self.prev = _table(lambda s: s >> prv & 1)
-        self.marked = _table(lambda s: s >> cur_mark & 1)
-        self.one = _table(lambda s: CHAIN0 + (s & keep | 1 << nxt))
-        self.zero = _table(lambda s: CHAIN0 + (s & keep))
-        self.mark = _table(lambda s: CHAIN0 + (s | 1 << next_mark))
-        self.following = None
-
-
-ROTATIONS = tuple(Rotation(r) for r in range(6))
-for _rot, _following in zip(ROTATIONS, ROTATIONS[1:] + ROTATIONS[:1]):
-    _rot.following = _following
-FIRST_ROTATION = ROTATIONS[0]
-# Block 0's outcome, 1 = 0 + 1: the tail's next bit, and 1's lowest zero
-# (the second node) marked.
-_SEED_TAIL = FIRST_ROTATION.one[CHAIN0]
-_SEED_MARK = FIRST_ROTATION.mark[CHAIN0]
+# Decoding: the node's bits of the current and the previous index, and
+# whether it holds the current index's lowest zero.
+CUR_LO = _table(lambda s: s & 1)
+CUR_HI = _table(lambda s: s >> 1 & 1)
+PREV_LO = _table(lambda s: s >> 2 & 1)
+PREV_HI = _table(lambda s: s >> 3 & 1)
+MARKED = _table(lambda s: s >> 4 & 1)
+# Recoding, each with previous <- current and the marker clear: _KEEP
+# keeps the current pair, _CLEAR clears it and _STEP adds 1 to it (a
+# marked pair is never 11).  _MARK sets the marker.
+_KEEP = _table(lambda s: CHAIN0 + ((s & 3) << 2 | s & 3))
+_CLEAR = _table(lambda s: CHAIN0 + ((s & 3) << 2))
+_STEP = _table(lambda s: CHAIN0 + ((s & 3) << 2 | (s + 1) & 3))
+_MARK = _table(lambda s: CHAIN0 + (s | 16))
+# Block 1's counter, current 1 and previous 0: the tail's current bit,
+# and 1's lowest zero (the lo bit of the pair above the tail) marked.
+_SEED_TAIL = CHAIN0 + 1
+_SEED_MARK = CHAIN0 + 16
 
 
 def _rejects(verdict):
@@ -162,8 +148,7 @@ def on_end(g, R):
 
 
 def build(registers, graph_factory, on_start, cadence):
-    """The recognizer Program; on_start must set the first phase and
-    FIRST_ROTATION."""
+    """The recognizer Program; on_start must set the first phase."""
     return Program(register_names=registers, graph_factory=graph_factory,
                    on_start=on_start, on_symbol=on_symbol, on_end=on_end,
                    cadence=cadence)
@@ -179,34 +164,33 @@ def skip_pad(g, R, root, zero_port):
 
 
 def walk_step(g, R, toward_tail):
-    """One position of the block's walk: read the color at walk, write
-    next there, move walk on (None past the tail).
+    """One node of the block's walk: read the color at walk, write
+    previous <- current <- next there, move walk on (None past the tail).
 
-    Returns the color read, for R.rot to decode, or None if the walk was
-    already past the tail.
+    Returns the color read, for the tables to decode, or None if the walk
+    was already past the tail.
     """
     pos = R.walk
     if pos is None:
         return None
     c = g.get_color(pos)
     R.walk = nxt = g.neighbor(pos, toward_tail)
-    rot = R.rot
     if R.f_past is not None:  # below current's lowest zero
-        new = rot.zero[c]
+        new = _CLEAR[c]
         if nxt is None:  # the tail: next's lowest zero
-            new = rot.mark[new]
-    elif rot.marked[c]:  # current's lowest zero
+            new = _MARK[new]
+    elif MARKED[c]:  # current's lowest zero
         R.f_past = ANCHOR
-        new = rot.one[c]
+        if not CUR_LO[c]:  # on the lo bit: current is not 01...1
+            R.f_lead = None
+        new = _STEP[c]
         z = R.last_zero
         if nxt is None and z is not None:  # next's lowest zero is above
-            g.set_color(z, rot.mark[g.get_color(z)])
-    else:  # above it: next keeps current's bit
+            g.set_color(z, _MARK[g.get_color(z)])
+    else:  # above it: next keeps current's bits
         R.f_lead = None
-        if rot.cur[c]:
-            new = rot.one[c]
-        else:
-            new = rot.zero[c]
+        new = _KEEP[c]
+        if not (CUR_HI[c] and CUR_LO[c]):
             R.last_zero = pos
     if new != c:  # comparing two colors is finite control
         g.set_color(pos, new)
@@ -214,7 +198,7 @@ def walk_step(g, R, toward_tail):
 
 
 def tail_step(g, R, toward_tail):
-    """The boundary symbol's walk position, which must be the tail: its
+    """The boundary symbol's walk node, which must be the tail: its
     color, or None if the walk does not end here (the block's length
     differs from block 0's)."""
     c = walk_step(g, R, toward_tail)
@@ -233,26 +217,27 @@ def power_of_two(R):
 
 
 def grow_chain(g, R, append_chain):
-    """One more position at the head end of the chain.
+    """One more node at the head end of the chain; returns how many index
+    bits it holds.
 
     append_chain(g, head, color) is the model's way to put a new node of
     that color above head (head None: the chain's first node) and returns
-    that node.  The first two nodes carry block 0's outcome; walk holds
-    the tail until the second exists.  Later nodes are CHAIN0, zero in
-    every slot.
+    that node.  The first node is the tail, holding one bit, and every
+    later one holds a pair.  The first two nodes carry block 1's counter;
+    walk holds the tail until the second exists.  Later nodes are CHAIN0,
+    zero in every bit.
     """
     if R.c_head is None:
         R.c_head = R.walk = append_chain(g, None, _SEED_TAIL)
-    else:
-        color = CHAIN0 if R.walk is None else _SEED_MARK
-        R.c_head = append_chain(g, R.c_head, color)
-        R.walk = None
+        return 1
+    color = CHAIN0 if R.walk is None else _SEED_MARK
+    R.c_head = append_chain(g, R.c_head, color)
+    R.walk = None
+    return 2
 
 
 def next_block(R):
-    """Block boundary, registers only: rotate the slots and arm the walk
-    at the head."""
-    R.rot = R.rot.following
+    """Block boundary, registers only: arm the walk at the head."""
     R.walk = R.c_head
     R.f_past = None
     R.f_lead = ANCHOR

@@ -19,17 +19,17 @@ Storage layout, all grown incrementally while reading:
                  value.  Below each leaf hangs a per-value index trie of
                  depth w holding exactly the indices carrying that value,
                  each completed path's last node colored mark.
-  counter chain  one chain of w nodes driven by the gadgets module; each
-                 node's color packs its bit of the previous, current and
-                 next block index and two marker bits, and the rot
-                 register says which is which.
+  counter chain  one chain of k + 1 nodes driven by the gadgets module:
+                 the tail holds one bit of the block index and every
+                 other node two, and each node's color packs its bits of
+                 the previous and the current index and a marker.
 
 Per symbol during the block section the machine advances the counter
-walk two positions, extends the index-trie path for the current index
-and the per-value path for the previous index two levels each (both fed
-by the walk, which decodes the current and the previous bit from each
-chain color, most significant first), and descends the value trie one
-level on the input bit.
+walk one node, extends the index-trie path for the current index and
+the per-value path for the previous index two levels each (both fed by
+the walk, which decodes the node's current and previous pair from its
+color, most significant first), and descends the value trie one level
+on the input bit.
 
 A descend costs 1 when the child exists and 3 when the probe finds none
 and creates it.  Each of the three paths has a fresh flag (f_ifresh,
@@ -37,7 +37,7 @@ f_pvfresh, f_vtfresh), set once the path creates a node and cleared
 where its cursor is re-rooted; a node the path created has no child to
 probe for, so on a fresh path a descend costs 2.  Two levels of one path
 then cost at most 5 (create, then fresh), and a block symbol at most
-walk 6 + index 5 + per-value 5 + value 3 = 19.  The two 5s never fall on
+walk 3 + index 5 + per-value 5 + value 3 = 16.  The two 5s never fall on
 one symbol, since the paths never first create at the same level:
 
   - the index path for i first creates at i's lowest set bit, where i - 1
@@ -50,33 +50,52 @@ one symbol, since the paths never first create at the same level:
     so that path is fresh from its first level and never pays 3.
 
 Beside a 5 the other path's two levels cost at most 1 + 3 or 2 + 2, so
-a block symbol costs at most 6 + 5 + 4 + 3 = 18, the cadence.
-Block 0 costs 2 x (chain append 2 + descend 2) + 2 = 10: neither root
-has a child yet, so on_start sets both flags.  The walk has length
-linear in the block, so each boundary symbol finishes it at the tail; a
-walk finishing early or late is a block-length mismatch and rejects as
-pacing.  The boundary also completes both paths: it marks the previous
-index's per-value leaf and links the previous index leaf, held in
-prev_leaf since its own boundary, to it (2).  For even i the walk's tail
-costs 5 but the index path is already fresh there, 5 + 2 + 3 + 2 = 12;
-for odd i it is 3 + 3 + 3 + 2 = 11, and 12 at the first '#' with its
-pad probe.
+a block symbol costs at most 3 + 5 + 4 + 3 = 15, the cadence.
+Block 0 grows the chain instead of walking it: its first symbol appends
+the tail and one index level (1 + 2 + value 2 = 5), every later symbol a
+pair and two levels, chain append 2 + descend 2 + 2 + value 2 = 8 (no
+root has a child yet, so on_start sets both flags), and the '@' a pair
+and two levels, 6.  The walk has length linear in the block, so each
+boundary symbol finishes it at the tail; a walk finishing early or late
+is a block-length mismatch and rejects as pacing.  The boundary also
+completes both paths: it marks the previous index's per-value leaf and
+links the previous index leaf, held in prev_leaf since its own boundary,
+to it (2).  For even i the walk's tail costs 5 but the index path is
+already fresh there, 5 + 2 + 3 + 2 = 12; for odd i it is 3 + 3 + 3 + 2 =
+11, and 12 at the first '#' with its pad probe.
 
 After the blocks, x replays its bits into the index trie (descend only:
 a missing branch means x is not a valid index), while the per-value path
 for the final index 2^n - 1, whose usual build slot does not exist, is
-finished on the same symbols from a read of the current index (neighbor
-and get_color, two positions per x symbol): at most 2 x 2 + 5 + 1 = 10
-with x's own index-trie probe.  The second '#' follows val from x's
-index leaf to x's per-value leaf.  The y bits then go through a
-small FIFO queue: each y symbol queues its bit and makes three moves.
-The first w moves climb parent ports from x's per-value leaf to the root
-of b_x's per-value trie, counted by a walk down the counter chain; the
-rest drain queued bits down that trie.  A y symbol costs at most enqueue
-2 + 3 x (dequeue 3 + descend 1) = 14, and the final '#' makes three more
-moves, enough since w + n moves fit in 3(n + 1).  y is a member index
-for b_x exactly when the last move ends on a marked node with the queue
-empty.
+finished on the same symbols.  The last walk left that index in every
+node's previous bits, and a second read of the chain (neighbor and
+get_color) hands them out one node per x symbol, which fits since the
+k + 1 nodes are no more than the n symbols of x: read 2 + two levels 5 +
+x's own index-trie probe 1 = 8, and at the tail 2 + 3 + mark and link 2
++ 1 = 8.  The second '#' follows val from x's index leaf to x's
+per-value leaf.  The y bits then go through a small FIFO queue: each y
+symbol queues its bit and makes three moves.  The first w moves climb
+parent ports from x's per-value leaf to the root of b_x's per-value
+trie, counted by a walk down the counter chain that moves on every other
+climb (f_half says which), so the head counts 1 climb and every later
+node 2; the rest drain queued bits down that trie.  A y symbol costs at
+most enqueue 2 + 3 x (dequeue 3 + descend 1) = 14, and the final '#'
+makes three more moves, enough since w + n moves fit in 3(n + 1).  y is
+a member index for b_x exactly when the last move ends on a marked node
+with the queue empty.
+
+No node uses more than DEGREE_BOUND = 3 ports.  A trie node uses parent,
+left and right; an index leaf and a per-value leaf use parent and val; a
+chain or queue node uses its two neighbors; the roots have no parent.
+Two tries share a node only at a value leaf, which roots its per-value
+trie on the same left and right ports, so it must have no value-trie
+children.  Block 0 descends the value trie k times, and a later block
+only while its walk has not reached the tail, at most k times; a
+per-value trie is rooted only at block 0's '@' or at a boundary whose
+walk ended on the tail, after exactly k descends.  So only value leaves
+of depth k, which have no value-trie children, root one.  Likewise a val
+link is made only at such a boundary or in x, on an index leaf and a
+per-value leaf of depth w, neither of which has children.
 
 n = 1 has empty blocks, so the first symbol is already the '@' boundary
 and the walk degenerates to its single tail position; '@#x#y#' accepts
@@ -86,21 +105,22 @@ for all four bit pairs because both blocks are the empty string.
 from __future__ import annotations
 
 from .engine import ModelKind, new_graph
-from .gadgets import (ANCHOR, BLANK, DONE, FIRST_ROTATION, MARK,
-                      PALETTE, REJ_FORMAT, REJ_PACING, SKELETON_REGISTERS,
-                      build, grow_chain, next_block, phase, power_of_two,
-                      skip_pad, tail_step, walk_step, wrapped)
+from .gadgets import (ANCHOR, BLANK, CUR_HI, CUR_LO, DONE, MARK, PALETTE,
+                      PREV_HI, PREV_LO, REJ_FORMAT, REJ_PACING,
+                      SKELETON_REGISTERS, build, grow_chain, next_block,
+                      phase, power_of_two, skip_pad, tail_step, walk_step,
+                      wrapped)
 
 PARENT, LEFT, RIGHT, VAL = 0, 1, 2, 3
 
 PORTS = ("parent", "left", "right", "val")
-DEGREE_BOUND = 4
+DEGREE_BOUND = 3
 
 # Worst primitive count of any single symbol handler, measured over the
 # exhaustive short-string sweep and the generated corpus, and equal to
 # the hand count in the module docstring (a later-block symbol where one
 # trie path starts allocating). The driver pads every symbol to this.
-KUM_CADENCE = 18
+KUM_CADENCE = 15
 
 REGISTERS = SKELETON_REGISTERS + (
     "icur",       # index trie cursor
@@ -109,6 +129,7 @@ REGISTERS = SKELETON_REGISTERS + (
     "pv_cur",     # per-value index trie cursor
     "prev_leaf",  # index leaf whose per-value leaf is being built
     "q_front", "q_back",  # FIFO of pending y bits
+    "f_half",     # set while the y walk's node has one climb left to count
     # set while the path at that cursor runs through nodes it created
     "f_ifresh", "f_pvfresh", "f_vtfresh",
 )
@@ -181,8 +202,8 @@ def _finish_value_path(g, R):
 def _complete_paths(g, R, c):
     """The boundary's tail color c: the last level of both paths, whose
     per-value leaf (the previous index's) is then marked and linked."""
-    R.icur = _descend(g, R, R.icur, R.rot.cur[c], R.f_ifresh, "f_ifresh")
-    R.pv_cur = _descend(g, R, R.pv_cur, R.rot.prev[c], R.f_pvfresh,
+    R.icur = _descend(g, R, R.icur, CUR_LO[c], R.f_ifresh, "f_ifresh")
+    R.pv_cur = _descend(g, R, R.pv_cur, PREV_LO[c], R.f_pvfresh,
                         "f_pvfresh")
     _finish_value_path(g, R)
 
@@ -198,8 +219,8 @@ def _hold_leaves(R):
 
 def _close_block(R):
     """Block boundary bookkeeping shared by the first and later blocks:
-    hold the leaves, re-root the index and value walks, rotate the
-    counter."""
+    hold the leaves, re-root the index and value walks, re-arm the
+    counter walk."""
     _hold_leaves(R)
     R.vt_cur = R.vroot
     R.f_vtfresh = None
@@ -208,35 +229,38 @@ def _close_block(R):
     next_block(R)
 
 
+def _grow(g, R):
+    """One more chain node, and as many levels of the all-zero index path
+    as it holds bits."""
+    for _ in range(grow_chain(g, R, _append_chain)):
+        R.icur = _descend(g, R, R.icur, 0, R.f_ifresh, "f_ifresh")
+
+
 def phase0_tick(g, R, bit):
     """Block 0 symbol: grow the chain and the all-zero index path."""
-    for _ in range(2):
-        grow_chain(g, R, _append_chain)
-        R.icur = _descend(g, R, R.icur, 0, R.f_ifresh, "f_ifresh")
+    _grow(g, R)
     R.vt_cur = _descend(g, R, R.vt_cur, bit, R.f_vtfresh, "f_vtfresh")
     return None
 
 
 def phase0_boundary(g, R, _bit):
     """First '@': fix w = 2k + 1; the counter stands at 1."""
-    grow_chain(g, R, _append_chain)
-    R.icur = _descend(g, R, R.icur, 0, R.f_ifresh, "f_ifresh")
+    _grow(g, R)
     _close_block(R)
     R.phase = BLOCKS
     return None
 
 
 def base_tick(g, R, bit):
-    """Block i >= 1 symbol: two walk positions, each one level of both
-    paths, and a value-trie level."""
-    rot = R.rot
-    for _ in range(2):
-        c = walk_step(g, R, RIGHT)
-        if R.walk is None:
-            return REJ_PACING  # the tail belongs to the boundary
-        R.icur = _descend(g, R, R.icur, rot.cur[c], R.f_ifresh, "f_ifresh")
-        R.pv_cur = _descend(g, R, R.pv_cur, rot.prev[c], R.f_pvfresh,
-                            "f_pvfresh")
+    """Block i >= 1 symbol: one walk node, two levels of both paths from
+    its pair, and a value-trie level."""
+    c = walk_step(g, R, RIGHT)
+    if R.walk is None:
+        return REJ_PACING  # the tail belongs to the boundary
+    R.icur = _descend(g, R, R.icur, CUR_HI[c], R.f_ifresh, "f_ifresh")
+    R.icur = _descend(g, R, R.icur, CUR_LO[c], R.f_ifresh, "f_ifresh")
+    R.pv_cur = _descend(g, R, R.pv_cur, PREV_HI[c], R.f_pvfresh, "f_pvfresh")
+    R.pv_cur = _descend(g, R, R.pv_cur, PREV_LO[c], R.f_pvfresh, "f_pvfresh")
     R.vt_cur = _descend(g, R, R.vt_cur, bit, R.f_vtfresh, "f_vtfresh")
     return None
 
@@ -259,8 +283,8 @@ def base_end_and_x_tick(g, R, _bit):
     Which one, 2^w or 2^(w - 1), tells n = 2k + 1 from n = 2k, where
     index paths carry a pad bit.  The per-value path for the last index
     has no successor block to build it, so it is handed to the x phase:
-    a second read of the chain hands out the current index, two bits
-    per x symbol.
+    the walk just left that index in every node's previous bits, and a
+    second read of the chain hands them out, one node per x symbol.
     """
     c = tail_step(g, R, RIGHT)
     if c is None:
@@ -277,13 +301,15 @@ def base_end_and_x_tick(g, R, _bit):
 
 def x_tick(g, R, bit):
     """x symbol: descend the index trie; finish the last per-value path."""
-    for _ in range(2):
-        c = _read_step(g, R)
-        if c is not None:
-            R.pv_cur = _descend(g, R, R.pv_cur, R.rot.cur[c], R.f_pvfresh,
+    c = _read_step(g, R)
+    if c is not None:
+        if R.walk is not None:  # a pair; the tail holds its lo bit alone
+            R.pv_cur = _descend(g, R, R.pv_cur, PREV_HI[c], R.f_pvfresh,
                                 "f_pvfresh")
-            if R.walk is None:
-                _finish_value_path(g, R)
+        R.pv_cur = _descend(g, R, R.pv_cur, PREV_LO[c], R.f_pvfresh,
+                            "f_pvfresh")
+        if R.walk is None:
+            _finish_value_path(g, R)
     child = g.neighbor(R.icur, LEFT + bit)
     if child is None:
         return REJ_FORMAT  # x longer than n, or not over the block count
@@ -299,17 +325,26 @@ def x_end(g, R, _bit):
         return REJ_FORMAT  # x shorter than n
     R.pv_cur = leaf
     R.walk = R.c_head
+    R.f_half = ANCHOR  # the head counts one climb, as if it were the tail
     R.phase = Y_FIELD
     return None
 
 
 def _y_moves(g, R):
     """Three moves: climb one level toward b_x's value leaf while the
-    chain walk lasts, then drain one queued bit down b_x's trie."""
+    chain walk lasts, then drain one queued bit down b_x's trie.
+
+    The walk moves on every other climb, so the head counts 1 climb and
+    every later node 2: w climbs in all.
+    """
     for _ in range(3):
         if R.walk is not None:
-            R.walk = g.neighbor(R.walk, RIGHT)
             R.pv_cur = g.neighbor(R.pv_cur, PARENT)
+            if R.f_half is None:
+                R.f_half = ANCHOR
+                continue
+            R.f_half = None
+            R.walk = g.neighbor(R.walk, RIGHT)
             if R.walk is None:
                 R.pv_cur = skip_pad(g, R, R.pv_cur, LEFT)
         elif R.q_front is not None:
@@ -349,7 +384,6 @@ def _on_start(g, R):
     # neither root has a child yet
     R.f_ifresh = R.f_vtfresh = ANCHOR
     R.phase = FIRST_BLOCK
-    R.rot = FIRST_ROTATION
     return None
 
 

@@ -24,23 +24,24 @@ Layout:
                this machine buys its simplicity with in-degree that the
                bounded-degree model cannot have.
 
-Per block symbol: two counter walk positions, each one index-trie level
-fed by the walk's current bit, and one value-trie level on the input
-bit.  A descend costs 1 when the child exists and 3 when the probe finds
-none and creates it.  Each path has a fresh flag (f_ifresh, f_vtfresh),
-set once the path creates a node and cleared where its cursor is
-re-rooted; a node the path created has no child to probe for, so on a
-fresh path a descend costs 2.  Two index levels then cost at most 5
-(create, then fresh), and a block symbol walk 6 + 5 + descend 3 = 14,
-the cadence.  Block 0 costs 2 x (chain append 2 + descend 2) + 2 = 10:
-neither root has a child yet, so on_start sets both flags, and the walk
-only ever goes from head to tail, so a chain node needs just its
-tail-ward pointer (see gadgets).  Binding the representative costs 3: a
-value leaf created in this block has no carrier, so the rep is made
-without probing for one.  A boundary for even i costs the walk's tail 5
-+ descend 2 (the index path first creates at i's lowest set bit, above
-the tail) + 3 = 10; for odd i, 3 + 3 + 3 = 9, and 10 at the first '#'
-with its pad probe.  No value strings, no per-value tries, no queue.
+Per block symbol: one counter walk node, whose current pair feeds two
+index-trie levels, and one value-trie level on the input bit.  A
+descend costs 1 when the child exists and 3 when the probe finds none
+and creates it.  Each path has a fresh flag (f_ifresh, f_vtfresh), set
+once the path creates a node and cleared where its cursor is re-rooted;
+a node the path created has no child to probe for, so on a fresh path a
+descend costs 2.  Two index levels then cost at most 5 (create, then
+fresh), and a block symbol walk 3 + 5 + descend 3 = 11, the cadence.
+Block 0 costs at most chain append 2 + 2 x descend 2 + 2 = 8 (its first
+symbol appends the one-bit tail and one level, 5): neither root has a
+child yet, so on_start sets both flags, and the walk only ever goes
+from head to tail, so a chain node needs just its tail-ward pointer (see
+gadgets).  Binding the representative costs 3: a value leaf created in
+this block has no carrier, so the rep is made without probing for one.
+A boundary for even i costs the walk's tail 5 + descend 2 (the index
+path first creates at i's lowest set bit, above the tail) + 3 = 10; for
+odd i, 3 + 3 + 3 = 9, and 10 at the first '#' with its pad probe.
+No value strings, no per-value tries, no queue.
 
 x and y each descend the index trie one level per symbol (after eating
 the pad branch when n is even); the second '#' banks x's representative
@@ -50,7 +51,7 @@ in a register and the final '#' compares it with y's by node identity.
 from __future__ import annotations
 
 from .engine import ModelKind, new_graph
-from .gadgets import (ANCHOR, BLANK, DONE, FIRST_ROTATION, PALETTE,
+from .gadgets import (ANCHOR, BLANK, CUR_HI, CUR_LO, DONE, PALETTE,
                       REJ_FORMAT, REJ_PACING, SKELETON_REGISTERS, build,
                       grow_chain, next_block, phase, power_of_two, skip_pad,
                       tail_step, walk_step, wrapped)
@@ -62,7 +63,7 @@ DIRECTIONS = ("l", "r", "v")
 # Worst primitive count of any single symbol handler, a later-block
 # symbol whose index path starts allocating, as counted by hand in the
 # module docstring.  Measured over the same corpus as the other machine.
-SMM_CADENCE = 14
+SMM_CADENCE = 11
 
 REGISTERS = SKELETON_REGISTERS + (
     "icur",       # index trie cursor
@@ -99,10 +100,15 @@ def _append_chain(g, head, color):
     return node
 
 
-def smm_phase0_tick(g, R, bit):
-    for _ in range(2):
-        grow_chain(g, R, _append_chain)
+def _grow(g, R):
+    """One more chain node, and as many levels of the all-zero index path
+    as it holds bits."""
+    for _ in range(grow_chain(g, R, _append_chain)):
         R.icur = _descend(g, R, R.icur, 0, R.f_ifresh, "f_ifresh")
+
+
+def smm_phase0_tick(g, R, bit):
+    _grow(g, R)
     R.vt_cur = _descend(g, R, R.vt_cur, bit, R.f_vtfresh, "f_vtfresh")
     return None
 
@@ -133,20 +139,18 @@ def _close_block(g, R):
 
 
 def smm_phase0_boundary(g, R, _bit):
-    grow_chain(g, R, _append_chain)
-    R.icur = _descend(g, R, R.icur, 0, R.f_ifresh, "f_ifresh")
+    _grow(g, R)
     _close_block(g, R)
     R.phase = BLOCKS
     return None
 
 
 def smm_base_tick(g, R, bit):
-    cur = R.rot.cur
-    for _ in range(2):
-        c = walk_step(g, R, R_DIR)
-        if R.walk is None:
-            return REJ_PACING  # the tail belongs to the boundary
-        R.icur = _descend(g, R, R.icur, cur[c], R.f_ifresh, "f_ifresh")
+    c = walk_step(g, R, R_DIR)
+    if R.walk is None:
+        return REJ_PACING  # the tail belongs to the boundary
+    R.icur = _descend(g, R, R.icur, CUR_HI[c], R.f_ifresh, "f_ifresh")
+    R.icur = _descend(g, R, R.icur, CUR_LO[c], R.f_ifresh, "f_ifresh")
     R.vt_cur = _descend(g, R, R.vt_cur, bit, R.f_vtfresh, "f_vtfresh")
     return None
 
@@ -157,7 +161,7 @@ def smm_phase_boundary(g, R, _bit):
         return REJ_PACING
     if wrapped(R):
         return REJ_FORMAT  # more than 2^w blocks
-    R.icur = _descend(g, R, R.icur, R.rot.cur[c], R.f_ifresh, "f_ifresh")
+    R.icur = _descend(g, R, R.icur, CUR_LO[c], R.f_ifresh, "f_ifresh")
     _close_block(g, R)
     return None
 
@@ -168,7 +172,7 @@ def smm_base_end(g, R, _bit):
         return REJ_PACING
     if not power_of_two(R):
         return REJ_FORMAT
-    R.icur = _descend(g, R, R.icur, R.rot.cur[c], R.f_ifresh, "f_ifresh")
+    R.icur = _descend(g, R, R.icur, CUR_LO[c], R.f_ifresh, "f_ifresh")
     _bind_representative(g, R)
     R.icur = skip_pad(g, R, ANCHOR, L)
     R.phase = X_FIELD
@@ -217,7 +221,6 @@ def _on_start(g, R):
     # neither root has a child yet
     R.f_ifresh = R.f_vtfresh = ANCHOR
     R.phase = FIRST_BLOCK
-    R.rot = FIRST_ROTATION
     return None
 
 

@@ -28,14 +28,18 @@ def levels(g, root, left_port, right_port):
         frontier = nxt
 
 
-def chain_bits(g, head, toward_tail_port, decode):
+def chain_bits(g, head, toward_tail_port, hi, lo):
     """Chain head to tail as a bit string (head = most significant), each
-    node's bit read as decode[color], e.g. R.rot.cur for the current index."""
+    pair read as hi[color] then lo[color] and the tail as lo[color] alone,
+    e.g. gadgets.CUR_HI and gadgets.CUR_LO for the current index."""
     bits = []
     node = head
     while node is not None:
-        bits.append(str(decode[g.get_color(node)]))
+        c = g.get_color(node)
         node = g.neighbor(node, toward_tail_port)
+        if node is not None:
+            bits.append(str(hi[c]))
+        bits.append(str(lo[c]))
     return "".join(bits)
 
 
@@ -108,6 +112,13 @@ class WasteCountingGraph(StorageGraph):
             if all(self._adj[row + q] is None for q in ports):
                 self.empty_probes += 1
         return v
+
+    def fork(self):
+        g = StorageGraph.fork(self)
+        g.child_ports = self.child_ports
+        g.noop_writes = self.noop_writes
+        g.empty_probes = self.empty_probes
+        return g
 
 
 def waste_counting(prog, child_ports):

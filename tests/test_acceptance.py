@@ -35,7 +35,8 @@ import helpers
 from kumsim import blocklang, cli
 from kumsim.blocklang import NegativeKind
 from kumsim.gadgets import MARK
-from kumsim.kum_recognizer import KUM_CADENCE, LEFT, RIGHT, VAL, build_kum_recognizer
+from kumsim.kum_recognizer import (DEGREE_BOUND, KUM_CADENCE, LEFT, RIGHT, VAL,
+                                   build_kum_recognizer)
 from kumsim.runtime import RejectReason, Runner, max_gap, run
 from kumsim.smm_recognizer import SMM_CADENCE, build_smm_recognizer
 
@@ -259,10 +260,11 @@ def test_criterion_3_kum_degree_bound():
     gen = _cached("gen", _gen_corpus)
     rt = _cached("realtime", _realtime_corpus)
     for name, state in (("sweep", sweep), ("gen", gen), ("realtime", rt)):
-        assert state["max_degree"] <= 4, (name, state["max_degree"])
+        assert state["max_degree"] <= DEGREE_BOUND, (name, state["max_degree"])
         assert state["faults"] == 0, (name, state["faults"])
-    print("criterion 3 PASS: degree watermark %d <= 4, zero faults"
-          % max(sweep["max_degree"], gen["max_degree"], rt["max_degree"]))
+    print("criterion 3 PASS: degree watermark %d <= %d, zero faults"
+          % (max(sweep["max_degree"], gen["max_degree"], rt["max_degree"]),
+             DEGREE_BOUND))
 
 
 # ---------------------------------------------------------------- check 4

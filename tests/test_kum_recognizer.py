@@ -5,7 +5,7 @@ import random
 import pytest
 
 from kumsim import blocklang
-from kumsim.gadgets import MARK
+from kumsim.gadgets import CUR_HI, CUR_LO, MARK, PREV_HI, PREV_LO
 from kumsim.kum_recognizer import (KUM_CADENCE, LEFT, REGISTERS, RIGHT, VAL,
                                    build_kum_recognizer)
 from kumsim.runtime import RejectReason, Runner, max_gap, run
@@ -86,9 +86,9 @@ def test_counter_chain_at_every_boundary(n):
         i += 1
         probe = r.fork()  # probing costs steps; keep them off the run
         g, R = probe.graph, probe.registers
-        assert helpers.chain_bits(g, R.c_head, RIGHT, R.rot.prev) == \
+        assert helpers.chain_bits(g, R.c_head, RIGHT, PREV_HI, PREV_LO) == \
             format(i - 1, "0%db" % w), (n, i)
-        assert helpers.chain_bits(g, R.c_head, RIGHT, R.rot.cur) == \
+        assert helpers.chain_bits(g, R.c_head, RIGHT, CUR_HI, CUR_LO) == \
             format(i, "0%db" % w), (n, i)
         if i == 1:  # the all-zero index path exists to full depth
             assert len(helpers.levels(g, 0, LEFT, RIGHT)) == w + 1

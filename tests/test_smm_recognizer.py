@@ -5,6 +5,7 @@ import random
 import pytest
 
 from kumsim import blocklang
+from kumsim.gadgets import CUR_HI, CUR_LO, PREV_HI, PREV_LO
 from kumsim.kum_recognizer import KUM_CADENCE, build_kum_recognizer
 from kumsim.runtime import RejectReason, Runner, max_gap, run
 from kumsim.smm_recognizer import (L, R_DIR, REGISTERS, SMM_CADENCE, V,
@@ -63,9 +64,9 @@ def test_counter_chain_at_every_boundary(n):
         i += 1
         probe = r.fork()  # probing costs steps; keep them off the run
         g, R = probe.graph, probe.registers
-        assert helpers.chain_bits(g, R.c_head, R_DIR, R.rot.prev) == \
+        assert helpers.chain_bits(g, R.c_head, R_DIR, PREV_HI, PREV_LO) == \
             format(i - 1, "0%db" % w), (n, i)
-        assert helpers.chain_bits(g, R.c_head, R_DIR, R.rot.cur) == \
+        assert helpers.chain_bits(g, R.c_head, R_DIR, CUR_HI, CUR_LO) == \
             format(i, "0%db" % w), (n, i)
     assert i == 2 ** n - 1
     assert r.finish().verdict.accepted

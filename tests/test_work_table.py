@@ -16,6 +16,7 @@ import pytest
 
 import helpers
 from kumsim import blocklang, kum_recognizer, smm_recognizer
+from kumsim.gadgets import BLANK
 from kumsim.kum_recognizer import KUM_CADENCE, build_kum_recognizer
 from kumsim.runtime import Runner, run
 from kumsim.smm_recognizer import SMM_CADENCE, build_smm_recognizer
@@ -75,8 +76,8 @@ def _segment_maxima(build):
 
 
 @pytest.mark.parametrize("build, cadence, want", [
-    (build_kum_recognizer, KUM_CADENCE, (10, 18, 12, 10, 14)),
-    (build_smm_recognizer, SMM_CADENCE, (10, 14, 10, 2, 2)),
+    (build_kum_recognizer, KUM_CADENCE, (8, 15, 12, 8, 14)),
+    (build_smm_recognizer, SMM_CADENCE, (8, 11, 10, 2, 2)),
 ], ids=["kum", "smm"])
 def test_per_segment_work_maxima(build, cadence, want):
     top = _segment_maxima(build)
@@ -99,3 +100,22 @@ def test_no_wasted_primitive(build, child_ports):
         noop_writes += res.graph.noop_writes
         empty_probes += res.graph.empty_probes
     assert (noop_writes, empty_probes) == (0, 0)
+
+
+def test_forked_waste_counter_keeps_counting():
+    # a sweep forks its runners: the fork of a counting graph must be a
+    # counting graph that starts from the same counts and counts on alone
+    prog = helpers.waste_counting(build_kum_recognizer(cadence=None),
+                                  (kum_recognizer.LEFT, kum_recognizer.RIGHT))
+    r = Runner(prog)
+    for ch in "01@":
+        assert r.feed(ch) is None
+    r.graph.set_color(0, r.graph.get_color(0))
+    f = r.fork()
+    assert type(f.graph) is helpers.WasteCountingGraph
+    assert (f.graph.noop_writes, f.graph.empty_probes) == (1, 0)
+    f.graph.set_color(0, f.graph.get_color(0))
+    leaf = f.graph.create_node(BLANK)
+    f.graph.neighbor(leaf, kum_recognizer.LEFT)
+    assert (f.graph.noop_writes, f.graph.empty_probes) == (2, 1)
+    assert (r.graph.noop_writes, r.graph.empty_probes) == (1, 0)
