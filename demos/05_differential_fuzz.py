@@ -4,13 +4,15 @@ Differential testing against the oracle
 
 blocklang.member is a two-line predicate, slow but obviously right.
 Both machines must agree with it on everything: generated members,
-generated near-misses, mutated members, and raw symbol soup.  The
+generated near-misses, mutated members, and raw symbol soup; and neither
+may reach a verdict by a machine fault.  The
 kumsim CLI exposes the same loop as `kumsim fuzz`.
 """
 
 import random
 
-from kumsim import blocklang, build_kum_recognizer, build_smm_recognizer, run
+from kumsim import (RejectReason, blocklang, build_kum_recognizer,
+                    build_smm_recognizer, run)
 
 MACHINES = (("kum", build_kum_recognizer()), ("smm", build_smm_recognizer()))
 
@@ -45,7 +47,9 @@ for case in range(4000):
     counts["member" if want else "nonmember"] += 1
     for name, prog in MACHINES:
         res = run(prog, s)
-        if res.verdict.accepted != want:
+        # a machine fault is a bug even on a non-member it had to reject
+        if (res.verdict.accepted != want
+                or res.verdict.reason is RejectReason.MACHINE_FAULT):
             print("MISMATCH on %r: %s says %s, oracle says %s"
                   % (s, name, res.verdict, want))
             raise SystemExit(1)

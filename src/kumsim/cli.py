@@ -7,6 +7,7 @@ Subcommands
   profile  CSV of per-run timing and graph statistics over an n range;
            exit 1 if a machine verdict disagrees with the oracle
   fuzz     differential machines-vs-oracle sweep; exit 1 on any mismatch
+           or machine fault
   stats    JSON graph statistics per input line
 
 Machine selector: kum (bounded-degree), smm (directed), or oracle (the
@@ -30,7 +31,7 @@ import sys
 
 from . import blocklang
 from .kum_recognizer import build_kum_recognizer
-from .runtime import max_gap, mean_gap, run
+from .runtime import RejectReason, max_gap, mean_gap, run
 from .smm_recognizer import build_smm_recognizer
 
 # fuzz and the harness self-test look machines up here, so a test can
@@ -175,7 +176,9 @@ def cmd_fuzz(args):
         want = blocklang.member(s)
         for name, prog in progs:
             got = run(prog, s).verdict
-            if got.accepted != want:
+            # a fault is never a correct answer, even where it rejects
+            if (got.accepted != want
+                    or got.reason is RejectReason.MACHINE_FAULT):
                 print("mismatch\tcase=%d\tmachine=%s\toracle=%s\tgot=%s"
                       % (i, name, "accept" if want else "reject", got))
                 print(s)

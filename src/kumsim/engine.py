@@ -289,14 +289,17 @@ class StorageGraph:
             self._indeg[b] -= 1
         self.step_counter += 1
 
-    # The three probes below are the hot path, so they test only ranges
-    # (as they always have, a bool passes as 0 or 1); a TypeError from a
-    # comparison or an index (None, a float) falls through to the checks.
+    # The three probes below are the hot path, so they test ranges and
+    # rule out a bool (which compares as 0 or 1) by identity instead of
+    # testing types; a TypeError from a comparison or an index (None, a
+    # float) falls through to the checks, as does a bool.
 
     def neighbor(self, a: NodeRef, p: PortLabel) -> Optional[NodeRef]:
         k = self._nports
         try:
-            if 0 <= a < self._node_count and 0 <= p < k:
+            if (0 <= a < self._node_count and 0 <= p < k
+                    and a is not True and a is not False
+                    and p is not True and p is not False):
                 v = self._adj[a * k + p]
                 self.step_counter += 1
                 return v
@@ -307,7 +310,7 @@ class StorageGraph:
 
     def get_color(self, a: NodeRef) -> Color:
         try:
-            if 0 <= a < self._node_count:
+            if 0 <= a < self._node_count and a is not True and a is not False:
                 c = self._color[a]
                 self.step_counter += 1
                 return c
@@ -319,7 +322,7 @@ class StorageGraph:
         if type(c) is not int or not 0 <= c < self._ncolors:
             raise UnknownColor(c)
         try:
-            if 0 <= a < self._node_count:
+            if 0 <= a < self._node_count and a is not True and a is not False:
                 self._color[a] = c
                 self.step_counter += 1
                 return

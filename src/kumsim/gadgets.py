@@ -12,49 +12,64 @@ accepts exactly when the run ended there.  build() makes the Program.
 Both recognizers meter out their per-symbol work against one counter
 chain of k + 1 nodes for an index of w = 2k + 1 bits, the head most
 significant.  The tail holds bit 0 alone and every other node a (hi, lo)
-pair of bits.  A chain color packs five bits: the node's bits of the
-current block index i and of the previous one, i - 1, and a marker set
-on the node that holds i's lowest zero (its lo bit if that is 0, else
-its hi bit, since every bit below a lowest zero is 1).  That is 32 chain
-colors, 36 with the four plain ones; CUR_HI, CUR_LO, PREV_HI, PREV_LO
-and MARKED decode a color, and the recoding tables below build the
-color a walk writes.
+pair of bits.  A chain color packs four bits: the node's bits of the
+current block index i, a marker set on the node that holds i's lowest
+zero (its lo bit if that is 0, else its hi bit, since every bit below a
+lowest zero is 1) and a marker set on the node that holds i's lowest set
+bit (its lo bit if that is 1, else its hi bit, since every bit below a
+lowest set bit is 0).  That is 16 chain codes, a palette of 20 with the
+four plain colors; CUR_HI, CUR_LO, LOW_ZERO and LOW_SET decode a color.
+
+The previous index i - 1 is not stored: it follows from i (Warren,
+Hacker's Delight, 2nd ed., sec. 2-1), and prev_pair decodes it one node
+at a time, head to tail.  Above i's lowest set bit i - 1 equals i; at the
+node that holds that bit it reads (hi, 0) when the marker is on lo and
+(0, 1) when it is on hi; below it, it reads 1s.  The flag f_ifresh, set
+as the walk reaches that marker, tells above from below.  It doubles as
+the index path's fresh flag: no index below i shares i's bits down to
+its lowest set bit, so i's path leaves i - 1's exactly there and creates
+every node from there on without probing (index_levels).
 
 During block i one walk runs from head to tail, one node per symbol and
 the tail on the boundary symbol, at most 3 primitives a node (get_color,
-neighbor, set_color on the same node); a write that leaves the color
-unchanged is skipped, since comparing two colors is finite control.  The
-color it reads gives the node's bits of i (for the index path) and of
-i - 1 (for the structure builders, most significant first), and whether
-the node carries i's marker.  The walk rewrites the node in place:
-previous <- current, current <- next, where next = i + 1 keeps i above
-its lowest zero, sets that bit and clears every bit below it (Warren,
-Hacker's Delight, 2nd ed., sec. 2-1).  It also places next's marker.
-When i's lowest zero lies above the tail, next's is the tail, and the
-same set_color marks it.  Otherwise (i even) next's lowest zero is on
-the last node above the tail that kept a 0; last_zero holds it, and the
-tail's position marks it for 2 more primitives.  A walk that sees no
-marker read all ones: at '@' the counter wrapped (more than 2^w blocks),
-and at '#' the block count 2^n is 2^w.  The only other count '#' allows
-is 2^(w - 1), current 01...1, whose marker is on the head's hi bit:
-f_lead says the walk met the marker there first.
+neighbor, set_color on the same node).  The color it reads gives the
+node's bits of i (for the index path) and, through prev_pair, of i - 1
+(for the structure builders, most significant first).  The walk rewrites
+the node in place to hold next = i + 1, which keeps i above its lowest
+zero, sets that bit and clears every bit below it; the bit it sets is
+next's lowest set bit, so the same set_color moves that marker there.
+Only three kinds of node change: the node of i's lowest set bit, which
+loses its marker when i is even (for odd i it is the tail, below the
+lowest zero), the nodes from i's lowest zero down to the tail, and the
+node of next's lowest zero.  When i's lowest zero lies above the tail,
+next's is the tail, and the tail's set_color marks it.  Otherwise (i
+even) next's lowest zero is on the last node above the tail that kept a
+0; last_zero holds it, and the tail's position marks it for 2 more
+primitives.  A walk that sees no lowest-zero marker read all ones: at '@'
+the counter wrapped (more than 2^w blocks), and at '#' the block count
+2^n is 2^w; that walk clears the tail's lowest-set marker, so the chain
+then decodes i - 1 as all ones.  The only other count '#' allows is
+2^(w - 1), current 01...1, whose lowest zero is the head's hi bit:
+f_lead says the walk met that marker there first.
 
 Block 0 runs no walk: the chain is born holding block 1's counter,
-current 1 and previous 0.  Its first symbol appends the tail, current
-bit 1, and every later symbol and the '@' one pair; the pair just above
-the tail carries 1's marker.  For n = 1 the '@' appends only the tail.
-A block boundary then only re-arms the walk at the head.
+current 1.  Its first symbol appends the tail, current bit 1 and 1's
+lowest set bit, and every later symbol and the '@' one pair; the pair
+just above the tail carries 1's lowest zero.  For n = 1 the '@' appends
+only the tail.  A block boundary then only re-arms the walk at the head.
 
-The helpers here only probe and recolor existing nodes, which makes them
-identical on both machine flavors; creating and wiring a chain node differs
-per model (one symmetric link versus one directed pointer), so the
-recognizer modules pass their own append_chain to grow_chain.  Only the
-tail-ward port is ever followed, from the head.
+The helpers here only probe and recolor existing nodes, except
+index_levels, which grows the index path.  Creating and wiring a node
+differs per model (one symmetric link versus one directed pointer), so
+the recognizer modules pass their own append_chain to grow_chain and
+their own attach to index_levels.  Only the tail-ward port is ever
+followed, from the head.
 
 Registers used here: c_head is the chain's head; walk is the walk's
 position (None past the tail); f_past is set once the walk has passed
-current's marker; f_lead and last_zero are as above.  Flags are plain
-registers holding the anchor node when set and None when clear.
+i's lowest zero; f_lead and last_zero are as above; icur is the index
+path's cursor and f_ifresh its fresh flag.  Flags are plain registers
+holding the anchor node when set and None when clear.
 With n even, every index path starts with a pad bit 0 that the x and y
 fields do not carry, so skip_pad starts their walks one level down.
 """
@@ -68,11 +83,12 @@ from .runtime import Program, RejectReason, Verdict
 ZERO, ONE, BLANK, MARK = 0, 1, 2, 3
 
 # Counter chain colors follow: CHAIN0 + s, where bits 0 and 1 of s are
-# the node's lo and hi bit of the current index, bits 2 and 3 its lo and
-# hi bit of the previous index, and bit 4 the marker.
+# the node's lo and hi bit of the current index, bit 2 (_ZERO) marks its
+# lowest zero and bit 3 (_SET) its lowest set bit.
 CHAIN0 = 4
+_ZERO, _SET = 4, 8
 PALETTE = ("zero", "one", "blank", "mark") + tuple(
-    "chain%s" % format(s, "05b") for s in range(32))
+    "chain%s" % format(s, "04b") for s in range(16))
 
 # The initial node: trie root on both machines, and the value flags point
 # at when set (never dereferenced through a flag).
@@ -88,35 +104,47 @@ ACCEPT = Verdict.accept()
 BIT = {"0": ZERO, "1": ONE, "@": None, "#": None}
 
 # First in every recognizer's register file: the phase, the counter
-# chain's head and the walk.
+# chain's head, the walk and the index path.
 SKELETON_REGISTERS = (
-    "phase", "c_head", "walk", "f_past", "f_lead", "last_zero",
+    "phase", "c_head", "walk", "f_past", "f_lead", "last_zero", "icur",
+    "f_ifresh",
 )
 
 
 def _table(f):
     """f over the chain colors, indexed by color (None off the chain)."""
-    return (None,) * CHAIN0 + tuple(f(s) for s in range(32))
+    return (None,) * CHAIN0 + tuple(f(s) for s in range(16))
 
 
-# Decoding: the node's bits of the current and the previous index, and
-# whether it holds the current index's lowest zero.
+# Decoding: the node's bits of the current index, and whether it holds
+# the current index's lowest zero or lowest set bit.
 CUR_LO = _table(lambda s: s & 1)
 CUR_HI = _table(lambda s: s >> 1 & 1)
-PREV_LO = _table(lambda s: s >> 2 & 1)
-PREV_HI = _table(lambda s: s >> 3 & 1)
-MARKED = _table(lambda s: s >> 4 & 1)
-# Recoding, each with previous <- current and the marker clear: _KEEP
-# keeps the current pair, _CLEAR clears it and _STEP adds 1 to it (a
-# marked pair is never 11).  _MARK sets the marker.
-_KEEP = _table(lambda s: CHAIN0 + ((s & 3) << 2 | s & 3))
-_CLEAR = _table(lambda s: CHAIN0 + ((s & 3) << 2))
-_STEP = _table(lambda s: CHAIN0 + ((s & 3) << 2 | (s + 1) & 3))
-_MARK = _table(lambda s: CHAIN0 + (s | 16))
-# Block 1's counter, current 1 and previous 0: the tail's current bit,
-# and 1's lowest zero (the lo bit of the pair above the tail) marked.
-_SEED_TAIL = CHAIN0 + 1
-_SEED_MARK = CHAIN0 + 16
+LOW_ZERO = _table(lambda s: s >> 2 & 1)
+LOW_SET = _table(lambda s: s >> 3 & 1)
+
+
+def _prev(s):
+    """The previous index's (hi, lo) at a node at or above the current
+    index's lowest set bit; below it the pair is _ONES."""
+    hi, lo = s >> 1 & 1, s & 1
+    if not s & _SET:
+        return hi, lo
+    return (hi, 0) if lo else (0, 1)
+
+
+_PREV = _table(_prev)
+_ONES = (1, 1)
+# Whether the lowest set bit is the pair's lo bit, which leaves the hi
+# bit on the previous index's path.
+_SET_ON_LO = _table(lambda s: s & _SET and s & 1)
+# The lowest zero's node in next: the pair plus 1 (a pair holding a
+# lowest zero is never 11), marked as next's lowest set bit.
+_STEP = _table(lambda s: CHAIN0 + ((s + 1) & 3 | _SET))
+# Block 1's counter, current 1: the tail's bit, 1's lowest set bit, and
+# 1's lowest zero (the lo bit of the pair above the tail).
+_SEED_TAIL = CHAIN0 + (1 | _SET)
+_SEED_MARK = CHAIN0 + _ZERO
 
 
 def _rejects(verdict):
@@ -156,16 +184,17 @@ def build(registers, graph_factory, on_start, cadence):
 
 def skip_pad(g, R, root, zero_port):
     """Where an x or y walk down the trie at root starts: root itself for
-    odd n (the last block's walk saw no marker), its zero_port child for
-    even n."""
+    odd n (the last block's walk saw no lowest zero), its zero_port child
+    for even n."""
     if R.f_past is None:
         return root
     return g.neighbor(root, zero_port)
 
 
 def walk_step(g, R, toward_tail):
-    """One node of the block's walk: read the color at walk, write
-    previous <- current <- next there, move walk on (None past the tail).
+    """One node of the block's walk: read the color at walk, write next
+    there where it differs from current, move walk on (None past the
+    tail), and set f_ifresh at current's lowest set bit.
 
     Returns the color read, for the tables to decode, or None if the walk
     was already past the tail.
@@ -175,26 +204,76 @@ def walk_step(g, R, toward_tail):
         return None
     c = g.get_color(pos)
     R.walk = nxt = g.neighbor(pos, toward_tail)
-    if R.f_past is not None:  # below current's lowest zero
-        new = _CLEAR[c]
-        if nxt is None:  # the tail: next's lowest zero
-            new = _MARK[new]
-    elif MARKED[c]:  # current's lowest zero
+    if R.f_past is not None:  # below current's lowest zero: next clears
+        if nxt is None:  # the tail: current's lowest set bit, next's zero
+            R.f_ifresh = ANCHOR
+            g.set_color(pos, CHAIN0 + _ZERO)
+        else:
+            g.set_color(pos, CHAIN0)
+    elif LOW_ZERO[c]:  # current's lowest zero, next's lowest set bit
         R.f_past = ANCHOR
         if not CUR_LO[c]:  # on the lo bit: current is not 01...1
             R.f_lead = None
-        new = _STEP[c]
+        g.set_color(pos, _STEP[c])
         z = R.last_zero
         if nxt is None and z is not None:  # next's lowest zero is above
-            g.set_color(z, _MARK[g.get_color(z)])
+            g.set_color(z, g.get_color(z) + _ZERO)
     else:  # above it: next keeps current's bits
         R.f_lead = None
-        new = _KEEP[c]
         if not (CUR_HI[c] and CUR_LO[c]):
             R.last_zero = pos
-    if new != c:  # comparing two colors is finite control
-        g.set_color(pos, new)
+        if LOW_SET[c]:  # current's lowest set bit; next's lies lower
+            R.f_ifresh = ANCHOR
+            g.set_color(pos, c - _SET)
     return c
+
+
+def read_step(g, R, toward_tail):
+    """One node of a second read of the chain, which rewrites nothing:
+    the color at walk, moving walk on, with f_ifresh set at current's
+    lowest set bit as walk_step sets it; None past the tail."""
+    pos = R.walk
+    if pos is None:
+        return None
+    R.walk = g.neighbor(pos, toward_tail)
+    c = g.get_color(pos)
+    if LOW_SET[c]:
+        R.f_ifresh = ANCHOR
+    return c
+
+
+def prev_pair(R, c):
+    """The previous index's (hi, lo) at the node of color c that the walk
+    (or a read) has just reached; at the tail, lo is its bit 0."""
+    if R.f_ifresh is None or LOW_SET[c]:
+        return _PREV[c]
+    return _ONES
+
+
+def index_levels(g, R, c, zero_port, attach):
+    """The current index's path through the node of color c that the walk
+    has just reached: two levels at a pair, one at the tail.
+
+    Bit b leads through port zero_port + b, and attach(g, node, port) is
+    the model's new child of node at port.  Above the lowest set bit the
+    child exists, since the previous index shares those bits, so the path
+    follows it; from that bit on, where the walk has set f_ifresh, the
+    path attaches a new child, except on the hi bit of the pair whose lo
+    bit it is.
+    """
+    fresh = R.f_ifresh
+    node = R.icur
+    if R.walk is not None:  # a pair: its hi bit first
+        port = zero_port + CUR_HI[c]
+        if fresh is None or _SET_ON_LO[c]:
+            node = g.neighbor(node, port)
+        else:
+            node = attach(g, node, port)
+    port = zero_port + CUR_LO[c]
+    if fresh is None:
+        R.icur = g.neighbor(node, port)
+    else:
+        R.icur = attach(g, node, port)
 
 
 def tail_step(g, R, toward_tail):
@@ -237,8 +316,11 @@ def grow_chain(g, R, append_chain):
 
 
 def next_block(R):
-    """Block boundary, registers only: arm the walk at the head."""
+    """Block boundary, registers only: arm the walk at the head and root
+    the index path at the initial node."""
     R.walk = R.c_head
     R.f_past = None
     R.f_lead = ANCHOR
     R.last_zero = None
+    R.icur = ANCHOR
+    R.f_ifresh = None

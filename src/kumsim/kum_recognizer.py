@@ -22,56 +22,72 @@ Storage layout, all grown incrementally while reading:
   counter chain  one chain of k + 1 nodes driven by the gadgets module:
                  the tail holds one bit of the block index and every
                  other node two, and each node's color packs its bits of
-                 the previous and the current index and a marker.
+                 the current index and markers on that index's lowest
+                 zero and lowest set bit, from which the previous index
+                 decodes.
 
 Per symbol during the block section the machine advances the counter
 walk one node, extends the index-trie path for the current index and
 the per-value path for the previous index two levels each (both fed by
-the walk, which decodes the node's current and previous pair from its
-color, most significant first), and descends the value trie one level
-on the input bit.
+the walk: the node's color gives its pair of the current index, and
+gadgets.prev_pair decodes its pair of the previous one, most
+significant first), and descends the value trie one level on the input
+bit.
 
 A descend costs 1 when the child exists and 3 when the probe finds none
-and creates it.  Each of the three paths has a fresh flag (f_ifresh,
-f_pvfresh, f_vtfresh), set once the path creates a node and cleared
+and creates it.  The per-value and value paths each have a fresh flag
+(f_pvfresh, f_vtfresh), set once the path creates a node and cleared
 where its cursor is re-rooted; a node the path created has no child to
-probe for, so on a fresh path a descend costs 2.  Two levels of one path
-then cost at most 5 (create, then fresh), and a block symbol at most
-walk 3 + index 5 + per-value 5 + value 3 = 16.  The two 5s never fall on
-one symbol, since the paths never first create at the same level:
+probe for, so on a fresh path a descend costs 2.  Write s for i's lowest
+set bit.
 
-  - the index path for i first creates at i's lowest set bit, where i - 1
-    holds 0 (above it, i shares i - 1's path);
-  - the per-value path for i - 1 first creates only where i - 1 holds 1:
+  - The index path for i never probes: above s it follows i - 1's path
+    (1 a level), and from s on, where the walk sets f_ifresh, it creates
+    (2 a level), since no smaller index holds i's bits down to s
+    (gadgets.index_levels).
+  - The per-value path for i - 1 first creates only where i - 1 holds 1:
     where it holds 0, an earlier index of the same value sharing the
     bits above holds 0 there too, so the node exists if any such index
     does.  A value leaf created in this block has an empty per-value
     trie; the per-value flag inherits the value path's at the boundary,
-    so that path is fresh from its first level and never pays 3.
+    so that path is fresh from its first level and never pays 3.  Two
+    levels cost at most 5 (create on hi, then fresh), and 4 where i - 1
+    holds 0 on hi (1 + 3 or 2 + 2).
 
-Beside a 5 the other path's two levels cost at most 1 + 3 or 2 + 2, so
-a block symbol costs at most 3 + 5 + 4 + 3 = 15, the cadence.
+The walk costs 2 at a node whose color stays and 3 where it rewrites it
+(see gadgets).  A block symbol (walk + index + per-value + value) costs:
+
+  - at a pair below s (i even), which keeps its color: 2 + 4 + 5 + 3;
+  - at the pair holding s on its hi bit, where i - 1 holds 01:
+    3 + 4 + 4 + 3;
+  - at the pair holding s on its lo bit: 3 + 3 + 5 + 3;
+  - at any other pair, above s: 3 + 2 + 5 + 3 = 13;
+
+so at most 14, the cadence.
 Block 0 grows the chain instead of walking it: its first symbol appends
 the tail and one index level (1 + 2 + value 2 = 5), every later symbol a
-pair and two levels, chain append 2 + descend 2 + 2 + value 2 = 8 (no
-root has a child yet, so on_start sets both flags), and the '@' a pair
-and two levels, 6.  The walk has length linear in the block, so each
-boundary symbol finishes it at the tail; a walk finishing early or late
-is a block-length mismatch and rejects as pacing.  The boundary also
-completes both paths: it marks the previous index's per-value leaf and
-links the previous index leaf, held in prev_leaf since its own boundary,
-to it (2).  For even i the walk's tail costs 5 but the index path is
-already fresh there, 5 + 2 + 3 + 2 = 12; for odd i it is 3 + 3 + 3 + 2 =
-11, and 12 at the first '#' with its pad probe.
+pair and two levels, chain append 2 + create 2 + 2 + value 2 = 8 (no
+root has a child yet, so the index path only creates and on_start sets
+the value path's flag), and the '@' a pair and two levels, 6.  The walk
+has length linear in the block, so each boundary symbol finishes it at
+the tail; a walk finishing early or late is a block-length mismatch and
+rejects as pacing.  The boundary also completes both paths: it marks the
+previous index's per-value leaf and links the previous index leaf, held
+in prev_leaf since its own boundary, to it (2).  For even i the walk's
+tail costs 5 and the index path creates there, 5 + 2 + 3 + 2 = 12; for
+odd i the tail holds s, where i - 1 holds 0, so 3 + 2 + 2 + 2 = 9, and
+10 at the first '#' with its pad probe.
 
 After the blocks, x replays its bits into the index trie (descend only:
 a missing branch means x is not a valid index), while the per-value path
 for the final index 2^n - 1, whose usual build slot does not exist, is
-finished on the same symbols.  The last walk left that index in every
-node's previous bits, and a second read of the chain (neighbor and
-get_color) hands them out one node per x symbol, which fits since the
-k + 1 nodes are no more than the n symbols of x: read 2 + two levels 5 +
-x's own index-trie probe 1 = 8, and at the tail 2 + 3 + mark and link 2
+finished on the same symbols.  The last walk left the counter one past
+that index (or, when 2^n is 2^w, all ones with no lowest-set marker,
+which decodes as itself), and a second read of the chain (neighbor and
+get_color, gadgets.read_step) decodes it with prev_pair one node per x
+symbol, which fits since the k + 1 nodes are no more than the n symbols
+of x: read 2 + two levels 5 + x's own index-trie probe 1 = 8, and at the
+tail 2 + 3 + mark and link 2
 + 1 = 8.  The second '#' follows val from x's index leaf to x's
 per-value leaf.  The y bits then go through a small FIFO queue: each y
 symbol queues its bit and makes three moves.  The first w moves climb
@@ -105,10 +121,10 @@ for all four bit pairs because both blocks are the empty string.
 from __future__ import annotations
 
 from .engine import ModelKind, new_graph
-from .gadgets import (ANCHOR, BLANK, CUR_HI, CUR_LO, DONE, MARK, PALETTE,
-                      PREV_HI, PREV_LO, REJ_FORMAT, REJ_PACING,
-                      SKELETON_REGISTERS, build, grow_chain, next_block,
-                      phase, power_of_two, skip_pad, tail_step, walk_step,
+from .gadgets import (ANCHOR, BLANK, DONE, MARK, PALETTE, REJ_FORMAT,
+                      REJ_PACING, SKELETON_REGISTERS, build, grow_chain,
+                      index_levels, next_block, phase, power_of_two,
+                      prev_pair, read_step, skip_pad, tail_step, walk_step,
                       wrapped)
 
 PARENT, LEFT, RIGHT, VAL = 0, 1, 2, 3
@@ -118,12 +134,11 @@ DEGREE_BOUND = 3
 
 # Worst primitive count of any single symbol handler, measured over the
 # exhaustive short-string sweep and the generated corpus, and equal to
-# the hand count in the module docstring (a later-block symbol where one
-# trie path starts allocating). The driver pads every symbol to this.
-KUM_CADENCE = 15
+# the hand count in the module docstring (a later-block symbol at or
+# below the index's lowest set bit). The driver pads every symbol to this.
+KUM_CADENCE = 14
 
 REGISTERS = SKELETON_REGISTERS + (
-    "icur",       # index trie cursor
     "vroot",      # value trie root
     "vt_cur",     # value trie cursor
     "pv_cur",     # per-value index trie cursor
@@ -131,7 +146,7 @@ REGISTERS = SKELETON_REGISTERS + (
     "q_front", "q_back",  # FIFO of pending y bits
     "f_half",     # set while the y walk's node has one climb left to count
     # set while the path at that cursor runs through nodes it created
-    "f_ifresh", "f_pvfresh", "f_vtfresh",
+    "f_pvfresh", "f_vtfresh",
 )
 
 def _descend(g, R, node, bit, fresh, flag):
@@ -149,6 +164,11 @@ def _descend(g, R, node, bit, fresh, flag):
         if child is not None:
             return child
         setattr(R, flag, ANCHOR)
+    return _attach(g, node, port)
+
+
+def _attach(g, node, port):
+    """A new trie node, wired as node's child at port."""
     child = g.create_node(BLANK)
     g.link(node, port, child, PARENT)
     return child
@@ -160,15 +180,6 @@ def _append_chain(g, head, color):
     if head is not None:
         g.link(head, LEFT, node, RIGHT)
     return node
-
-
-def _read_step(g, R):
-    """The color at walk, moving walk tail-ward; None past the tail."""
-    pos = R.walk
-    if pos is None:
-        return None
-    R.walk = g.neighbor(pos, RIGHT)
-    return g.get_color(pos)
 
 
 def _enqueue(g, R, bit):
@@ -202,8 +213,8 @@ def _finish_value_path(g, R):
 def _complete_paths(g, R, c):
     """The boundary's tail color c: the last level of both paths, whose
     per-value leaf (the previous index's) is then marked and linked."""
-    R.icur = _descend(g, R, R.icur, CUR_LO[c], R.f_ifresh, "f_ifresh")
-    R.pv_cur = _descend(g, R, R.pv_cur, PREV_LO[c], R.f_pvfresh,
+    index_levels(g, R, c, LEFT, _attach)
+    R.pv_cur = _descend(g, R, R.pv_cur, prev_pair(R, c)[1], R.f_pvfresh,
                         "f_pvfresh")
     _finish_value_path(g, R)
 
@@ -219,13 +230,11 @@ def _hold_leaves(R):
 
 def _close_block(R):
     """Block boundary bookkeeping shared by the first and later blocks:
-    hold the leaves, re-root the index and value walks, re-arm the
-    counter walk."""
+    hold the leaves, re-root the value walk, and re-root the index walk
+    and re-arm the counter walk (next_block)."""
     _hold_leaves(R)
     R.vt_cur = R.vroot
     R.f_vtfresh = None
-    R.icur = ANCHOR
-    R.f_ifresh = None
     next_block(R)
 
 
@@ -233,7 +242,7 @@ def _grow(g, R):
     """One more chain node, and as many levels of the all-zero index path
     as it holds bits."""
     for _ in range(grow_chain(g, R, _append_chain)):
-        R.icur = _descend(g, R, R.icur, 0, R.f_ifresh, "f_ifresh")
+        R.icur = _attach(g, R.icur, LEFT)
 
 
 def phase0_tick(g, R, bit):
@@ -257,10 +266,10 @@ def base_tick(g, R, bit):
     c = walk_step(g, R, RIGHT)
     if R.walk is None:
         return REJ_PACING  # the tail belongs to the boundary
-    R.icur = _descend(g, R, R.icur, CUR_HI[c], R.f_ifresh, "f_ifresh")
-    R.icur = _descend(g, R, R.icur, CUR_LO[c], R.f_ifresh, "f_ifresh")
-    R.pv_cur = _descend(g, R, R.pv_cur, PREV_HI[c], R.f_pvfresh, "f_pvfresh")
-    R.pv_cur = _descend(g, R, R.pv_cur, PREV_LO[c], R.f_pvfresh, "f_pvfresh")
+    index_levels(g, R, c, LEFT, _attach)
+    hi, lo = prev_pair(R, c)
+    R.pv_cur = _descend(g, R, R.pv_cur, hi, R.f_pvfresh, "f_pvfresh")
+    R.pv_cur = _descend(g, R, R.pv_cur, lo, R.f_pvfresh, "f_pvfresh")
     R.vt_cur = _descend(g, R, R.vt_cur, bit, R.f_vtfresh, "f_vtfresh")
     return None
 
@@ -283,8 +292,8 @@ def base_end_and_x_tick(g, R, _bit):
     Which one, 2^w or 2^(w - 1), tells n = 2k + 1 from n = 2k, where
     index paths carry a pad bit.  The per-value path for the last index
     has no successor block to build it, so it is handed to the x phase:
-    the walk just left that index in every node's previous bits, and a
-    second read of the chain hands them out, one node per x symbol.
+    a second read of the chain decodes that index from the counter the
+    walk just left, one node per x symbol.
     """
     c = tail_step(g, R, RIGHT)
     if c is None:
@@ -294,6 +303,7 @@ def base_end_and_x_tick(g, R, _bit):
     _complete_paths(g, R, c)
     _hold_leaves(R)
     R.walk = R.c_head
+    R.f_ifresh = None
     R.icur = skip_pad(g, R, ANCHOR, LEFT)
     R.phase = X_FIELD
     return None
@@ -301,13 +311,13 @@ def base_end_and_x_tick(g, R, _bit):
 
 def x_tick(g, R, bit):
     """x symbol: descend the index trie; finish the last per-value path."""
-    c = _read_step(g, R)
+    c = read_step(g, R, RIGHT)
     if c is not None:
+        hi, lo = prev_pair(R, c)
         if R.walk is not None:  # a pair; the tail holds its lo bit alone
-            R.pv_cur = _descend(g, R, R.pv_cur, PREV_HI[c], R.f_pvfresh,
+            R.pv_cur = _descend(g, R, R.pv_cur, hi, R.f_pvfresh,
                                 "f_pvfresh")
-        R.pv_cur = _descend(g, R, R.pv_cur, PREV_LO[c], R.f_pvfresh,
-                            "f_pvfresh")
+        R.pv_cur = _descend(g, R, R.pv_cur, lo, R.f_pvfresh, "f_pvfresh")
         if R.walk is None:
             _finish_value_path(g, R)
     child = g.neighbor(R.icur, LEFT + bit)
@@ -381,8 +391,8 @@ def _on_start(g, R):
     R.vroot = g.create_node(BLANK)
     R.vt_cur = R.vroot
     R.icur = ANCHOR
-    # neither root has a child yet
-    R.f_ifresh = R.f_vtfresh = ANCHOR
+    # neither root has a child yet: _grow attaches the index path's nodes
+    R.f_vtfresh = ANCHOR
     R.phase = FIRST_BLOCK
     return None
 

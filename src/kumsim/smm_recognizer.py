@@ -27,20 +27,26 @@ Layout:
 Per block symbol: one counter walk node, whose current pair feeds two
 index-trie levels, and one value-trie level on the input bit.  A
 descend costs 1 when the child exists and 3 when the probe finds none
-and creates it.  Each path has a fresh flag (f_ifresh, f_vtfresh), set
-once the path creates a node and cleared where its cursor is re-rooted;
-a node the path created has no child to probe for, so on a fresh path a
-descend costs 2.  Two index levels then cost at most 5 (create, then
-fresh), and a block symbol walk 3 + 5 + descend 3 = 11, the cadence.
-Block 0 costs at most chain append 2 + 2 x descend 2 + 2 = 8 (its first
-symbol appends the one-bit tail and one level, 5): neither root has a
-child yet, so on_start sets both flags, and the walk only ever goes
-from head to tail, so a chain node needs just its tail-ward pointer (see
-gadgets).  Binding the representative costs 3: a value leaf created in
-this block has no carrier, so the rep is made without probing for one.
-A boundary for even i costs the walk's tail 5 + descend 2 (the index
-path first creates at i's lowest set bit, above the tail) + 3 = 10; for
-odd i, 3 + 3 + 3 = 9, and 10 at the first '#' with its pad probe.
+and creates it.  The value path has a fresh flag, f_vtfresh, set once
+the path creates a node and cleared where its cursor is re-rooted; a
+node the path created has no child to probe for, so on a fresh path a
+descend costs 2.  The index path never probes: it follows the previous
+index's path above the current index's lowest set bit (1 a level) and
+creates from that bit on (2 a level, gadgets.index_levels), so two index
+levels cost at most 4.  The walk costs 3 where it rewrites a node and 2
+elsewhere, and only 2 below that bit, so a block symbol costs at most
+walk 3 + index 4 (the pair holding the lowest set bit on its hi bit) +
+descend 3 = 10, the cadence.
+Block 0 costs at most chain append 2 + 2 x create 2 + descend 2 = 8 (its
+first symbol appends the one-bit tail and one level, 5): neither root
+has a child yet, so the index path only creates and on_start sets the
+value path's flag, and the walk only ever goes from head to tail, so a
+chain node needs just its tail-ward pointer (see gadgets).  Binding the
+representative costs 3: a value leaf created in this block has no
+carrier, so the rep is made without probing for one.
+A boundary for even i costs the walk's tail 5 + create 2 (the tail lies
+below i's lowest set bit) + 3 = 10; for odd i, where the tail holds that
+bit, 3 + 2 + 3 = 8, and 9 at the first '#' with its pad probe.
 No value strings, no per-value tries, no queue.
 
 x and y each descend the index trie one level per symbol (after eating
@@ -51,44 +57,49 @@ in a register and the final '#' compares it with y's by node identity.
 from __future__ import annotations
 
 from .engine import ModelKind, new_graph
-from .gadgets import (ANCHOR, BLANK, CUR_HI, CUR_LO, DONE, PALETTE,
-                      REJ_FORMAT, REJ_PACING, SKELETON_REGISTERS, build,
-                      grow_chain, next_block, phase, power_of_two, skip_pad,
-                      tail_step, walk_step, wrapped)
+from .gadgets import (ANCHOR, BLANK, DONE, PALETTE, REJ_FORMAT, REJ_PACING,
+                      SKELETON_REGISTERS, build, grow_chain, index_levels,
+                      next_block, phase, power_of_two, skip_pad, tail_step,
+                      walk_step, wrapped)
 
 L, R_DIR, V = 0, 1, 2
 
 DIRECTIONS = ("l", "r", "v")
 
 # Worst primitive count of any single symbol handler, a later-block
-# symbol whose index path starts allocating, as counted by hand in the
-# module docstring.  Measured over the same corpus as the other machine.
-SMM_CADENCE = 11
+# symbol whose pair holds the index's lowest set bit on its hi bit, as
+# counted by hand in the module docstring.  Measured over the same
+# corpus as the other machine.
+SMM_CADENCE = 10
 
 REGISTERS = SKELETON_REGISTERS + (
-    "icur",       # index trie cursor
     "vroot",      # value trie root
     "vt_cur",     # value trie cursor
     "rep_x",      # representative of b_x, held between the last two '#'
-    # set while the path at that cursor runs through nodes it created
-    "f_ifresh", "f_vtfresh",
+    "f_vtfresh",  # set while the value path runs through nodes it created
 )
 
-def _descend(g, R, node, bit, fresh, flag):
-    """Child of node along direction bit, creating it if absent.
+def _attach(g, node, d):
+    """A new trie node, node's child in direction d."""
+    child = g.create_node(BLANK)
+    g.set_pointer(node, d, child)
+    return child
 
-    fresh is the path's fresh flag and flag the name of its register, as
-    for the other machine: a fresh path creates the child without a probe,
-    and a probe that finds no child sets the flag.
+
+def _value_descend(g, R, bit):
+    """One value-trie level down along bit, creating the child if absent.
+
+    As for the other machine, a fresh path creates the child without a
+    probe, and a probe that finds no child sets the fresh flag.
     """
-    if fresh is None:
+    node = R.vt_cur
+    if R.f_vtfresh is None:
         child = g.neighbor(node, bit)
         if child is not None:
-            return child
-        setattr(R, flag, ANCHOR)
-    child = g.create_node(BLANK)
-    g.set_pointer(node, bit, child)
-    return child
+            R.vt_cur = child
+            return
+        R.f_vtfresh = ANCHOR
+    R.vt_cur = _attach(g, node, bit)
 
 
 def _append_chain(g, head, color):
@@ -104,12 +115,12 @@ def _grow(g, R):
     """One more chain node, and as many levels of the all-zero index path
     as it holds bits."""
     for _ in range(grow_chain(g, R, _append_chain)):
-        R.icur = _descend(g, R, R.icur, 0, R.f_ifresh, "f_ifresh")
+        R.icur = _attach(g, R.icur, L)
 
 
 def smm_phase0_tick(g, R, bit):
     _grow(g, R)
-    R.vt_cur = _descend(g, R, R.vt_cur, bit, R.f_vtfresh, "f_vtfresh")
+    _value_descend(g, R, bit)
     return None
 
 
@@ -133,8 +144,6 @@ def _close_block(g, R):
     _bind_representative(g, R)
     R.vt_cur = R.vroot
     R.f_vtfresh = None
-    R.icur = ANCHOR
-    R.f_ifresh = None
     next_block(R)
 
 
@@ -149,9 +158,8 @@ def smm_base_tick(g, R, bit):
     c = walk_step(g, R, R_DIR)
     if R.walk is None:
         return REJ_PACING  # the tail belongs to the boundary
-    R.icur = _descend(g, R, R.icur, CUR_HI[c], R.f_ifresh, "f_ifresh")
-    R.icur = _descend(g, R, R.icur, CUR_LO[c], R.f_ifresh, "f_ifresh")
-    R.vt_cur = _descend(g, R, R.vt_cur, bit, R.f_vtfresh, "f_vtfresh")
+    index_levels(g, R, c, L, _attach)
+    _value_descend(g, R, bit)
     return None
 
 
@@ -161,7 +169,7 @@ def smm_phase_boundary(g, R, _bit):
         return REJ_PACING
     if wrapped(R):
         return REJ_FORMAT  # more than 2^w blocks
-    R.icur = _descend(g, R, R.icur, CUR_LO[c], R.f_ifresh, "f_ifresh")
+    index_levels(g, R, c, L, _attach)
     _close_block(g, R)
     return None
 
@@ -172,7 +180,7 @@ def smm_base_end(g, R, _bit):
         return REJ_PACING
     if not power_of_two(R):
         return REJ_FORMAT
-    R.icur = _descend(g, R, R.icur, CUR_LO[c], R.f_ifresh, "f_ifresh")
+    index_levels(g, R, c, L, _attach)
     _bind_representative(g, R)
     R.icur = skip_pad(g, R, ANCHOR, L)
     R.phase = X_FIELD
@@ -218,8 +226,8 @@ def _on_start(g, R):
     R.vroot = g.create_node(BLANK)
     R.vt_cur = R.vroot
     R.icur = ANCHOR
-    # neither root has a child yet
-    R.f_ifresh = R.f_vtfresh = ANCHOR
+    # neither root has a child yet: _grow attaches the index path's nodes
+    R.f_vtfresh = ANCHOR
     R.phase = FIRST_BLOCK
     return None
 

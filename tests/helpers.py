@@ -7,8 +7,10 @@ the run's stats and trace were captured at halt time.
 
 import dataclasses
 
+from kumsim import gadgets
 from kumsim.engine import StorageGraph
 from kumsim.gadgets import BLANK
+from kumsim.runtime import register_class
 
 
 def levels(g, root, left_port, right_port):
@@ -41,6 +43,23 @@ def chain_bits(g, head, toward_tail_port, hi, lo):
             bits.append(str(hi[c]))
         bits.append(str(lo[c]))
     return "".join(bits)
+
+
+def chain_prev_bits(g, head, toward_tail_port):
+    """The previous index off the chain, head to tail, as the x phase
+    reads it: gadgets.read_step on each node and gadgets.prev_pair on its
+    color."""
+    R = register_class(gadgets.SKELETON_REGISTERS)()
+    R.walk = head
+    bits = []
+    while True:
+        c = gadgets.read_step(g, R, toward_tail_port)
+        if c is None:
+            return "".join(bits)
+        hi, lo = gadgets.prev_pair(R, c)
+        if R.walk is not None:
+            bits.append(str(hi))
+        bits.append(str(lo))
 
 
 def count_color(g, color):
@@ -83,6 +102,26 @@ def broken_kum_builder():
         return v
 
     return dataclasses.replace(prog, on_end=flipped_on_end)
+
+
+def faulting_kum_builder():
+    """A deliberately wrong machine that still rejects every non-member:
+    each symbol whose handler rejects raises EngineError instead, so the
+    driver ends the run as a machine fault.
+    """
+    from kumsim.engine import EngineError
+    from kumsim.kum_recognizer import build_kum_recognizer
+
+    prog = build_kum_recognizer()
+    real_on_symbol = prog.on_symbol
+
+    def faulting_on_symbol(g, R, ch):
+        v = real_on_symbol(g, R, ch)
+        if v is not None:
+            raise EngineError("fault in place of %s" % v)
+        return v
+
+    return dataclasses.replace(prog, on_symbol=faulting_on_symbol)
 
 
 class WasteCountingGraph(StorageGraph):

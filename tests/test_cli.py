@@ -151,6 +151,19 @@ def test_fuzz_broken_machine_prints_reproducer(monkeypatch, capsys):
     assert blocklang.member(lines[-1])
 
 
+def test_fuzz_machine_fault_on_non_member_is_a_mismatch(monkeypatch,
+                                                        capsys):
+    # every verdict of this build agrees with the oracle on acceptance;
+    # the rejects it reaches by faulting must still fail the sweep
+    monkeypatch.setitem(cli.MACHINES, "kum", helpers.faulting_kum_builder)
+    assert cli.main(["fuzz", "--machines", "kum", "--cases", "3000",
+                     "--seed", "2026"]) == 1
+    lines = out_of(capsys).splitlines()
+    assert lines[0].startswith("mismatch\t")
+    assert lines[0].endswith("\toracle=reject\tgot=reject:machine-fault")
+    assert not blocklang.member(lines[-1])
+
+
 def test_stats_json_per_line(tmp_path, capsys):
     src = tmp_path / "lines.txt"
     inst = blocklang.encode(blocklang.gen_all_equal(3))

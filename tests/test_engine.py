@@ -235,6 +235,40 @@ def test_bad_handle_or_port_is_an_engine_error_and_costs_nothing(make):
                for p in range(nports))
 
 
+@pytest.mark.parametrize("make", [kum, smm], ids=["kum", "smm"])
+def test_bool_is_not_a_handle_or_port(make):
+    # True and False compare as 1 and 0, so a range test alone would take
+    # them for node 1 and port 1; every primitive refuses them instead
+    g = make()
+    a = g.create_node(ONE)
+    b = g.create_node(0)
+    if g.model is ModelKind.KUM:
+        g.link(a, 0, b, 1)
+    else:
+        g.set_pointer(a, 0, b)
+    before = g.step_counter
+    stats = g.graph_stats()
+    for flag in (True, False):
+        calls = [
+            (BadHandle, lambda: g.neighbor(flag, 0)),
+            (BadPort, lambda: g.neighbor(a, flag)),
+            (BadHandle, lambda: g.get_color(flag)),
+            (BadHandle, lambda: g.set_color(flag, MARK)),
+            (BadHandle, lambda: g.unlink(flag, 0)),
+            (BadHandle, lambda: g.identity_eq(flag, a)),
+        ]
+        for error, call in calls:
+            with pytest.raises(error):
+                call()
+    assert g.step_counter == before
+    assert g.graph_stats() == stats
+    assert [g.get_color(v) for v in (0, a, b)] == [ZERO, ONE, ZERO]
+    assert g.neighbor(a, 0) == b
+    assert all(g.neighbor(v, p) is None for v in (0, a, b)
+               for p in range(len(g.labels)) if (v, p) != (a, 0)
+               and not (g.model is ModelKind.KUM and (v, p) == (b, 1)))
+
+
 def test_flat_rows_keep_ports_of_neighboring_nodes_apart():
     g = kum()
     a, b, c = (g.create_node(0) for _ in range(3))

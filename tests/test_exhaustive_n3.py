@@ -3,15 +3,22 @@
 n = 3 has 2^3 one-bit blocks, so 2^8 block assignments, and 8 x 8 index
 pairs: 16,384 strings, about a quarter of them members.  Each run must
 agree with the reference predicate, end without a machine fault, keep
-every gap within the cadence, and, when it accepts, reach it.
+every gap within the cadence, and, when it accepts, reach it.  Each run
+also obeys the fan-in law: the directed machine's largest in-degree is
+m, the largest number of blocks sharing one value (each value's
+representative is aimed at by exactly its carriers' index leaves, no
+other node has in-degree above 2, and m >= 2), while the bounded machine
+uses exactly DEGREE_BOUND ports somewhere.
 """
 
+import collections
 import itertools
 
 import pytest
 
 from kumsim import blocklang
-from kumsim.kum_recognizer import KUM_CADENCE, build_kum_recognizer
+from kumsim.kum_recognizer import (DEGREE_BOUND, KUM_CADENCE,
+                                   build_kum_recognizer)
 from kumsim.runtime import RejectReason, max_gap, run
 from kumsim.smm_recognizer import SMM_CADENCE, build_smm_recognizer
 
@@ -19,21 +26,26 @@ N = 3
 
 
 def _strings():
+    """Each string with m, the most blocks that share one value."""
     fields = [format(i, "0%db" % N) for i in range(2 ** N)]
     for blocks in itertools.product("01", repeat=2 ** N):
+        m = max(collections.Counter(blocks).values())
         for x, y in itertools.product(fields, repeat=2):
-            yield blocklang.encode(blocklang.Instance(N, blocks, x, y))
+            yield blocklang.encode(blocklang.Instance(N, blocks, x, y)), m
 
 
-@pytest.mark.parametrize("build, cadence", [
-    (build_kum_recognizer, KUM_CADENCE),
-    (build_smm_recognizer, SMM_CADENCE),
+@pytest.mark.parametrize("build, cadence, fan_in", [
+    (build_kum_recognizer, KUM_CADENCE,
+     lambda stats, m: stats["max_degree"] == DEGREE_BOUND),
+    (build_smm_recognizer, SMM_CADENCE,
+     lambda stats, m: stats["max_in_degree"] == m),
 ], ids=["kum", "smm"])
-def test_every_n3_string(build, cadence):
+def test_every_n3_string(build, cadence, fan_in):
     prog = build()
     runs = accepted = 0
-    for s in _strings():
+    for s, m in _strings():
         res = run(prog, s)
+        assert fan_in(res.stats, m), (s, m, res.stats)
         v = res.verdict
         assert v.accepted == blocklang.member(s), (s, str(v))
         assert v.reason is not RejectReason.MACHINE_FAULT, s

@@ -15,13 +15,19 @@ MACHINES = {
 }
 
 
-def _lowest_zero(i, w):
-    """Head-to-tail position of the chain node holding i's lowest zero
-    bit, None if i = 2^w - 1.  Node j holds bits w - 1 - 2j and w - 2 - 2j;
-    the tail, node (w - 1) / 2, holds bit 0 alone."""
+def _node_of(bit, w):
+    """Head-to-tail position of the chain node holding that bit.  Node j
+    holds bits w - 1 - 2j and w - 2 - 2j; the tail, node (w - 1) / 2,
+    holds bit 0 alone."""
+    return (w - 1 - bit) // 2
+
+
+def _lowest(i, w, value):
+    """Position of the node holding i's lowest bit of that value, None if
+    i has no such bit."""
     for bit in range(w):
-        if not i >> bit & 1:
-            return (w - 1 - bit) // 2
+        if i >> bit & 1 == value:
+            return _node_of(bit, w)
     return None
 
 
@@ -40,26 +46,44 @@ def test_walk_counts_through_every_value(machine):
         assert g.neighbor(chain[-1], toward_tail) is None
         gadgets.next_block(R)
         for i in range(1, 2 ** w):
-            # block i: current i, previous i - 1, one marker on the node
-            # holding i's lowest zero (none when i is all ones)
+            # block i: current i, one marker on the node holding i's
+            # lowest zero (none when i is all ones) and one on the node
+            # holding its lowest set bit; i - 1 decodes from them
+            want_prev = format(i - 1, "0%db" % w)
             assert helpers.chain_bits(g, R.c_head, toward_tail,
                                       gadgets.CUR_HI, gadgets.CUR_LO) == \
                 format(i, "0%db" % w), (w, i)
-            assert helpers.chain_bits(g, R.c_head, toward_tail,
-                                      gadgets.PREV_HI, gadgets.PREV_LO) == \
-                format(i - 1, "0%db" % w), (w, i)
+            assert helpers.chain_prev_bits(g, R.c_head, toward_tail) == \
+                want_prev, (w, i)
             colors = [g.get_color(node) for node in chain]
-            marked = [j for j, c in enumerate(colors) if gadgets.MARKED[c]]
-            zero = _lowest_zero(i, w)
-            assert marked == ([] if zero is None else [zero]), (w, i)
+            zero = _lowest(i, w, 0)
+            assert [j for j, c in enumerate(colors) if gadgets.LOW_ZERO[c]] \
+                == ([] if zero is None else [zero]), (w, i)
+            assert [j for j, c in enumerate(colors) if gadgets.LOW_SET[c]] \
+                == [_lowest(i, w, 1)], (w, i)
+            prev = []
             for _ in range(w // 2):
                 before = g.step_counter
-                gadgets.walk_step(g, R, toward_tail)
+                c = gadgets.walk_step(g, R, toward_tail)
                 assert g.step_counter - before <= 3, (w, i)
                 assert R.walk is not None
+                prev += gadgets.prev_pair(R, c)
             before = g.step_counter
-            assert gadgets.tail_step(g, R, toward_tail) == colors[-1]
+            c = gadgets.tail_step(g, R, toward_tail)
+            assert c == colors[-1]
             assert g.step_counter - before <= (3 if i % 2 else 5), (w, i)
+            prev.append(gadgets.prev_pair(R, c)[1])
+            # the walk's own decoding, as the recognizers use it
+            assert "".join(map(str, prev)) == want_prev, (w, i)
             assert gadgets.wrapped(R) == (i == 2 ** w - 1), (w, i)
             assert gadgets.power_of_two(R) == (i + 1 in (2 ** w, 2 ** (w - 1)))
             gadgets.next_block(R)
+        # the walk over all ones keeps them and drops the lowest-set
+        # marker, so the chain decodes 2^w - 1 as the previous index too
+        ones = "1" * w
+        assert helpers.chain_bits(g, R.c_head, toward_tail, gadgets.CUR_HI,
+                                  gadgets.CUR_LO) == ones, w
+        assert helpers.chain_prev_bits(g, R.c_head, toward_tail) == ones, w
+        colors = [g.get_color(node) for node in chain]
+        assert not any(gadgets.LOW_ZERO[c] or gadgets.LOW_SET[c]
+                       for c in colors), w

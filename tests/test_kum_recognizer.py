@@ -5,7 +5,7 @@ import random
 import pytest
 
 from kumsim import blocklang
-from kumsim.gadgets import CUR_HI, CUR_LO, MARK, PREV_HI, PREV_LO
+from kumsim.gadgets import CUR_HI, CUR_LO, MARK
 from kumsim.kum_recognizer import (KUM_CADENCE, LEFT, REGISTERS, RIGHT, VAL,
                                    build_kum_recognizer)
 from kumsim.runtime import RejectReason, Runner, max_gap, run
@@ -74,7 +74,7 @@ def test_register_file_fits():
 @pytest.mark.parametrize("n", [3, 4])
 def test_counter_chain_at_every_boundary(n):
     # the chain is w = 2k + 1 long; at the boundary that opens block i it
-    # holds i - 1 as the previous index and i as the current one
+    # holds i as the current index, and i - 1 decodes from its markers
     w = 2 * (n // 2) + 1
     s = blocklang.encode(blocklang.gen_positive(n, random.Random(n)))
     r = Runner(PROG)
@@ -86,7 +86,7 @@ def test_counter_chain_at_every_boundary(n):
         i += 1
         probe = r.fork()  # probing costs steps; keep them off the run
         g, R = probe.graph, probe.registers
-        assert helpers.chain_bits(g, R.c_head, RIGHT, PREV_HI, PREV_LO) == \
+        assert helpers.chain_prev_bits(g, R.c_head, RIGHT) == \
             format(i - 1, "0%db" % w), (n, i)
         assert helpers.chain_bits(g, R.c_head, RIGHT, CUR_HI, CUR_LO) == \
             format(i, "0%db" % w), (n, i)
