@@ -353,10 +353,6 @@ class StorageGraph:
             "max_in_degree": self._max_in_degree,
         }
 
-    def degree(self, a: NodeRef) -> int:
-        self._check_node(a)
-        return self._deg[a]
-
     def in_degree(self, a: NodeRef) -> int:
         self._check_node(a)
         return 0 if self._is_kum else self._indeg[a]

@@ -7,7 +7,8 @@ for a symbol the phase does not expect.  on_symbol dispatches through it
 with the symbol's bit (None for a separator), and a handler changes
 phase with one register write, which costs no steps.  After the last '#'
 the phase is DONE, where every symbol is a BAD_SUFFIX, and on_end
-accepts exactly when the run ended there.  build() makes the Program.
+accepts exactly when the run ended there.  build() makes the Program,
+with the block section both machines share.
 
 Both recognizers meter out their per-symbol work against one counter
 chain of k + 1 nodes for an index of w = 2k + 1 bits, the head most
@@ -59,17 +60,19 @@ just above the tail carries 1's lowest zero.  For n = 1 the '@' appends
 only the tail.  A block boundary then only re-arms the walk at the head.
 
 The helpers here only probe and recolor existing nodes, except
-index_levels, which grows the index path.  Creating and wiring a node
-differs per model (one symmetric link versus one directed pointer), so
-the recognizer modules pass their own append_chain to grow_chain and
-their own attach to index_levels.  Only the tail-ward port is ever
-followed, from the head.
+index_levels and build's block section, which grow the chain and the
+tries.  Creating and wiring a node differs per model (one symmetric link
+versus one directed pointer), so each recognizer passes build its own
+attach and append_chain.  Only the tail-ward port is ever followed, from
+the head.
 
 Registers used here: c_head is the chain's head; walk is the walk's
 position (None past the tail); f_past is set once the walk has passed
 i's lowest zero; f_lead and last_zero are as above; icur is the index
-path's cursor and f_ifresh its fresh flag.  Flags are plain registers
-holding the anchor node when set and None when clear.
+path's cursor and f_ifresh its fresh flag; vroot and vt_cur are the
+value trie's root and cursor and f_vtfresh the value path's fresh flag.
+Flags are plain registers holding the anchor node when set and None when
+clear.
 With n even, every index path starts with a pad bit 0 that the x and y
 fields do not carry, so skip_pad starts their walks one level down.
 """
@@ -104,10 +107,10 @@ ACCEPT = Verdict.accept()
 BIT = {"0": ZERO, "1": ONE, "@": None, "#": None}
 
 # First in every recognizer's register file: the phase, the counter
-# chain's head, the walk and the index path.
+# chain's head, the walk, the index path and the value path.
 SKELETON_REGISTERS = (
     "phase", "c_head", "walk", "f_past", "f_lead", "last_zero", "icur",
-    "f_ifresh",
+    "f_ifresh", "vroot", "vt_cur", "f_vtfresh",
 )
 
 
@@ -173,13 +176,6 @@ def on_end(g, R):
     # Decided purely from registers: a finished run costs no extra steps,
     # so the flat per-symbol gap is also the global maximum.
     return ACCEPT if R.phase is DONE else REJ_TRUNCATED
-
-
-def build(registers, graph_factory, on_start, cadence):
-    """The recognizer Program; on_start must set the first phase."""
-    return Program(register_names=registers, graph_factory=graph_factory,
-                   on_start=on_start, on_symbol=on_symbol, on_end=on_end,
-                   cadence=cadence)
 
 
 def skip_pad(g, R, root, zero_port):
@@ -324,3 +320,118 @@ def next_block(R):
     R.last_zero = None
     R.icur = ANCHOR
     R.f_ifresh = None
+
+
+def build(registers, graph_factory, cadence, attach, append_chain,
+          zero_port, toward_tail, close, x_field, on_node=None):
+    """The recognizer Program: the block section both machines share,
+    then the phase table x_field from the first '#' on.
+
+    The model's parts: attach(g, node, port) is a new child of node at
+    port, bit b leads through port zero_port + b, append_chain grows the
+    chain (grow_chain), and toward_tail is the chain's tail-ward port.
+    registers must start with SKELETON_REGISTERS.  Two hooks hold what
+    differs between the machines: close(g, R) runs at each block's end,
+    with icur on the block's index leaf and vt_cur on its value leaf, and
+    on_node(g, R, c), if given, after each walk node's index levels.
+
+    Block 0 grows the chain instead of walking it: its first symbol
+    appends the tail and one index level, every later symbol and its '@'
+    a pair and two levels.  No root has a child yet, so the index path
+    only creates, and on_start sets the value path's fresh flag.  A later
+    block's symbol takes one walk node and its index levels (two at a
+    pair, index_levels); the boundary symbol takes the tail, and a walk
+    that ends early or late is a block-length mismatch and rejects as
+    pacing.  Each block symbol also descends the value trie one level on
+    its bit, and each boundary re-roots the value path and then re-arms
+    the walk, after '@', or roots the x field's index walk, after the
+    first '#' (which needs a count of 2^w or 2^(w - 1)).
+
+    A descend costs 1 when the child exists and 3 when the probe finds
+    none and creates it.  Each trie path has a fresh flag, set once the
+    path creates a node and cleared where its cursor is re-rooted: a node
+    the path created has no child to probe for, so on a fresh path a
+    descend creates the child at once, for 2.  The index path never
+    probes: above the current index's lowest set bit it follows the
+    previous index's path (1 a level) and from that bit on it creates (2
+    a level), since no smaller index holds those bits.  So a block-0
+    symbol costs at most chain append 2 + two index levels 2 + 2 + value
+    2 = 8; the first appends the tail, unwired, and one level, 5.
+    """
+    def descend(g, R, bit):
+        node = R.vt_cur
+        port = zero_port + bit
+        if R.f_vtfresh is None:
+            child = g.neighbor(node, port)
+            if child is not None:
+                R.vt_cur = child
+                return
+            R.f_vtfresh = ANCHOR
+        R.vt_cur = attach(g, node, port)
+
+    def grow(g, R):
+        for _ in range(grow_chain(g, R, append_chain)):
+            R.icur = attach(g, R.icur, zero_port)
+
+    def close_block(g, R):
+        close(g, R)
+        R.vt_cur = R.vroot
+        R.f_vtfresh = None
+        next_block(R)
+
+    def first_tick(g, R, bit):
+        grow(g, R)
+        descend(g, R, bit)
+
+    def first_boundary(g, R, _bit):  # fixes w = 2k + 1; the count is 1
+        grow(g, R)
+        close_block(g, R)
+        R.phase = blocks
+
+    def tick(g, R, bit):
+        c = walk_step(g, R, toward_tail)
+        if R.walk is None:
+            return REJ_PACING  # the tail belongs to the boundary
+        index_levels(g, R, c, zero_port, attach)
+        if on_node is not None:
+            on_node(g, R, c)
+        descend(g, R, bit)
+        return None
+
+    def boundary(g, R, _bit):
+        c = tail_step(g, R, toward_tail)
+        if c is None:
+            return REJ_PACING
+        if wrapped(R):
+            return REJ_FORMAT  # more than 2^w blocks
+        index_levels(g, R, c, zero_port, attach)
+        if on_node is not None:
+            on_node(g, R, c)
+        close_block(g, R)
+        return None
+
+    def last_boundary(g, R, _bit):  # the first '#'
+        c = tail_step(g, R, toward_tail)
+        if c is None:
+            return REJ_PACING
+        if not power_of_two(R):
+            return REJ_FORMAT
+        index_levels(g, R, c, zero_port, attach)
+        if on_node is not None:
+            on_node(g, R, c)
+        close(g, R)
+        R.icur = skip_pad(g, R, ANCHOR, zero_port)
+        R.phase = x_field
+        return None
+
+    def on_start(g, R):
+        R.vroot = R.vt_cur = g.create_node(BLANK)
+        R.icur = ANCHOR
+        R.f_vtfresh = ANCHOR
+        R.phase = first
+
+    first = phase(first_tick, first_boundary)
+    blocks = phase(tick, boundary, last_boundary)
+    return Program(register_names=registers, graph_factory=graph_factory,
+                   on_start=on_start, on_symbol=on_symbol, on_end=on_end,
+                   cadence=cadence)

@@ -26,36 +26,20 @@ Storage layout, all grown incrementally while reading:
                  zero and lowest set bit, from which the previous index
                  decodes.
 
-Per symbol during the block section the machine advances the counter
-walk one node, extends the index-trie path for the current index and
-the per-value path for the previous index two levels each (both fed by
-the walk: the node's color gives its pair of the current index, and
-gadgets.prev_pair decodes its pair of the previous one, most
-significant first), and descends the value trie one level on the input
-bit.
-
-A descend costs 1 when the child exists and 3 when the probe finds none
-and creates it.  The per-value and value paths each have a fresh flag
-(f_pvfresh, f_vtfresh), set once the path creates a node and cleared
-where its cursor is re-rooted; a node the path created has no child to
-probe for, so on a fresh path a descend costs 2.  Write s for i's lowest
-set bit.
-
-  - The index path for i never probes: above s it follows i - 1's path
-    (1 a level), and from s on, where the walk sets f_ifresh, it creates
-    (2 a level), since no smaller index holds i's bits down to s
-    (gadgets.index_levels).
-  - The per-value path for i - 1 first creates only where i - 1 holds 1:
-    where it holds 0, an earlier index of the same value sharing the
-    bits above holds 0 there too, so the node exists if any such index
-    does.  A value leaf created in this block has an empty per-value
-    trie; the per-value flag inherits the value path's at the boundary,
-    so that path is fresh from its first level and never pays 3.  Two
-    levels cost at most 5 (create on hi, then fresh), and 4 where i - 1
-    holds 0 on hi (1 + 3 or 2 + 2).
-
-The walk costs 2 at a node whose color stays and 3 where it rewrites it
-(see gadgets).  A block symbol (walk + index + per-value + value) costs:
+Per block symbol the machine runs gadgets.build's block section (one
+counter walk node, its index levels and a value-trie level, each priced
+there) and, as its on_node hook, extends the per-value path for the
+previous index i - 1 two levels, from the pair gadgets.prev_pair decodes
+off the same node, most significant first.  Write s for i's lowest set
+bit.  The per-value path first creates only where i - 1 holds 1: where
+it holds 0, an earlier index of the same value sharing the bits above
+holds 0 there too, so the node exists if any such index does.  A value
+leaf created in this block has an empty per-value trie; the per-value
+fresh flag f_pvfresh inherits the value path's at the block's end, so
+that path is fresh from its first level and never pays 3.  Two levels
+cost at most 5 (create on hi, then fresh), and 4 where i - 1 holds 0 on
+hi (1 + 3 or 2 + 2).  A block symbol (walk + index + per-value + value)
+costs:
 
   - at a pair below s (i even), which keeps its color: 2 + 4 + 5 + 3;
   - at the pair holding s on its hi bit, where i - 1 holds 01:
@@ -63,20 +47,13 @@ The walk costs 2 at a node whose color stays and 3 where it rewrites it
   - at the pair holding s on its lo bit: 3 + 3 + 5 + 3;
   - at any other pair, above s: 3 + 2 + 5 + 3 = 13;
 
-so at most 14, the cadence.
-Block 0 grows the chain instead of walking it: its first symbol appends
-the tail and one index level (1 + 2 + value 2 = 5), every later symbol a
-pair and two levels, chain append 2 + create 2 + 2 + value 2 = 8 (no
-root has a child yet, so the index path only creates and on_start sets
-the value path's flag), and the '@' a pair and two levels, 6.  The walk
-has length linear in the block, so each boundary symbol finishes it at
-the tail; a walk finishing early or late is a block-length mismatch and
-rejects as pacing.  The boundary also completes both paths: it marks the
-previous index's per-value leaf and links the previous index leaf, held
-in prev_leaf since its own boundary, to it (2).  For even i the walk's
-tail costs 5 and the index path creates there, 5 + 2 + 3 + 2 = 12; for
-odd i the tail holds s, where i - 1 holds 0, so 3 + 2 + 2 + 2 = 9, and
-10 at the first '#' with its pad probe.
+so at most 14, the cadence.  Block 0 costs at most 8, and its '@' 6.  A
+later boundary also completes both paths: it marks the previous index's
+per-value leaf and links the previous index leaf, held in prev_leaf
+since its own boundary, to it (2).  For even i the walk's tail costs 5
+and the index path creates there, 5 + 2 + 3 + 2 = 12; for odd i the
+tail holds s, where i - 1 holds 0, so 3 + 2 + 2 + 2 = 9, and 10 at the
+first '#' with its pad probe.
 
 After the blocks, x replays its bits into the index trie (descend only:
 a missing branch means x is not a valid index), while the per-value path
@@ -87,18 +64,17 @@ which decodes as itself), and a second read of the chain (neighbor and
 get_color, gadgets.read_step) decodes it with prev_pair one node per x
 symbol, which fits since the k + 1 nodes are no more than the n symbols
 of x: read 2 + two levels 5 + x's own index-trie probe 1 = 8, and at the
-tail 2 + 3 + mark and link 2
-+ 1 = 8.  The second '#' follows val from x's index leaf to x's
-per-value leaf.  The y bits then go through a small FIFO queue: each y
-symbol queues its bit and makes three moves.  The first w moves climb
-parent ports from x's per-value leaf to the root of b_x's per-value
-trie, counted by a walk down the counter chain that moves on every other
-climb (f_half says which), so the head counts 1 climb and every later
-node 2; the rest drain queued bits down that trie.  A y symbol costs at
-most enqueue 2 + 3 x (dequeue 3 + descend 1) = 14, and the final '#'
-makes three more moves, enough since w + n moves fit in 3(n + 1).  y is
-a member index for b_x exactly when the last move ends on a marked node
-with the queue empty.
+tail 2 + 3 + mark and link 2 + 1 = 8.  The second '#' follows val from
+x's index leaf to x's per-value leaf.  The y bits then go through a
+small FIFO queue: each y symbol queues its bit and makes three moves.
+The first w moves climb parent ports from x's per-value leaf to the root
+of b_x's per-value trie, counted by a walk down the counter chain that
+moves on every other climb (f_half says which), so the head counts 1
+climb and every later node 2; the rest drain queued bits down that trie.
+A y symbol costs at most enqueue 2 + 3 x (dequeue 3 + descend 1) = 14,
+and the final '#' makes three more moves, enough since w + n moves fit
+in 3(n + 1).  y is a member index for b_x exactly when the last move
+ends on a marked node with the queue empty.
 
 No node uses more than DEGREE_BOUND = 3 ports.  A trie node uses parent,
 left and right; an index leaf and a per-value leaf use parent and val; a
@@ -122,10 +98,8 @@ from __future__ import annotations
 
 from .engine import ModelKind, new_graph
 from .gadgets import (ANCHOR, BLANK, DONE, MARK, PALETTE, REJ_FORMAT,
-                      REJ_PACING, SKELETON_REGISTERS, build, grow_chain,
-                      index_levels, next_block, phase, power_of_two,
-                      prev_pair, read_step, skip_pad, tail_step, walk_step,
-                      wrapped)
+                      SKELETON_REGISTERS, build, phase, prev_pair, read_step,
+                      skip_pad)
 
 PARENT, LEFT, RIGHT, VAL = 0, 1, 2, 3
 
@@ -139,32 +113,12 @@ DEGREE_BOUND = 3
 KUM_CADENCE = 14
 
 REGISTERS = SKELETON_REGISTERS + (
-    "vroot",      # value trie root
-    "vt_cur",     # value trie cursor
     "pv_cur",     # per-value index trie cursor
     "prev_leaf",  # index leaf whose per-value leaf is being built
     "q_front", "q_back",  # FIFO of pending y bits
     "f_half",     # set while the y walk's node has one climb left to count
-    # set while the path at that cursor runs through nodes it created
-    "f_pvfresh", "f_vtfresh",
+    "f_pvfresh",  # set while the per-value path runs through nodes it created
 )
-
-def _descend(g, R, node, bit, fresh, flag):
-    """Child of node along bit, creating and wiring it if absent.
-
-    fresh is the path's fresh flag and flag the name of its register.  A
-    fresh path's node was created on it, so it has no child to probe for:
-    the child is created at once, 2 primitives instead of 3.  A probe that
-    finds no child sets the flag.  The caller reads the flag (cheaper than
-    a read by name); it is written only when it turns on.
-    """
-    port = LEFT + bit
-    if fresh is None:
-        child = g.neighbor(node, port)
-        if child is not None:
-            return child
-        setattr(R, flag, ANCHOR)
-    return _attach(g, node, port)
 
 
 def _attach(g, node, port):
@@ -204,122 +158,52 @@ def _dequeue(g, R):
     return bit
 
 
-def _finish_value_path(g, R):
-    """Mark the per-value leaf at pv_cur and link prev_leaf to it."""
-    g.set_color(R.pv_cur, MARK)
-    g.link(R.prev_leaf, VAL, R.pv_cur, VAL)
+def _pv_step(g, R, bit):
+    """One per-value level down along bit, as gadgets.build descends the
+    value trie."""
+    node = R.pv_cur
+    port = LEFT + bit
+    if R.f_pvfresh is None:
+        child = g.neighbor(node, port)
+        if child is not None:
+            R.pv_cur = child
+            return
+        R.f_pvfresh = ANCHOR
+    R.pv_cur = _attach(g, node, port)
 
 
-def _complete_paths(g, R, c):
-    """The boundary's tail color c: the last level of both paths, whose
-    per-value leaf (the previous index's) is then marked and linked."""
-    index_levels(g, R, c, LEFT, _attach)
-    R.pv_cur = _descend(g, R, R.pv_cur, prev_pair(R, c)[1], R.f_pvfresh,
-                        "f_pvfresh")
-    _finish_value_path(g, R)
+def _prev_levels(g, R, c):
+    """The previous index's per-value path through the chain node of
+    color c: two levels at a pair; at the tail its last level, whose leaf
+    is then marked and linked to prev_leaf."""
+    hi, lo = prev_pair(R, c)
+    if R.walk is not None:
+        _pv_step(g, R, hi)
+        _pv_step(g, R, lo)
+    else:
+        _pv_step(g, R, lo)
+        g.set_color(R.pv_cur, MARK)
+        g.link(R.prev_leaf, VAL, R.pv_cur, VAL)
 
 
-def _hold_leaves(R):
-    """Hold the finished index leaf in prev_leaf and start the per-value
-    walk at the value leaf just reached, which has an empty per-value
-    trie if this block created it."""
+def _hold_leaves(g, R):
+    """Block end: hold the finished index leaf in prev_leaf, start the
+    per-value path at the value leaf just reached (its per-value trie is
+    empty if this block created it), and arm a read of the chain from its
+    head.  After the last block, x reads the chain to finish the last
+    per-value path; after '@', next_block re-arms the same walk."""
     R.prev_leaf = R.icur
     R.pv_cur = R.vt_cur
     R.f_pvfresh = R.f_vtfresh
-
-
-def _close_block(R):
-    """Block boundary bookkeeping shared by the first and later blocks:
-    hold the leaves, re-root the value walk, and re-root the index walk
-    and re-arm the counter walk (next_block)."""
-    _hold_leaves(R)
-    R.vt_cur = R.vroot
-    R.f_vtfresh = None
-    next_block(R)
-
-
-def _grow(g, R):
-    """One more chain node, and as many levels of the all-zero index path
-    as it holds bits."""
-    for _ in range(grow_chain(g, R, _append_chain)):
-        R.icur = _attach(g, R.icur, LEFT)
-
-
-def phase0_tick(g, R, bit):
-    """Block 0 symbol: grow the chain and the all-zero index path."""
-    _grow(g, R)
-    R.vt_cur = _descend(g, R, R.vt_cur, bit, R.f_vtfresh, "f_vtfresh")
-    return None
-
-
-def phase0_boundary(g, R, _bit):
-    """First '@': fix w = 2k + 1; the counter stands at 1."""
-    _grow(g, R)
-    _close_block(R)
-    R.phase = BLOCKS
-    return None
-
-
-def base_tick(g, R, bit):
-    """Block i >= 1 symbol: one walk node, two levels of both paths from
-    its pair, and a value-trie level."""
-    c = walk_step(g, R, RIGHT)
-    if R.walk is None:
-        return REJ_PACING  # the tail belongs to the boundary
-    index_levels(g, R, c, LEFT, _attach)
-    hi, lo = prev_pair(R, c)
-    R.pv_cur = _descend(g, R, R.pv_cur, hi, R.f_pvfresh, "f_pvfresh")
-    R.pv_cur = _descend(g, R, R.pv_cur, lo, R.f_pvfresh, "f_pvfresh")
-    R.vt_cur = _descend(g, R, R.vt_cur, bit, R.f_vtfresh, "f_vtfresh")
-    return None
-
-
-def phase_boundary(g, R, _bit):
-    """'@' after block i >= 1: the walk must land on its tail."""
-    c = tail_step(g, R, RIGHT)
-    if c is None:
-        return REJ_PACING
-    if wrapped(R):
-        return REJ_FORMAT  # more than 2^w blocks
-    _complete_paths(g, R, c)
-    _close_block(R)
-    return None
-
-
-def base_end_and_x_tick(g, R, _bit):
-    """First '#': the block count must be a power of two.
-
-    Which one, 2^w or 2^(w - 1), tells n = 2k + 1 from n = 2k, where
-    index paths carry a pad bit.  The per-value path for the last index
-    has no successor block to build it, so it is handed to the x phase:
-    a second read of the chain decodes that index from the counter the
-    walk just left, one node per x symbol.
-    """
-    c = tail_step(g, R, RIGHT)
-    if c is None:
-        return REJ_PACING
-    if not power_of_two(R):
-        return REJ_FORMAT
-    _complete_paths(g, R, c)
-    _hold_leaves(R)
     R.walk = R.c_head
     R.f_ifresh = None
-    R.icur = skip_pad(g, R, ANCHOR, LEFT)
-    R.phase = X_FIELD
-    return None
 
 
 def x_tick(g, R, bit):
     """x symbol: descend the index trie; finish the last per-value path."""
     c = read_step(g, R, RIGHT)
     if c is not None:
-        hi, lo = prev_pair(R, c)
-        if R.walk is not None:  # a pair; the tail holds its lo bit alone
-            R.pv_cur = _descend(g, R, R.pv_cur, hi, R.f_pvfresh,
-                                "f_pvfresh")
-        R.pv_cur = _descend(g, R, R.pv_cur, lo, R.f_pvfresh, "f_pvfresh")
-        if R.walk is None:
-            _finish_value_path(g, R)
+        _prev_levels(g, R, c)
     child = g.neighbor(R.icur, LEFT + bit)
     if child is None:
         return REJ_FORMAT  # x longer than n, or not over the block count
@@ -381,20 +265,8 @@ def finalize(g, R, _bit):
     return None
 
 
-FIRST_BLOCK = phase(phase0_tick, phase0_boundary)
-BLOCKS = phase(base_tick, phase_boundary, base_end_and_x_tick)
 X_FIELD = phase(x_tick, on_hash=x_end)
 Y_FIELD = phase(y_tick, on_hash=finalize)
-
-
-def _on_start(g, R):
-    R.vroot = g.create_node(BLANK)
-    R.vt_cur = R.vroot
-    R.icur = ANCHOR
-    # neither root has a child yet: _grow attaches the index path's nodes
-    R.f_vtfresh = ANCHOR
-    R.phase = FIRST_BLOCK
-    return None
 
 
 def _graph_factory():
@@ -403,4 +275,6 @@ def _graph_factory():
 
 def build_kum_recognizer(cadence=KUM_CADENCE):
     """Recognizer program; cadence=None disables padding (measurement)."""
-    return build(REGISTERS, _graph_factory, _on_start, cadence)
+    return build(REGISTERS, _graph_factory, cadence, attach=_attach,
+                 append_chain=_append_chain, zero_port=LEFT, toward_tail=RIGHT,
+                 close=_hold_leaves, x_field=X_FIELD, on_node=_prev_levels)

@@ -3,7 +3,9 @@
 Eight numbered checks, one test each, in this order:
 
  1. both recognizers agree with the reference predicate on every string
-    over the alphabet up to length 14, plus bulk generated corpora
+    over the alphabet up to length 14, plus bulk generated corpora whose
+    members obey the fan-in law (directed in-degree m, the most blocks
+    sharing one value; undirected degree exactly DEGREE_BOUND)
  2. real-time cadence: max read gap is a single constant per machine,
     pinned in tests/data/realtime_golden.json
  3. the undirected machine never exceeds its degree bound on any run
@@ -25,6 +27,7 @@ The corpora are cached so later checks can reuse earlier runs; check 7
 bypasses the cache on purpose.
 """
 
+import collections
 import hashlib
 import itertools
 import json
@@ -166,18 +169,26 @@ def _sweep_corpus():
 
 def _gen_corpus():
     """502 generated cases per n in 2..8: positives, all-equal, and
-    every negative kind, all checked against the oracle on both machines."""
+    every negative kind, all checked against the oracle on both machines.
+
+    Each positive and all-equal case also obeys the fan-in law: the
+    directed machine's largest in-degree is m, the most blocks that share
+    one value, and the bounded machine uses exactly DEGREE_BOUND ports
+    somewhere."""
     h = hashlib.sha256()
     state = {"cases": 0, "max_degree": 0, "faults": 0, "per_n": {}}
     for n in range(2, 9):
         rng = random.Random(0xACC0 + n)
-        cases = [blocklang.encode(blocklang.gen_positive(n, rng))
-                 for _ in range(173)]
-        cases += [blocklang.encode(blocklang.gen_all_equal(n))] * 7
+        insts = [blocklang.gen_positive(n, rng) for _ in range(173)]
+        insts += [blocklang.gen_all_equal(n)] * 7
+        cases = [(blocklang.encode(inst),
+                  max(collections.Counter(inst.blocks).values()))
+                 for inst in insts]
         for kind in NegativeKind:
-            cases += [blocklang.gen_negative(n, kind, rng) for _ in range(46)]
+            cases += [(blocklang.gen_negative(n, kind, rng), None)
+                      for _ in range(46)]
         assert len(cases) >= 500
-        for s in cases:
+        for s, m in cases:
             want = blocklang.member(s)
             for prog in (KUM_PROG, SMM_PROG):
                 res = run(prog, s)
@@ -190,6 +201,10 @@ def _gen_corpus():
                     d = res.stats["max_degree"]
                     if d > state["max_degree"]:
                         state["max_degree"] = d
+                    assert m is None or d == DEGREE_BOUND, (s, d)
+                else:
+                    assert m is None or res.stats["max_in_degree"] == m, \
+                        (s, m, res.stats)
         state["per_n"][n] = len(cases)
         state["cases"] += len(cases)
     state["fingerprint"] = h.hexdigest()
@@ -321,7 +336,7 @@ def _structure_corpus():
             idx = helpers.levels(g, 0, LEFT, RIGHT)
             assert len(idx[w]) == 2 ** n, (n, len(idx[w]))
             assert all(g.neighbor(leaf, VAL) is not None for leaf in idx[w])
-            vlv = helpers.levels(g, r.registers["vroot"], LEFT, RIGHT)
+            vlv = helpers.levels(g, r.registers.vroot, LEFT, RIGHT)
             assert len(vlv[inst.k]) == len(set(inst.blocks)), (n, s)
             marks = helpers.count_color(g, MARK)
             assert marks == 2 ** n, (n, marks)

@@ -5,6 +5,7 @@ import json
 import pytest
 
 from kumsim import blocklang, cli
+from kumsim.kum_recognizer import DEGREE_BOUND
 
 import helpers
 
@@ -83,7 +84,7 @@ def test_profile_header_and_flat_max_gap(capsys):
     body = [r.split(",") for r in rows[1:]]
     assert len(body) == 12
     assert {r[4] for r in body} == {str(cli.build_kum_recognizer().cadence)}
-    assert all(int(r[7]) <= 4 for r in body)  # max_degree column
+    assert all(int(r[7]) <= DEGREE_BOUND for r in body)  # max_degree column
     # rows already sorted by (n, case index)
     assert [int(r[0]) for r in body] == sorted(int(r[0]) for r in body)
 
@@ -174,6 +175,6 @@ def test_stats_json_per_line(tmp_path, capsys):
     assert stats["max_in_degree"] == 8
     assert set(stats) == {"node_count", "max_degree", "max_in_degree"}
     assert cli.main(["stats", str(src), "--machine", "kum"]) == 0
-    assert json.loads(out_of(capsys))["max_degree"] <= 4
+    assert json.loads(out_of(capsys))["max_degree"] <= DEGREE_BOUND
     assert cli.main(["stats", str(src), "--machine", "oracle"]) == 0
     assert out_of(capsys) == "{}\n"

@@ -60,8 +60,8 @@ def test_create_node_returns_fresh_unequal_handles():
     a = g.create_node(ZERO)
     b = g.create_node(ZERO)
     assert a != b
-    assert g.degree(a) == 0
     assert g.step_counter == 2
+    assert all(g.neighbor(a, p) is None for p in range(len(KUM_PORTS)))
     with pytest.raises(UnknownColor):
         g.create_node(99)
 
@@ -88,7 +88,7 @@ def test_link_rejects_occupied_port_and_leaves_graph_unchanged():
         g.link(a, 0, c, 1)
     assert g.step_counter == before
     assert g.neighbor(a, 0) == b
-    assert g.degree(c) == 0
+    assert all(g.neighbor(c, p) is None for p in range(len(KUM_PORTS)))
 
 
 def test_link_enforces_degree_bound():
@@ -101,9 +101,9 @@ def test_link_enforces_degree_bound():
     with pytest.raises(DegreeBoundExceeded):
         g.link(hub, 3, extra, 0)
     # the failed call must not have touched either endpoint
-    assert g.degree(hub) == 3
-    assert g.degree(extra) == 0
+    assert all(g.neighbor(hub, p) is not None for p in range(3))
     assert g.neighbor(hub, 3) is None
+    assert all(g.neighbor(extra, p) is None for p in range(len(KUM_PORTS)))
 
 
 def test_link_on_smm_graph_is_a_model_error():
@@ -137,15 +137,18 @@ def test_set_pointer_on_kum_graph_is_a_model_error():
 
 
 def test_unlink_kum_clears_both_sides():
-    g = kum()
+    g = kum(bound=3)
     a, b = g.create_node(0), g.create_node(0)
     g.link(a, 1, b, 2)
+    g.link(a, 0, g.create_node(0), 0)
+    g.link(a, 2, g.create_node(0), 0)
     g.unlink(b, 2)
     assert g.neighbor(a, 1) is None
     assert g.neighbor(b, 2) is None
-    assert g.degree(a) == 0
     with pytest.raises(PortFree):
         g.unlink(a, 1)
+    # a was at the bound of 3: the unlink lowered its degree
+    g.link(a, 3, g.create_node(0), 0)
 
 
 def test_unlink_smm_is_one_sided():
@@ -188,7 +191,7 @@ def test_every_primitive_costs_exactly_one_step_and_observers_none():
     g.identity_eq(a, b)           # 7
     g.unlink(a, 0)                # 8
     g.graph_stats()
-    g.degree(a)
+    g.in_degree(a)
     assert g.step_counter == 8
     g.idle(5)
     assert g.step_counter == 13

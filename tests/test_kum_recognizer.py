@@ -6,8 +6,8 @@ import pytest
 
 from kumsim import blocklang
 from kumsim.gadgets import CUR_HI, CUR_LO, MARK
-from kumsim.kum_recognizer import (KUM_CADENCE, LEFT, REGISTERS, RIGHT, VAL,
-                                   build_kum_recognizer)
+from kumsim.kum_recognizer import (DEGREE_BOUND, KUM_CADENCE, LEFT, REGISTERS,
+                                   RIGHT, VAL, build_kum_recognizer)
 from kumsim.runtime import RejectReason, Runner, max_gap, run
 
 import helpers
@@ -113,7 +113,7 @@ def test_structure_counts_after_accepting_run():
         assert g.get_color(pv_leaf) == MARK
         assert g.neighbor(pv_leaf, VAL) == leaf
     # value trie has one leaf per distinct block value
-    vlv = helpers.levels(g, res.registers["vroot"], LEFT, RIGHT)
+    vlv = helpers.levels(g, res.registers.vroot, LEFT, RIGHT)
     assert len(vlv[inst.k]) == len(set(inst.blocks))
     # one marked per-value leaf per index
     assert helpers.count_color(g, MARK) == 2 ** inst.n
@@ -134,11 +134,11 @@ def test_degree_never_exceeds_bound():
         s = blocklang.encode(blocklang.gen_positive(n, rng))
         res = run(PROG, s)
         assert res.verdict.accepted
-        assert res.stats["max_degree"] <= 4
+        assert res.stats["max_degree"] <= DEGREE_BOUND
         # all-equal instances stress value sharing, still bounded
         res = run(PROG, blocklang.encode(blocklang.gen_all_equal(n)))
         assert res.verdict.accepted
-        assert res.stats["max_degree"] <= 4
+        assert res.stats["max_degree"] <= DEGREE_BOUND
 
 
 def test_gap_profile_is_flat_at_cadence():

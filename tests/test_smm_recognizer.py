@@ -87,7 +87,7 @@ def test_value_sharing_by_pointer_identity():
     assert len(set(reps)) == 2
     for rep in set(reps):
         assert g.in_degree(rep) == reps.count(rep) == 2
-    vlv = helpers.levels(g, res.registers["vroot"], L, R_DIR)
+    vlv = helpers.levels(g, res.registers.vroot, L, R_DIR)
     assert len(vlv[1]) == 2  # k = 1
     # balanced values: no node concentrates more than two in-edges
     assert res.stats["max_in_degree"] == 2
