@@ -15,7 +15,7 @@ brute-force parser; costs no machine steps, so its step and gap columns
 are 0 and its stats are empty).  Oracle reject verdicts print as plain
 "reject"; machine rejects carry a reason suffix ("reject:pacing").
 
-Input is newline-delimited text from a file path or "-" for stdin.
+Input is newline-delimited UTF-8 text from a file path or "-" for stdin.
 Identical flags and seed give byte-identical output.  Exit codes:
 0 success or agreement, 1 a verdict that disagrees with the oracle
 (fuzz, profile) or a max_gap over profile's --realtime-c, 2 usage error
@@ -64,11 +64,14 @@ def _emit(path, text):
 def _read_lines(path):
     if path == "-":
         return sys.stdin.read().splitlines()
-    with open(path) as fh:
+    with open(path, encoding="utf-8") as fh:
         return fh.read().splitlines()
 
 
 def cmd_gen(args):
+    if args.count < 1:
+        print("kumsim gen: --count must be at least 1", file=sys.stderr)
+        return 2
     rng = random.Random(args.seed)
     lines = []
     try:
@@ -260,7 +263,7 @@ def main(argv=None):
     args = _build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         print("kumsim: %s" % exc, file=sys.stderr)
         return 2
 

@@ -59,12 +59,14 @@ lowest set bit, and every later symbol and the '@' one pair; the pair
 just above the tail carries 1's lowest zero.  For n = 1 the '@' appends
 only the tail.  A block boundary then only re-arms the walk at the head.
 
-The helpers here only probe and recolor existing nodes, except
-index_levels and build's block section, which grow the chain and the
-tries.  Creating and wiring a node differs per model (one symmetric link
-versus one directed pointer), so each recognizer passes build its own
-attach and append_chain.  Only the tail-ward port is ever followed, from
-the head.
+Both machines number their ports alike: bit b leads to child port b,
+and a chain node's tail-ward port is TAIL, the only chain port ever
+followed, from the head.  What differs per model is how a port is wired
+(one symmetric link versus one directed pointer), so each recognizer
+passes build one hook, wire(g, a, port, b), which makes port of a lead
+to b.  The helpers here only probe and recolor existing nodes, except
+attach, grow_chain and build's block section, which grow the chain and
+the tries through wire.
 
 Registers used here: c_head is the chain's head; walk is the walk's
 position (None past the tail); f_past is set once the walk has passed
@@ -82,8 +84,9 @@ from __future__ import annotations
 from .runtime import Program, RejectReason, Verdict
 
 # Color ids of the palette both recognizers share; bit values double as
-# color ids.
+# color ids and as child ports.
 ZERO, ONE, BLANK, MARK = 0, 1, 2, 3
+TAIL = 1  # a chain node's port toward the tail
 
 # Counter chain colors follow: CHAIN0 + s, where bits 0 and 1 of s are
 # the node's lo and hi bit of the current index, bit 2 (_ZERO) marks its
@@ -178,16 +181,25 @@ def on_end(g, R):
     return ACCEPT if R.phase is DONE else REJ_TRUNCATED
 
 
-def skip_pad(g, R, root, zero_port):
+def skip_pad(g, R, root):
     """Where an x or y walk down the trie at root starts: root itself for
-    odd n (the last block's walk saw no lowest zero), its zero_port child
-    for even n."""
+    odd n (the last block's walk saw no lowest zero), its zero child for
+    even n."""
     if R.f_past is None:
         return root
-    return g.neighbor(root, zero_port)
+    return g.neighbor(root, ZERO)
 
 
-def walk_step(g, R, toward_tail):
+def field_tick(g, R, bit):
+    """x or y symbol: one index-trie level down from icur."""
+    child = g.neighbor(R.icur, bit)
+    if child is None:
+        return REJ_FORMAT  # field longer than n, or not over the block count
+    R.icur = child
+    return None
+
+
+def walk_step(g, R):
     """One node of the block's walk: read the color at walk, write next
     there where it differs from current, move walk on (None past the
     tail), and set f_ifresh at current's lowest set bit.
@@ -199,7 +211,7 @@ def walk_step(g, R, toward_tail):
     if pos is None:
         return None
     c = g.get_color(pos)
-    R.walk = nxt = g.neighbor(pos, toward_tail)
+    R.walk = nxt = g.neighbor(pos, TAIL)
     if R.f_past is not None:  # below current's lowest zero: next clears
         if nxt is None:  # the tail: current's lowest set bit, next's zero
             R.f_ifresh = ANCHOR
@@ -224,14 +236,14 @@ def walk_step(g, R, toward_tail):
     return c
 
 
-def read_step(g, R, toward_tail):
+def read_step(g, R):
     """One node of a second read of the chain, which rewrites nothing:
     the color at walk, moving walk on, with f_ifresh set at current's
     lowest set bit as walk_step sets it; None past the tail."""
     pos = R.walk
     if pos is None:
         return None
-    R.walk = g.neighbor(pos, toward_tail)
+    R.walk = g.neighbor(pos, TAIL)
     c = g.get_color(pos)
     if LOW_SET[c]:
         R.f_ifresh = ANCHOR
@@ -246,37 +258,40 @@ def prev_pair(R, c):
     return _ONES
 
 
-def index_levels(g, R, c, zero_port, attach):
+def attach(g, node, port, wire):
+    """A new trie node, wired as node's child at port."""
+    child = g.create_node(BLANK)
+    wire(g, node, port, child)
+    return child
+
+
+def index_levels(g, R, c, wire):
     """The current index's path through the node of color c that the walk
     has just reached: two levels at a pair, one at the tail.
 
-    Bit b leads through port zero_port + b, and attach(g, node, port) is
-    the model's new child of node at port.  Above the lowest set bit the
-    child exists, since the previous index shares those bits, so the path
-    follows it; from that bit on, where the walk has set f_ifresh, the
-    path attaches a new child, except on the hi bit of the pair whose lo
-    bit it is.
+    Above the lowest set bit the child exists, since the previous index
+    shares those bits, so the path follows it; from that bit on, where
+    the walk has set f_ifresh, the path attaches a new child, except on
+    the hi bit of the pair whose lo bit it is.
     """
     fresh = R.f_ifresh
     node = R.icur
     if R.walk is not None:  # a pair: its hi bit first
-        port = zero_port + CUR_HI[c]
         if fresh is None or _SET_ON_LO[c]:
-            node = g.neighbor(node, port)
+            node = g.neighbor(node, CUR_HI[c])
         else:
-            node = attach(g, node, port)
-    port = zero_port + CUR_LO[c]
+            node = attach(g, node, CUR_HI[c], wire)
     if fresh is None:
-        R.icur = g.neighbor(node, port)
+        R.icur = g.neighbor(node, CUR_LO[c])
     else:
-        R.icur = attach(g, node, port)
+        R.icur = attach(g, node, CUR_LO[c], wire)
 
 
-def tail_step(g, R, toward_tail):
+def tail_step(g, R):
     """The boundary symbol's walk node, which must be the tail: its
     color, or None if the walk does not end here (the block's length
     differs from block 0's)."""
-    c = walk_step(g, R, toward_tail)
+    c = walk_step(g, R)
     return c if R.walk is None else None
 
 
@@ -291,22 +306,21 @@ def power_of_two(R):
     return R.f_past is None or R.f_lead is not None
 
 
-def grow_chain(g, R, append_chain):
-    """One more node at the head end of the chain; returns how many index
-    bits it holds.
+def grow_chain(g, R, wire):
+    """One more node at the head end of the chain, wired at TAIL to the
+    old head; returns how many index bits it holds.
 
-    append_chain(g, head, color) is the model's way to put a new node of
-    that color above head (head None: the chain's first node) and returns
-    that node.  The first node is the tail, holding one bit, and every
-    later one holds a pair.  The first two nodes carry block 1's counter;
-    walk holds the tail until the second exists.  Later nodes are CHAIN0,
-    zero in every bit.
+    The first node is the tail, holding one bit, and every later one
+    holds a pair.  The first two nodes carry block 1's counter; walk
+    holds the tail until the second exists.  Later nodes are CHAIN0, zero
+    in every bit.
     """
-    if R.c_head is None:
-        R.c_head = R.walk = append_chain(g, None, _SEED_TAIL)
+    head = R.c_head
+    if head is None:
+        R.c_head = R.walk = g.create_node(_SEED_TAIL)
         return 1
-    color = CHAIN0 if R.walk is None else _SEED_MARK
-    R.c_head = append_chain(g, R.c_head, color)
+    R.c_head = node = g.create_node(CHAIN0 if R.walk is None else _SEED_MARK)
+    wire(g, node, TAIL, head)
     R.walk = None
     return 2
 
@@ -322,18 +336,17 @@ def next_block(R):
     R.f_ifresh = None
 
 
-def build(registers, graph_factory, cadence, attach, append_chain,
-          zero_port, toward_tail, close, x_field, on_node=None):
+def build(registers, graph_factory, cadence, wire, close, x_field,
+          on_node=None):
     """The recognizer Program: the block section both machines share,
     then the phase table x_field from the first '#' on.
 
-    The model's parts: attach(g, node, port) is a new child of node at
-    port, bit b leads through port zero_port + b, append_chain grows the
-    chain (grow_chain), and toward_tail is the chain's tail-ward port.
-    registers must start with SKELETON_REGISTERS.  Two hooks hold what
-    differs between the machines: close(g, R) runs at each block's end,
-    with icur on the block's index leaf and vt_cur on its value leaf, and
-    on_node(g, R, c), if given, after each walk node's index levels.
+    registers must start with SKELETON_REGISTERS.  Three hooks hold what
+    differs between the machines: wire(g, a, port, b) makes port of a
+    lead to b, for every trie child and chain node (attach, grow_chain);
+    close(g, R) runs at each block's end, with icur on the block's index
+    leaf and vt_cur on its value leaf; and on_node(g, R, c), if given,
+    runs after each walk node's index levels.
 
     Block 0 grows the chain instead of walking it: its first symbol
     appends the tail and one index level, every later symbol and its '@'
@@ -360,18 +373,17 @@ def build(registers, graph_factory, cadence, attach, append_chain,
     """
     def descend(g, R, bit):
         node = R.vt_cur
-        port = zero_port + bit
         if R.f_vtfresh is None:
-            child = g.neighbor(node, port)
+            child = g.neighbor(node, bit)
             if child is not None:
                 R.vt_cur = child
                 return
             R.f_vtfresh = ANCHOR
-        R.vt_cur = attach(g, node, port)
+        R.vt_cur = attach(g, node, bit, wire)
 
     def grow(g, R):
-        for _ in range(grow_chain(g, R, append_chain)):
-            R.icur = attach(g, R.icur, zero_port)
+        for _ in range(grow_chain(g, R, wire)):
+            R.icur = attach(g, R.icur, ZERO, wire)
 
     def close_block(g, R):
         close(g, R)
@@ -389,38 +401,38 @@ def build(registers, graph_factory, cadence, attach, append_chain,
         R.phase = blocks
 
     def tick(g, R, bit):
-        c = walk_step(g, R, toward_tail)
+        c = walk_step(g, R)
         if R.walk is None:
             return REJ_PACING  # the tail belongs to the boundary
-        index_levels(g, R, c, zero_port, attach)
+        index_levels(g, R, c, wire)
         if on_node is not None:
             on_node(g, R, c)
         descend(g, R, bit)
         return None
 
     def boundary(g, R, _bit):
-        c = tail_step(g, R, toward_tail)
+        c = tail_step(g, R)
         if c is None:
             return REJ_PACING
         if wrapped(R):
             return REJ_FORMAT  # more than 2^w blocks
-        index_levels(g, R, c, zero_port, attach)
+        index_levels(g, R, c, wire)
         if on_node is not None:
             on_node(g, R, c)
         close_block(g, R)
         return None
 
     def last_boundary(g, R, _bit):  # the first '#'
-        c = tail_step(g, R, toward_tail)
+        c = tail_step(g, R)
         if c is None:
             return REJ_PACING
         if not power_of_two(R):
             return REJ_FORMAT
-        index_levels(g, R, c, zero_port, attach)
+        index_levels(g, R, c, wire)
         if on_node is not None:
             on_node(g, R, c)
         close(g, R)
-        R.icur = skip_pad(g, R, ANCHOR, zero_port)
+        R.icur = skip_pad(g, R, ANCHOR)
         R.phase = x_field
         return None
 

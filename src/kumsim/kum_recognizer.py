@@ -76,9 +76,12 @@ and the final '#' makes three more moves, enough since w + n moves fit
 in 3(n + 1).  y is a member index for b_x exactly when the last move
 ends on a marked node with the queue empty.
 
-No node uses more than DEGREE_BOUND = 3 ports.  A trie node uses parent,
-left and right; an index leaf and a per-value leaf use parent and val; a
-chain or queue node uses its two neighbors; the roots have no parent.
+Every edge but a val link is made by _wire, build's wire hook, which
+links a port of one node to the parent port of the other.  So no node
+uses more than DEGREE_BOUND = 3 ports.  A trie node uses parent, left
+and right; an index leaf and a per-value leaf use parent and val; a
+chain or queue node uses right, toward the tail or the back, and parent,
+from the node above or in front; the roots have no parent.
 Two tries share a node only at a value leaf, which roots its per-value
 trie on the same left and right ports, so it must have no value-trie
 children.  Block 0 descends the value trie k times, and a later block
@@ -97,13 +100,15 @@ for all four bit pairs because both blocks are the empty string.
 from __future__ import annotations
 
 from .engine import ModelKind, new_graph
-from .gadgets import (ANCHOR, BLANK, DONE, MARK, PALETTE, REJ_FORMAT,
-                      SKELETON_REGISTERS, build, phase, prev_pair, read_step,
-                      skip_pad)
+from .gadgets import (ANCHOR, DONE, MARK, PALETTE, REJ_FORMAT,
+                      SKELETON_REGISTERS, TAIL, attach, build, field_tick,
+                      phase, prev_pair, read_step, skip_pad)
 
-PARENT, LEFT, RIGHT, VAL = 0, 1, 2, 3
+# After the child ports, left for bit 0 and right for bit 1, which is
+# also the tail-ward port of a chain or queue node (gadgets.TAIL).
+PARENT, VAL = 2, 3
 
-PORTS = ("parent", "left", "right", "val")
+PORTS = ("left", "right", "parent", "val")
 DEGREE_BOUND = 3
 
 # Worst primitive count of any single symbol handler, measured over the
@@ -121,19 +126,9 @@ REGISTERS = SKELETON_REGISTERS + (
 )
 
 
-def _attach(g, node, port):
-    """A new trie node, wired as node's child at port."""
-    child = g.create_node(BLANK)
-    g.link(node, port, child, PARENT)
-    return child
-
-
-def _append_chain(g, head, color):
-    """New chain node of color above head (None: the chain's first)."""
-    node = g.create_node(color)
-    if head is not None:
-        g.link(head, LEFT, node, RIGHT)
-    return node
+def _wire(g, a, port, b):
+    """One undirected edge, from port of a to b's parent port."""
+    g.link(a, port, b, PARENT)
 
 
 def _enqueue(g, R, bit):
@@ -141,19 +136,19 @@ def _enqueue(g, R, bit):
     if R.q_back is None:
         R.q_front = node
     else:
-        g.link(R.q_back, RIGHT, node, LEFT)
+        _wire(g, R.q_back, TAIL, node)
     R.q_back = node
 
 
 def _dequeue(g, R):
     front = R.q_front
     bit = g.get_color(front)
-    nxt = g.neighbor(front, RIGHT)
+    nxt = g.neighbor(front, TAIL)
     if nxt is None:
         R.q_front = None
         R.q_back = None
     else:
-        g.unlink(front, RIGHT)
+        g.unlink(front, TAIL)
         R.q_front = nxt
     return bit
 
@@ -162,14 +157,13 @@ def _pv_step(g, R, bit):
     """One per-value level down along bit, as gadgets.build descends the
     value trie."""
     node = R.pv_cur
-    port = LEFT + bit
     if R.f_pvfresh is None:
-        child = g.neighbor(node, port)
+        child = g.neighbor(node, bit)
         if child is not None:
             R.pv_cur = child
             return
         R.f_pvfresh = ANCHOR
-    R.pv_cur = _attach(g, node, port)
+    R.pv_cur = attach(g, node, bit, _wire)
 
 
 def _prev_levels(g, R, c):
@@ -201,14 +195,10 @@ def _hold_leaves(g, R):
 
 def x_tick(g, R, bit):
     """x symbol: descend the index trie; finish the last per-value path."""
-    c = read_step(g, R, RIGHT)
+    c = read_step(g, R)
     if c is not None:
         _prev_levels(g, R, c)
-    child = g.neighbor(R.icur, LEFT + bit)
-    if child is None:
-        return REJ_FORMAT  # x longer than n, or not over the block count
-    R.icur = child
-    return None
+    return field_tick(g, R, bit)
 
 
 def x_end(g, R, _bit):
@@ -238,11 +228,11 @@ def _y_moves(g, R):
                 R.f_half = ANCHOR
                 continue
             R.f_half = None
-            R.walk = g.neighbor(R.walk, RIGHT)
+            R.walk = g.neighbor(R.walk, TAIL)
             if R.walk is None:
-                R.pv_cur = skip_pad(g, R, R.pv_cur, LEFT)
+                R.pv_cur = skip_pad(g, R, R.pv_cur)
         elif R.q_front is not None:
-            child = g.neighbor(R.pv_cur, LEFT + _dequeue(g, R))
+            child = g.neighbor(R.pv_cur, _dequeue(g, R))
             if child is None:
                 return REJ_FORMAT  # no index with value b_x continues so
             R.pv_cur = child
@@ -275,6 +265,5 @@ def _graph_factory():
 
 def build_kum_recognizer(cadence=KUM_CADENCE):
     """Recognizer program; cadence=None disables padding (measurement)."""
-    return build(REGISTERS, _graph_factory, cadence, attach=_attach,
-                 append_chain=_append_chain, zero_port=LEFT, toward_tail=RIGHT,
+    return build(REGISTERS, _graph_factory, cadence, wire=_wire,
                  close=_hold_leaves, x_field=X_FIELD, on_node=_prev_levels)

@@ -226,8 +226,9 @@ class Program:
             raise ValueError("register file capped at %d names" % MAX_REGISTERS)
         if len(set(self.register_names)) != len(self.register_names):
             raise ValueError("duplicate register names")
-        if self.cadence is not None and self.cadence < 1:
-            raise ValueError("cadence must be positive")
+        if self.cadence is not None and (type(self.cadence) is not int
+                                         or self.cadence < 1):
+            raise ValueError("cadence must be a positive int")
         object.__setattr__(self, "register_class",
                            register_class(self.register_names))
 

@@ -31,7 +31,8 @@ cost at most 4, at the pair holding the index's lowest set bit on its
 hi bit, where the walk rewrites the node (3), so a block symbol costs at
 most walk 3 + index 4 + descend 3 = 10, the cadence.  Block 0 costs at
 most 8.  A chain node needs just its tail-ward pointer, since the walk
-only goes from head to tail.  Binding the representative at a block's
+only goes from head to tail; it and every trie pointer are set by
+_wire, build's wire hook.  Binding the representative at a block's
 end costs 3: a value leaf created in this block has no carrier, so the
 rep is made without probing for one.  A boundary for even i costs the
 walk's tail 5 + create 2 (the tail lies below i's lowest set bit) + 3 =
@@ -47,9 +48,11 @@ from __future__ import annotations
 
 from .engine import ModelKind, new_graph
 from .gadgets import (ANCHOR, BLANK, DONE, PALETTE, REJ_FORMAT,
-                      SKELETON_REGISTERS, build, phase, skip_pad)
+                      SKELETON_REGISTERS, build, field_tick, phase, skip_pad)
 
-L, R_DIR, V = 0, 1, 2
+# After the child directions, l for bit 0 and r for bit 1, which is also
+# a chain node's tail-ward pointer (gadgets.TAIL).
+V = 2
 
 DIRECTIONS = ("l", "r", "v")
 
@@ -64,20 +67,9 @@ REGISTERS = SKELETON_REGISTERS + (
 )
 
 
-def _attach(g, node, d):
-    """A new trie node, node's child in direction d."""
-    child = g.create_node(BLANK)
-    g.set_pointer(node, d, child)
-    return child
-
-
-def _append_chain(g, head, color):
-    """New chain node of color above head (None: the chain's first),
-    pointing tail-ward at head."""
-    node = g.create_node(color)
-    if head is not None:
-        g.set_pointer(node, R_DIR, head)
-    return node
+def _wire(g, a, d, b):
+    """One directed pointer, from a in direction d to b."""
+    g.set_pointer(a, d, b)
 
 
 def _bind_representative(g, R):
@@ -97,21 +89,12 @@ def _bind_representative(g, R):
     g.set_pointer(R.icur, V, rep)
 
 
-def smm_index_tick(g, R, bit):
-    """x or y symbol: one index-trie level down."""
-    child = g.neighbor(R.icur, bit)
-    if child is None:
-        return REJ_FORMAT  # field longer than n, or not over the block count
-    R.icur = child
-    return None
-
-
 def smm_x_end(g, R, _bit):
     rep = g.neighbor(R.icur, V)
     if rep is None:
         return REJ_FORMAT  # x shorter than n
     R.rep_x = rep
-    R.icur = skip_pad(g, R, ANCHOR, L)
+    R.icur = skip_pad(g, R, ANCHOR)
     R.phase = Y_FIELD
     return None
 
@@ -126,8 +109,8 @@ def smm_finalize(g, R, _bit):
     return None
 
 
-X_FIELD = phase(smm_index_tick, on_hash=smm_x_end)
-Y_FIELD = phase(smm_index_tick, on_hash=smm_finalize)
+X_FIELD = phase(field_tick, on_hash=smm_x_end)
+Y_FIELD = phase(field_tick, on_hash=smm_finalize)
 
 
 def _graph_factory():
@@ -138,6 +121,5 @@ def _graph_factory():
 
 def build_smm_recognizer(cadence=SMM_CADENCE):
     """Recognizer program; cadence=None disables padding (measurement)."""
-    return build(REGISTERS, _graph_factory, cadence, attach=_attach,
-                 append_chain=_append_chain, zero_port=L, toward_tail=R_DIR,
+    return build(REGISTERS, _graph_factory, cadence, wire=_wire,
                  close=_bind_representative, x_field=X_FIELD)

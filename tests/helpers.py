@@ -9,18 +9,18 @@ import dataclasses
 
 from kumsim import gadgets
 from kumsim.engine import StorageGraph
-from kumsim.gadgets import BLANK
+from kumsim.gadgets import BLANK, ONE, TAIL, ZERO
 from kumsim.runtime import register_class
 
 
-def levels(g, root, left_port, right_port):
+def levels(g, root):
     """Breadth-first trie layout: list of node lists, index = depth."""
     out = [[root]]
     frontier = [root]
     while True:
         nxt = []
         for node in frontier:
-            for port in (left_port, right_port):
+            for port in (ZERO, ONE):
                 child = g.neighbor(node, port)
                 if child is not None:
                     nxt.append(child)
@@ -30,7 +30,7 @@ def levels(g, root, left_port, right_port):
         frontier = nxt
 
 
-def chain_bits(g, head, toward_tail_port, hi, lo):
+def chain_bits(g, head, hi, lo):
     """Chain head to tail as a bit string (head = most significant), each
     pair read as hi[color] then lo[color] and the tail as lo[color] alone,
     e.g. gadgets.CUR_HI and gadgets.CUR_LO for the current index."""
@@ -38,14 +38,14 @@ def chain_bits(g, head, toward_tail_port, hi, lo):
     node = head
     while node is not None:
         c = g.get_color(node)
-        node = g.neighbor(node, toward_tail_port)
+        node = g.neighbor(node, TAIL)
         if node is not None:
             bits.append(str(hi[c]))
         bits.append(str(lo[c]))
     return "".join(bits)
 
 
-def chain_prev_bits(g, head, toward_tail_port):
+def chain_prev_bits(g, head):
     """The previous index off the chain, head to tail, as the x phase
     reads it: gadgets.read_step on each node and gadgets.prev_pair on its
     color."""
@@ -53,7 +53,7 @@ def chain_prev_bits(g, head, toward_tail_port):
     R.walk = head
     bits = []
     while True:
-        c = gadgets.read_step(g, R, toward_tail_port)
+        c = gadgets.read_step(g, R)
         if c is None:
             return "".join(bits)
         hi, lo = gadgets.prev_pair(R, c)
@@ -128,13 +128,13 @@ class WasteCountingGraph(StorageGraph):
     """A graph that counts the primitives whose outcome the machine knew.
 
     noop_writes counts set_color calls that write the color the node
-    already has.  empty_probes counts neighbor probes of a child port of
-    a trie node (BLANK, or the initial node, the index trie's root) whose
-    child ports are all empty.  Counting reads the graph's own columns
-    and costs no steps.
+    already has.  empty_probes counts neighbor probes of a child port (0
+    or 1 on both machines) of a trie node (BLANK, or the initial node, the
+    index trie's root) whose child ports are both empty.  Counting reads
+    the graph's own columns and costs no steps.
     """
 
-    __slots__ = ("child_ports", "noop_writes", "empty_probes")
+    __slots__ = ("noop_writes", "empty_probes")
 
     def set_color(self, a, c):
         old = (self._color[a] if type(a) is int and 0 <= a < self._node_count
@@ -145,28 +145,25 @@ class WasteCountingGraph(StorageGraph):
 
     def neighbor(self, a, p):
         v = StorageGraph.neighbor(self, a, p)
-        ports = self.child_ports
-        if p in ports and (a == 0 or self._color[a] == BLANK):
+        if p in (ZERO, ONE) and (a == 0 or self._color[a] == BLANK):
             row = a * self._nports
-            if all(self._adj[row + q] is None for q in ports):
+            if self._adj[row + ZERO] is None and self._adj[row + ONE] is None:
                 self.empty_probes += 1
         return v
 
     def fork(self):
         g = StorageGraph.fork(self)
-        g.child_ports = self.child_ports
         g.noop_writes = self.noop_writes
         g.empty_probes = self.empty_probes
         return g
 
 
-def waste_counting(prog, child_ports):
-    """prog running on WasteCountingGraphs that watch child_ports."""
+def waste_counting(prog):
+    """prog running on WasteCountingGraphs."""
     def factory():
         g0 = prog.graph_factory()
         g = WasteCountingGraph(g0.model, g0.degree_bound, g0.palette,
                                g0.labels)
-        g.child_ports = tuple(child_ports)
         g.noop_writes = g.empty_probes = 0
         return g
     return dataclasses.replace(prog, graph_factory=factory)

@@ -17,29 +17,32 @@ Eight numbered checks, one test each, in this order:
     block structure of the input
  6. online behaviour: truncating the input never rewrites the event
     prefix already emitted
- 7. every corpus above reproduces bit for bit when run twice, and
-    matches the fingerprint pinned in
-    tests/data/acceptance_fingerprints.json
+ 7. every corpus above reproduces bit for bit when run again in a child
+    interpreter under another hash seed, and matches the fingerprint
+    pinned in tests/data/acceptance_fingerprints.json
  8. the fuzz harness catches a deliberately broken build and passes a
     healthy one on 10,000 cases
 
-The corpora are cached so later checks can reuse earlier runs; check 7
-bypasses the cache on purpose.
+The corpora are cached so later checks can reuse earlier runs; check 7's
+second pass runs in a fresh process on purpose.
 """
 
 import collections
 import hashlib
 import itertools
 import json
+import os
 import pathlib
 import random
+import subprocess
+import sys
 import time
 
 import helpers
 from kumsim import blocklang, cli
 from kumsim.blocklang import NegativeKind
 from kumsim.gadgets import MARK
-from kumsim.kum_recognizer import (DEGREE_BOUND, KUM_CADENCE, LEFT, RIGHT, VAL,
+from kumsim.kum_recognizer import (DEGREE_BOUND, KUM_CADENCE, VAL,
                                    build_kum_recognizer)
 from kumsim.runtime import RejectReason, Runner, max_gap, run
 from kumsim.smm_recognizer import SMM_CADENCE, build_smm_recognizer
@@ -333,10 +336,10 @@ def _structure_corpus():
             for ch in s[:cut + 1]:
                 assert r.feed(ch) is None, (n, s)
             g = r.graph
-            idx = helpers.levels(g, 0, LEFT, RIGHT)
+            idx = helpers.levels(g, 0)
             assert len(idx[w]) == 2 ** n, (n, len(idx[w]))
             assert all(g.neighbor(leaf, VAL) is not None for leaf in idx[w])
-            vlv = helpers.levels(g, r.registers.vroot, LEFT, RIGHT)
+            vlv = helpers.levels(g, r.registers.vroot)
             assert len(vlv[inst.k]) == len(set(inst.blocks)), (n, s)
             marks = helpers.count_color(g, MARK)
             assert marks == 2 ** n, (n, marks)
@@ -394,23 +397,47 @@ def test_criterion_6_online_trace_prefix():
 
 # ---------------------------------------------------------------- check 7
 
+CORPORA = (
+    ("sweep", _sweep_corpus),
+    ("gen", _gen_corpus),
+    ("realtime", _realtime_corpus),
+    ("indegree", _indegree_corpus),
+    ("structure", _structure_corpus),
+    ("truncation", _truncation_corpus),
+)
+
+# The second pass: hash("kumsim") there, to show the seed differs, then
+# every corpus's fingerprint in CORPORA order.
+_SECOND_PASS = """
+import json
+import test_acceptance as t
+print(json.dumps([hash("kumsim")] + [b()["fingerprint"] for _, b in t.CORPORA]))
+"""
+
+
+def _second_pass():
+    """Run _SECOND_PASS in a child interpreter under a hash seed other
+    than this process's; its output, decoded."""
+    seed = "2" if os.environ.get("PYTHONHASHSEED") == "1" else "1"
+    path = os.pathsep.join([str(pathlib.Path(__file__).parent),
+                            str(pathlib.Path(blocklang.__file__).parents[1])])
+    env = dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=path)
+    proc = subprocess.run([sys.executable, "-c", _SECOND_PASS], env=env,
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout.splitlines()[-1])
+
+
 def test_criterion_7_determinism():
-    corpora = (
-        ("sweep", _sweep_corpus),
-        ("gen", _gen_corpus),
-        ("realtime", _realtime_corpus),
-        ("indegree", _indegree_corpus),
-        ("structure", _structure_corpus),
-        ("truncation", _truncation_corpus),
-    )
-    assert sorted(PINNED) == sorted(key for key, _ in corpora)
-    for key, builder in corpora:
+    assert sorted(PINNED) == sorted(key for key, _ in CORPORA)
+    child_hash, *again = _second_pass()
+    assert child_hash != hash("kumsim")
+    for (key, builder), fingerprint in zip(CORPORA, again, strict=True):
         first = _cached(key, builder)
-        again = builder()  # full second pass, cache bypassed
-        assert again["fingerprint"] == first["fingerprint"], key
+        assert fingerprint == first["fingerprint"], key
         assert first["fingerprint"] == PINNED[key], key
-    print("criterion 7 PASS: all 6 corpora reproduced bit for bit and "
-          "match the pinned fingerprints")
+    print("criterion 7 PASS: all 6 corpora reproduced bit for bit in a "
+          "child interpreter and match the pinned fingerprints")
 
 
 # ---------------------------------------------------------------- check 8

@@ -34,6 +34,12 @@ def test_gen_infeasible_kind_is_usage_error(capsys):
     assert out_of(capsys) == ""  # message goes to stderr
 
 
+def test_gen_count_below_one_is_usage_error(capsys):
+    for count in ("0", "-2"):
+        assert cli.main(["gen", "3", "--count", count]) == 2, count
+        assert out_of(capsys) == ""
+
+
 def test_gen_seed_determinism(capsys):
     cli.main(["gen", "3", "--count", "5", "--seed", "42"])
     a = out_of(capsys)
@@ -73,6 +79,15 @@ def test_run_reads_stdin(monkeypatch, capsys):
 
 def test_run_missing_file_is_usage_error(tmp_path, capsys):
     assert cli.main(["run", str(tmp_path / "nope.txt")]) == 2
+
+
+def test_input_that_is_not_utf8_is_usage_error(tmp_path, capsys):
+    src = tmp_path / "bad.txt"
+    src.write_bytes(b"@#0#0#\n\xff\n")
+    for command in ("run", "stats"):
+        assert cli.main([command, str(src)]) == 2, command
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("kumsim: "), (command, err)
 
 
 def test_profile_header_and_flat_max_gap(capsys):

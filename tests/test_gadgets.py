@@ -9,9 +9,9 @@ from kumsim.runtime import register_class
 
 MACHINES = {
     "kum": (ModelKind.KUM, kum_recognizer.DEGREE_BOUND, kum_recognizer.PORTS,
-            kum_recognizer._append_chain, kum_recognizer.RIGHT),
+            kum_recognizer._wire),
     "smm": (ModelKind.SMM, None, smm_recognizer.DIRECTIONS,
-            smm_recognizer._append_chain, smm_recognizer.R_DIR),
+            smm_recognizer._wire),
 }
 
 
@@ -33,27 +33,27 @@ def _lowest(i, w, value):
 
 @pytest.mark.parametrize("machine", sorted(MACHINES))
 def test_walk_counts_through_every_value(machine):
-    model, bound, ports, append_chain, toward_tail = MACHINES[machine]
+    model, bound, ports, wire = MACHINES[machine]
     for w in range(1, 14, 2):
         g = new_graph(model, bound, gadgets.PALETTE, ports)
         R = register_class(gadgets.SKELETON_REGISTERS)()
-        held = [gadgets.grow_chain(g, R, append_chain)
+        held = [gadgets.grow_chain(g, R, wire)
                 for _ in range((w + 1) // 2)]
         assert held == [1] + [2] * (w // 2)  # the tail first, then pairs
         chain = [R.c_head]
         for _ in range(w // 2):
-            chain.append(g.neighbor(chain[-1], toward_tail))
-        assert g.neighbor(chain[-1], toward_tail) is None
+            chain.append(g.neighbor(chain[-1], gadgets.TAIL))
+        assert g.neighbor(chain[-1], gadgets.TAIL) is None
         gadgets.next_block(R)
         for i in range(1, 2 ** w):
             # block i: current i, one marker on the node holding i's
             # lowest zero (none when i is all ones) and one on the node
             # holding its lowest set bit; i - 1 decodes from them
             want_prev = format(i - 1, "0%db" % w)
-            assert helpers.chain_bits(g, R.c_head, toward_tail,
-                                      gadgets.CUR_HI, gadgets.CUR_LO) == \
-                format(i, "0%db" % w), (w, i)
-            assert helpers.chain_prev_bits(g, R.c_head, toward_tail) == \
+            cur = helpers.chain_bits(g, R.c_head, gadgets.CUR_HI,
+                                     gadgets.CUR_LO)
+            assert cur == format(i, "0%db" % w), (w, i)
+            assert helpers.chain_prev_bits(g, R.c_head) == \
                 want_prev, (w, i)
             colors = [g.get_color(node) for node in chain]
             zero = _lowest(i, w, 0)
@@ -64,12 +64,12 @@ def test_walk_counts_through_every_value(machine):
             prev = []
             for _ in range(w // 2):
                 before = g.step_counter
-                c = gadgets.walk_step(g, R, toward_tail)
+                c = gadgets.walk_step(g, R)
                 assert g.step_counter - before <= 3, (w, i)
                 assert R.walk is not None
                 prev += gadgets.prev_pair(R, c)
             before = g.step_counter
-            c = gadgets.tail_step(g, R, toward_tail)
+            c = gadgets.tail_step(g, R)
             assert c == colors[-1]
             assert g.step_counter - before <= (3 if i % 2 else 5), (w, i)
             prev.append(gadgets.prev_pair(R, c)[1])
@@ -81,9 +81,9 @@ def test_walk_counts_through_every_value(machine):
         # the walk over all ones keeps them and drops the lowest-set
         # marker, so the chain decodes 2^w - 1 as the previous index too
         ones = "1" * w
-        assert helpers.chain_bits(g, R.c_head, toward_tail, gadgets.CUR_HI,
+        assert helpers.chain_bits(g, R.c_head, gadgets.CUR_HI,
                                   gadgets.CUR_LO) == ones, w
-        assert helpers.chain_prev_bits(g, R.c_head, toward_tail) == ones, w
+        assert helpers.chain_prev_bits(g, R.c_head) == ones, w
         colors = [g.get_color(node) for node in chain]
         assert not any(gadgets.LOW_ZERO[c] or gadgets.LOW_SET[c]
                        for c in colors), w

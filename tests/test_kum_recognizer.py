@@ -6,8 +6,8 @@ import pytest
 
 from kumsim import blocklang
 from kumsim.gadgets import CUR_HI, CUR_LO, MARK
-from kumsim.kum_recognizer import (DEGREE_BOUND, KUM_CADENCE, LEFT, REGISTERS,
-                                   RIGHT, VAL, build_kum_recognizer)
+from kumsim.kum_recognizer import (DEGREE_BOUND, KUM_CADENCE, REGISTERS, VAL,
+                                   build_kum_recognizer)
 from kumsim.runtime import RejectReason, Runner, max_gap, run
 
 import helpers
@@ -86,12 +86,12 @@ def test_counter_chain_at_every_boundary(n):
         i += 1
         probe = r.fork()  # probing costs steps; keep them off the run
         g, R = probe.graph, probe.registers
-        assert helpers.chain_prev_bits(g, R.c_head, RIGHT) == \
+        assert helpers.chain_prev_bits(g, R.c_head) == \
             format(i - 1, "0%db" % w), (n, i)
-        assert helpers.chain_bits(g, R.c_head, RIGHT, CUR_HI, CUR_LO) == \
+        assert helpers.chain_bits(g, R.c_head, CUR_HI, CUR_LO) == \
             format(i, "0%db" % w), (n, i)
         if i == 1:  # the all-zero index path exists to full depth
-            assert len(helpers.levels(g, 0, LEFT, RIGHT)) == w + 1
+            assert len(helpers.levels(g, 0)) == w + 1
     assert i == 2 ** n - 1
     assert r.finish().verdict.accepted
 
@@ -104,7 +104,7 @@ def test_structure_counts_after_accepting_run():
     assert res.verdict.accepted
     g = res.graph
     w = inst.n + 1  # even n carries a pad level
-    lv = helpers.levels(g, 0, LEFT, RIGHT)
+    lv = helpers.levels(g, 0)
     assert len(lv) == w + 1
     assert len(lv[w]) == 2 ** inst.n  # one index leaf per block
     # every index leaf and its marked per-value leaf link val to val
@@ -113,7 +113,7 @@ def test_structure_counts_after_accepting_run():
         assert g.get_color(pv_leaf) == MARK
         assert g.neighbor(pv_leaf, VAL) == leaf
     # value trie has one leaf per distinct block value
-    vlv = helpers.levels(g, res.registers.vroot, LEFT, RIGHT)
+    vlv = helpers.levels(g, res.registers.vroot)
     assert len(vlv[inst.k]) == len(set(inst.blocks))
     # one marked per-value leaf per index
     assert helpers.count_color(g, MARK) == 2 ** inst.n

@@ -144,8 +144,9 @@ def test_program_register_cap():
 def test_program_rejects_duplicate_names_and_a_zero_cadence():
     with pytest.raises(ValueError):
         Program(("a", "b", "a"), toy_graph, None, None, None)
-    with pytest.raises(ValueError):
-        Program(("a",), toy_graph, None, None, None, cadence=0)
+    for cadence in (0, 14.0, True):  # idle() takes only a nonnegative int
+        with pytest.raises(ValueError):
+            Program(("a",), toy_graph, None, None, None, cadence=cadence)
 
 
 def test_max_gap_and_mean_gap():

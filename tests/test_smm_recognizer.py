@@ -8,7 +8,7 @@ from kumsim import blocklang
 from kumsim.gadgets import CUR_HI, CUR_LO
 from kumsim.kum_recognizer import KUM_CADENCE, build_kum_recognizer
 from kumsim.runtime import RejectReason, Runner, max_gap, run
-from kumsim.smm_recognizer import (L, R_DIR, REGISTERS, SMM_CADENCE, V,
+from kumsim.smm_recognizer import (REGISTERS, SMM_CADENCE, V,
                                    build_smm_recognizer)
 
 import helpers
@@ -64,9 +64,9 @@ def test_counter_chain_at_every_boundary(n):
         i += 1
         probe = r.fork()  # probing costs steps; keep them off the run
         g, R = probe.graph, probe.registers
-        assert helpers.chain_prev_bits(g, R.c_head, R_DIR) == \
+        assert helpers.chain_prev_bits(g, R.c_head) == \
             format(i - 1, "0%db" % w), (n, i)
-        assert helpers.chain_bits(g, R.c_head, R_DIR, CUR_HI, CUR_LO) == \
+        assert helpers.chain_bits(g, R.c_head, CUR_HI, CUR_LO) == \
             format(i, "0%db" % w), (n, i)
     assert i == 2 ** n - 1
     assert r.finish().verdict.accepted
@@ -79,7 +79,7 @@ def test_value_sharing_by_pointer_identity():
     res = run(PROG, s)
     assert res.verdict.accepted
     g = res.graph
-    lv = helpers.levels(g, 0, L, R_DIR)
+    lv = helpers.levels(g, 0)
     w = 3
     assert len(lv[w]) == 4
     reps = [g.neighbor(leaf, V) for leaf in lv[w]]
@@ -87,7 +87,7 @@ def test_value_sharing_by_pointer_identity():
     assert len(set(reps)) == 2
     for rep in set(reps):
         assert g.in_degree(rep) == reps.count(rep) == 2
-    vlv = helpers.levels(g, res.registers.vroot, L, R_DIR)
+    vlv = helpers.levels(g, res.registers.vroot)
     assert len(vlv[1]) == 2  # k = 1
     # balanced values: no node concentrates more than two in-edges
     assert res.stats["max_in_degree"] == 2

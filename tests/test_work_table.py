@@ -15,8 +15,8 @@ import random
 import pytest
 
 import helpers
-from kumsim import blocklang, kum_recognizer, smm_recognizer
-from kumsim.gadgets import BLANK
+from kumsim import blocklang
+from kumsim.gadgets import BLANK, ZERO
 from kumsim.kum_recognizer import KUM_CADENCE, build_kum_recognizer
 from kumsim.runtime import Runner, run
 from kumsim.smm_recognizer import SMM_CADENCE, build_smm_recognizer
@@ -85,14 +85,12 @@ def test_per_segment_work_maxima(build, cadence, want):
     assert max(top.values()) == cadence
 
 
-@pytest.mark.parametrize("build, child_ports", [
-    (build_kum_recognizer, (kum_recognizer.LEFT, kum_recognizer.RIGHT)),
-    (build_smm_recognizer, (smm_recognizer.L, smm_recognizer.R_DIR)),
-], ids=["kum", "smm"])
-def test_no_wasted_primitive(build, child_ports):
+@pytest.mark.parametrize("build", [
+    build_kum_recognizer, build_smm_recognizer], ids=["kum", "smm"])
+def test_no_wasted_primitive(build):
     # no set_color rewrites a node's own color, and no neighbor probes a
     # child port of a trie node that has no child
-    prog = helpers.waste_counting(build(cadence=None), child_ports)
+    prog = helpers.waste_counting(build(cadence=None))
     noop_writes = empty_probes = 0
     for s in _corpus():
         res = run(prog, s)
@@ -105,8 +103,7 @@ def test_no_wasted_primitive(build, child_ports):
 def test_forked_waste_counter_keeps_counting():
     # a sweep forks its runners: the fork of a counting graph must be a
     # counting graph that starts from the same counts and counts on alone
-    prog = helpers.waste_counting(build_kum_recognizer(cadence=None),
-                                  (kum_recognizer.LEFT, kum_recognizer.RIGHT))
+    prog = helpers.waste_counting(build_kum_recognizer(cadence=None))
     r = Runner(prog)
     for ch in "01@":
         assert r.feed(ch) is None
@@ -116,6 +113,6 @@ def test_forked_waste_counter_keeps_counting():
     assert (f.graph.noop_writes, f.graph.empty_probes) == (1, 0)
     f.graph.set_color(0, f.graph.get_color(0))
     leaf = f.graph.create_node(BLANK)
-    f.graph.neighbor(leaf, kum_recognizer.LEFT)
+    f.graph.neighbor(leaf, ZERO)
     assert (f.graph.noop_writes, f.graph.empty_probes) == (2, 1)
     assert (r.graph.noop_writes, r.graph.empty_probes) == (1, 0)
