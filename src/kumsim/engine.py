@@ -21,14 +21,20 @@ name strings in new_graph(), which checks them; every primitive takes
 their index in that declaration, and the graph looks no name up.
 palette[0] is the default color of every fresh node.
 
-Port rows are stored flat: one list holds every node's port targets, and
-port p of node v lives at index v * nports + p (for KUM a bytearray of
-the same shape holds the far-side port of each edge, read only where a
-target is set).  Port ids, colors and degrees fit in a byte (at most
-MAX_PORTS labels and MAX_PALETTE colors; a degree is at most the port
-count), so colors and degrees are bytearrays too; only SMM in-degrees,
-which are unbounded, stay a list.  create_node() extends every column by
-one prebuilt blank row and fork() is a handful of whole-column copies.
+Port rows are stored flat: one array('i') holds every node's port
+targets, and port p of node v lives at index v * nports + p, with -1
+marking an empty port (neighbor() reports it as None).  For KUM a
+bytearray of the same shape holds the far-side port of each edge, read
+only where a target is set.  A target is a machine int in the array, not
+an int object, so a node costs its fields and little else: 23 bytes at
+the KUM recognizer's four ports and 18 at the SMM recognizer's three.
+In exchange every handle must fit in a signed 32-bit int, that is, be at
+most 2**31 - 1.  SMM in-degrees, which are unbounded, are an array('i')
+as well.  Port ids, colors and degrees fit in a byte (at most MAX_PORTS
+labels and MAX_PALETTE colors; a degree is at most the port count), so
+colors and degrees are bytearrays.  create_node() extends every column
+by one prebuilt blank row and fork() is a handful of whole-column
+copies.
 Because a port out of range would silently address the next node's row,
 every primitive range-checks its ports as well as its node handles; a
 bad handle, port or idle count raises BadHandle, BadPort or BadCount,
@@ -39,6 +45,7 @@ ValueErrors.
 from __future__ import annotations
 
 import enum
+from array import array
 from typing import Optional, Sequence
 
 
@@ -55,6 +62,10 @@ PortLabel = int
 
 MAX_PALETTE = 64
 MAX_PORTS = 64
+
+# A fresh SMM node's in-degree row: extending an array by another array
+# costs about half what append() does.
+_ZERO_INDEG = array("i", (0,))
 
 
 class EngineError(Exception):
@@ -125,6 +136,9 @@ class StorageGraph:
         if len(set(labels)) != len(labels):
             raise ValueError("duplicate port labels")
 
+        if degree_bound is not None and type(degree_bound) is not int:
+            raise ValueError("degree bound must be an int")
+
         self.model = model
         self._is_kum = model is ModelKind.KUM
         if self._is_kum:
@@ -144,17 +158,17 @@ class StorageGraph:
         self.labels = tuple(labels)
         self._ncolors = len(self.palette)
         self._nports = len(self.labels)
-        self._blank_row = (None,) * self._nports
+        self._blank_row = array("i", [-1]) * self._nports
         self._zero_row = bytes(self._nports)
 
         # The initial node; construction costs no steps.
-        self._adj: list[Optional[int]] = list(self._blank_row)
+        self._adj = self._blank_row[:]
         self._peer = bytearray(               # KUM: far-side port ids
             self._zero_row if self._is_kum else b"")
         self._color = bytearray(1)
         self._deg = bytearray(1)              # KUM degree / SMM out-degree
-        self._indeg: list[int] = (            # SMM only; KUM in-degree is 0
-            [] if self._is_kum else [0])
+        self._indeg = array(                  # SMM only; KUM in-degree is 0
+            "i", () if self._is_kum else (0,))
         self._node_count = 1
         self._max_degree = 0
         self._max_in_degree = 0
@@ -188,7 +202,7 @@ class StorageGraph:
         if self._is_kum:
             self._peer += self._zero_row
         else:
-            self._indeg.append(0)
+            self._indeg += _ZERO_INDEG
         self._color.append(c)
         self._deg.append(0)
         self.step_counter += 1
@@ -210,8 +224,8 @@ class StorageGraph:
         ia = a * k + pa
         ib = b * k + pb
         adj = self._adj
-        if adj[ia] is not None or adj[ib] is not None:
-            raise PortOccupied((a, pa) if adj[ia] is not None else (b, pb))
+        if adj[ia] >= 0 or adj[ib] >= 0:
+            raise PortOccupied((a, pa) if adj[ia] >= 0 else (b, pb))
         if ia == ib:
             raise PortOccupied((a, pa))
         # New degrees, read once: a bytearray index is not specialized by
@@ -249,7 +263,7 @@ class StorageGraph:
         adj = self._adj
         old = adj[i]
         indeg = self._indeg
-        if old is not None:
+        if old >= 0:
             indeg[old] -= 1
         else:
             d = self._deg[a] + 1
@@ -257,9 +271,12 @@ class StorageGraph:
             if d > self._max_degree:
                 self._max_degree = d
         adj[i] = b
-        indeg[b] += 1
-        if indeg[b] > self._max_in_degree:
-            self._max_in_degree = indeg[b]
+        # Each array index converts between a machine int and an int
+        # object, so the new in-degree is read once.
+        din = indeg[b] + 1
+        indeg[b] = din
+        if din > self._max_in_degree:
+            self._max_in_degree = din
         self.step_counter += 1
 
     def unlink(self, a: NodeRef, p: PortLabel) -> None:
@@ -272,11 +289,11 @@ class StorageGraph:
         i = a * k + p
         adj = self._adj
         b = adj[i]
-        if b is None:
+        if b < 0:
             raise PortFree((a, p))
         if self._is_kum:
-            adj[i] = None
-            adj[b * k + self._peer[i]] = None
+            adj[i] = -1
+            adj[b * k + self._peer[i]] = -1
             deg = self._deg
             if a == b:
                 deg[a] -= 2
@@ -284,7 +301,7 @@ class StorageGraph:
                 deg[a] -= 1
                 deg[b] -= 1
         else:
-            adj[i] = None
+            adj[i] = -1
             self._deg[a] -= 1
             self._indeg[b] -= 1
         self.step_counter += 1
@@ -302,7 +319,7 @@ class StorageGraph:
                     and p is not True and p is not False):
                 v = self._adj[a * k + p]
                 self.step_counter += 1
-                return v
+                return v if v >= 0 else None
         except TypeError:
             pass
         self._check_node(a)

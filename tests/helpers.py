@@ -147,7 +147,7 @@ class WasteCountingGraph(StorageGraph):
         v = StorageGraph.neighbor(self, a, p)
         if p in (ZERO, ONE) and (a == 0 or self._color[a] == BLANK):
             row = a * self._nports
-            if self._adj[row + ZERO] is None and self._adj[row + ONE] is None:
+            if self._adj[row + ZERO] < 0 and self._adj[row + ONE] < 0:
                 self.empty_probes += 1
         return v
 
