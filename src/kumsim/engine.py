@@ -22,19 +22,21 @@ their index in that declaration, and the graph looks no name up.
 palette[0] is the default color of every fresh node.
 
 Port rows are stored flat: one array('i') holds every node's port
-targets, and port p of node v lives at index v * nports + p, with -1
-marking an empty port (neighbor() reports it as None).  For KUM a
-bytearray of the same shape holds the far-side port of each edge, read
-only where a target is set.  A target is a machine int in the array, not
-an int object, so a node costs its fields and little else: 23 bytes at
-the KUM recognizer's four ports and 18 at the SMM recognizer's three.
-In exchange every handle must fit in a signed 32-bit int, that is, be at
-most 2**31 - 1.  SMM in-degrees, which are unbounded, are an array('i')
-as well.  Port ids, colors and degrees fit in a byte (at most MAX_PORTS
-labels and MAX_PALETTE colors; a degree is at most the port count), so
-colors and degrees are bytearrays.  create_node() extends every column
-by one prebuilt blank row and fork() is a handful of whole-column
-copies.
+entries, and port p of node v lives at index v * nports + p.  An entry
+is itself such an index: the far-side port of a KUM edge, target *
+nports + port, so unlink() clears both ends without a lookup, and the
+target's port 0 for an SMM pointer.  -1 marks an empty port (neighbor()
+reports it as None), and neighbor() divides an entry by nports.  An
+entry is a machine int in the array, not an int object, so a node costs
+its fields and little else: 26 bytes at the KUM recognizer's six ports
+and at the SMM recognizer's five directions.  In exchange every entry
+must fit in a signed 32-bit int, so a graph holds at most
+(2**31 - 1) // nports nodes.  SMM in-degrees, which are unbounded, are
+an array('i') as well.  Port ids, colors and degrees fit in a byte (at
+most MAX_PORTS labels and MAX_PALETTE colors; a degree is at most the
+port count), so colors and degrees are bytearrays.  create_node()
+extends every column by one prebuilt blank row and fork() is a handful
+of whole-column copies.
 Because a port out of range would silently address the next node's row,
 every primitive range-checks its ports as well as its node handles; a
 bad handle, port or idle count raises BadHandle, BadPort or BadCount,
@@ -114,8 +116,7 @@ class StorageGraph:
     __slots__ = (
         "model", "degree_bound", "palette", "labels",
         "step_counter", "_is_kum", "_ncolors", "_nports", "_blank_row",
-        "_zero_row",
-        "_adj", "_peer", "_color", "_deg", "_indeg",
+        "_adj", "_color", "_deg", "_indeg",
         "_node_count", "_max_degree", "_max_in_degree",
     )
 
@@ -159,12 +160,9 @@ class StorageGraph:
         self._ncolors = len(self.palette)
         self._nports = len(self.labels)
         self._blank_row = array("i", [-1]) * self._nports
-        self._zero_row = bytes(self._nports)
 
         # The initial node; construction costs no steps.
         self._adj = self._blank_row[:]
-        self._peer = bytearray(               # KUM: far-side port ids
-            self._zero_row if self._is_kum else b"")
         self._color = bytearray(1)
         self._deg = bytearray(1)              # KUM degree / SMM out-degree
         self._indeg = array(                  # SMM only; KUM in-degree is 0
@@ -199,9 +197,7 @@ class StorageGraph:
         v = self._node_count
         self._node_count = v + 1
         self._adj += self._blank_row
-        if self._is_kum:
-            self._peer += self._zero_row
-        else:
+        if not self._is_kum:
             self._indeg += _ZERO_INDEG
         self._color.append(c)
         self._deg.append(0)
@@ -237,11 +233,8 @@ class StorageGraph:
         if da > bound or db > bound:
             raise DegreeBoundExceeded("node %d would exceed degree bound %d"
                                       % (a if da > bound else b, bound))
-        adj[ia] = b
-        adj[ib] = a
-        peer = self._peer
-        peer[ia] = pb
-        peer[ib] = pa
+        adj[ia] = ib
+        adj[ib] = ia
         deg[a] = da
         deg[b] = db
         m = da if da >= db else db
@@ -259,18 +252,19 @@ class StorageGraph:
             self._check_node(a)
             self._check_node(b)
             self._check_port(d)
-        i = a * self._nports + d
+        k = self._nports
+        i = a * k + d
         adj = self._adj
         old = adj[i]
         indeg = self._indeg
         if old >= 0:
-            indeg[old] -= 1
+            indeg[old // k] -= 1
         else:
             d = self._deg[a] + 1
             self._deg[a] = d
             if d > self._max_degree:
                 self._max_degree = d
-        adj[i] = b
+        adj[i] = b * k
         # Each array index converts between a machine int and an int
         # object, so the new in-degree is read once.
         din = indeg[b] + 1
@@ -288,12 +282,13 @@ class StorageGraph:
             self._check_port(p)
         i = a * k + p
         adj = self._adj
-        b = adj[i]
-        if b < 0:
+        far = adj[i]
+        if far < 0:
             raise PortFree((a, p))
+        adj[i] = -1
+        b = far // k
         if self._is_kum:
-            adj[i] = -1
-            adj[b * k + self._peer[i]] = -1
+            adj[far] = -1
             deg = self._deg
             if a == b:
                 deg[a] -= 2
@@ -301,7 +296,6 @@ class StorageGraph:
                 deg[a] -= 1
                 deg[b] -= 1
         else:
-            adj[i] = -1
             self._deg[a] -= 1
             self._indeg[b] -= 1
         self.step_counter += 1
@@ -319,7 +313,7 @@ class StorageGraph:
                     and p is not True and p is not False):
                 v = self._adj[a * k + p]
                 self.step_counter += 1
-                return v if v >= 0 else None
+                return v // k if v >= 0 else None
         except TypeError:
             pass
         self._check_node(a)
@@ -391,9 +385,7 @@ class StorageGraph:
         g._ncolors = self._ncolors
         g._nports = self._nports
         g._blank_row = self._blank_row
-        g._zero_row = self._zero_row
         g._adj = self._adj[:]
-        g._peer = self._peer[:]
         g._color = self._color[:]
         g._deg = self._deg[:]
         g._indeg = self._indeg[:]

@@ -29,7 +29,14 @@ node that holds that bit it reads (hi, 0) when the marker is on lo and
 as the walk reaches that marker, tells above from below.  It doubles as
 the index path's fresh flag: no index below i shares i's bits down to
 its lowest set bit, so i's path leaves i - 1's exactly there and creates
-every node from there on without probing (index_levels).
+every node from there on without probing (index_level).
+
+Every trie keyed by the index is radix 4, one level per chain node: the
+root level is the head's hi bit alone, and every later level is a digit,
+2 * hi + lo, of the previous node's lo bit and this node's hi bit (at
+the tail, its one bit).  A flag carries the previous node's lo bit from
+one walk node to the next, so a level costs one descend.  For even n the
+root level is the pad bit 0, and x and y fill whole digits.
 
 During block i one walk runs from head to tail, one node per symbol and
 the tail on the boundary symbol, at most 3 primitives a node (get_color,
@@ -59,9 +66,10 @@ lowest set bit, and every later symbol and the '@' one pair; the pair
 just above the tail carries 1's lowest zero.  For n = 1 the '@' appends
 only the tail.  A block boundary then only re-arms the walk at the head.
 
-Both machines number their ports alike: bit b leads to child port b,
-and a chain node's tail-ward port is TAIL, the only chain port ever
-followed, from the head.  What differs per model is how a port is wired
+Both machines number their ports alike: digit d leads to child port d
+(0 to 3; the value trie, keyed by block bits, uses 0 and 1), and a chain
+node's tail-ward port is TAIL, the only chain port ever followed, from
+the head.  What differs per model is how a port is wired
 (one symmetric link versus one directed pointer), so each recognizer
 passes build one hook, wire(g, a, port, b), which makes port of a lead
 to b.  The helpers here only probe and recolor existing nodes, except
@@ -71,12 +79,14 @@ the tries through wire.
 Registers used here: c_head is the chain's head; walk is the walk's
 position (None past the tail); f_past is set once the walk has passed
 i's lowest zero; f_lead and last_zero are as above; icur is the index
-path's cursor and f_ifresh its fresh flag; vroot and vt_cur are the
-value trie's root and cursor and f_vtfresh the value path's fresh flag.
+path's cursor, f_ifresh its fresh flag and f_lo the lo bit it carries
+to the next level; vroot and vt_cur are the value trie's root and cursor
+and f_vtfresh the value path's fresh flag.
 Flags are plain registers holding the anchor node when set and None when
 clear.
 With n even, every index path starts with a pad bit 0 that the x and y
-fields do not carry, so skip_pad starts their walks one level down.
+fields do not carry, so skip_pad starts their walks one level down.  The
+fields arrive a bit a symbol and are read a digit at a time (field).
 """
 
 from __future__ import annotations
@@ -84,7 +94,7 @@ from __future__ import annotations
 from .runtime import Program, RejectReason, Verdict
 
 # Color ids of the palette both recognizers share; bit values double as
-# color ids and as child ports.
+# color ids and as child ports, as digits do as child ports.
 ZERO, ONE, BLANK, MARK = 0, 1, 2, 3
 TAIL = 1  # a chain node's port toward the tail
 
@@ -113,7 +123,7 @@ BIT = {"0": ZERO, "1": ONE, "@": None, "#": None}
 # chain's head, the walk, the index path and the value path.
 SKELETON_REGISTERS = (
     "phase", "c_head", "walk", "f_past", "f_lead", "last_zero", "icur",
-    "f_ifresh", "vroot", "vt_cur", "f_vtfresh",
+    "f_ifresh", "f_lo", "vroot", "vt_cur", "f_vtfresh",
 )
 
 
@@ -190,9 +200,42 @@ def skip_pad(g, R, root):
     return g.neighbor(root, ZERO)
 
 
-def field_tick(g, R, bit):
-    """x or y symbol: one index-trie level down from icur."""
-    child = g.neighbor(R.icur, bit)
+def field(on_bit, on_hash):
+    """The phase tables of an x or y field, which arrives a bit a symbol
+    and is read a digit at a time, and the function that enters them.
+
+    A digit's hi bit moves the phase to the table that holds it, so the
+    half-read digit waits in finite control, and its lo bit moves it
+    back.  on_bit(g, R, d) runs on every bit, with d the digit the bit
+    completes or None on a hi bit; on_hash runs on a '#' between digits,
+    and a '#' after a hi bit rejects as FORMAT (the field is a bit longer
+    or shorter than its levels).  enter(R) starts the field between
+    digits for even n, whose root level is the pad, and for odd n holding
+    hi bit 0, so the first bit alone is the root level's digit.
+    """
+    def hold(g, R, bit):
+        R.phase = holding[bit]
+        return on_bit(g, R, None)
+
+    def completing(hi):
+        def complete(g, R, bit):
+            R.phase = between
+            return on_bit(g, R, 2 * hi + bit)
+        return phase(complete)
+
+    between = phase(hold, on_hash=on_hash)
+    holding = (completing(0), completing(1))
+
+    def enter(R):
+        R.phase = holding[0] if R.f_past is None else between
+    return enter
+
+
+def field_tick(g, R, d):
+    """x or y bit: one index-trie level down from icur on a digit."""
+    if d is None:
+        return None
+    child = g.neighbor(R.icur, d)
     if child is None:
         return REJ_FORMAT  # field longer than n, or not over the block count
     R.icur = child
@@ -258,6 +301,18 @@ def prev_pair(R, c):
     return _ONES
 
 
+def digit(R, hi, lo, carry):
+    """(d, carry) at the node whose bits, of some index, are (hi, lo) and
+    that the walk (or a read) has just reached: d is this node's level of
+    that index's path, 2 * carry + hi (at the tail, 2 * carry + lo), and
+    carry, a flag, holds the previous node's lo bit and comes back as
+    this one's."""
+    d = lo if R.walk is None else hi
+    if carry is not None:
+        d += 2
+    return d, (ANCHOR if lo else None)
+
+
 def attach(g, node, port, wire):
     """A new trie node, wired as node's child at port."""
     child = g.create_node(BLANK)
@@ -265,26 +320,21 @@ def attach(g, node, port, wire):
     return child
 
 
-def index_levels(g, R, c, wire):
-    """The current index's path through the node of color c that the walk
-    has just reached: two levels at a pair, one at the tail.
+def index_level(g, R, c, wire):
+    """The current index's level at the node of color c that the walk
+    has just reached.
 
     Above the lowest set bit the child exists, since the previous index
-    shares those bits, so the path follows it; from that bit on, where
-    the walk has set f_ifresh, the path attaches a new child, except on
-    the hi bit of the pair whose lo bit it is.
+    shares those bits, so the path follows it; from the digit holding
+    that bit on, the path attaches a new child.  The walk sets f_ifresh at
+    the node holding the bit, and that node's digit holds it unless it is
+    a pair's lo bit, which the next digit carries.
     """
-    fresh = R.f_ifresh
-    node = R.icur
-    if R.walk is not None:  # a pair: its hi bit first
-        if fresh is None or _SET_ON_LO[c]:
-            node = g.neighbor(node, CUR_HI[c])
-        else:
-            node = attach(g, node, CUR_HI[c], wire)
-    if fresh is None:
-        R.icur = g.neighbor(node, CUR_LO[c])
+    d, R.f_lo = digit(R, CUR_HI[c], CUR_LO[c], R.f_lo)
+    if R.f_ifresh is None or (_SET_ON_LO[c] and R.walk is not None):
+        R.icur = g.neighbor(R.icur, d)
     else:
-        R.icur = attach(g, node, CUR_LO[c], wire)
+        R.icur = attach(g, R.icur, d, wire)
 
 
 def tail_step(g, R):
@@ -308,7 +358,7 @@ def power_of_two(R):
 
 def grow_chain(g, R, wire):
     """One more node at the head end of the chain, wired at TAIL to the
-    old head; returns how many index bits it holds.
+    old head.
 
     The first node is the tail, holding one bit, and every later one
     holds a pair.  The first two nodes carry block 1's counter; walk
@@ -318,11 +368,10 @@ def grow_chain(g, R, wire):
     head = R.c_head
     if head is None:
         R.c_head = R.walk = g.create_node(_SEED_TAIL)
-        return 1
+        return
     R.c_head = node = g.create_node(CHAIN0 if R.walk is None else _SEED_MARK)
     wire(g, node, TAIL, head)
     R.walk = None
-    return 2
 
 
 def next_block(R):
@@ -334,26 +383,28 @@ def next_block(R):
     R.last_zero = None
     R.icur = ANCHOR
     R.f_ifresh = None
+    R.f_lo = None
 
 
 def build(registers, graph_factory, cadence, wire, close, x_field,
           on_node=None):
     """The recognizer Program: the block section both machines share,
-    then the phase table x_field from the first '#' on.
+    then the x field, entered by x_field (a field's enter), from the
+    first '#' on.
 
     registers must start with SKELETON_REGISTERS.  Three hooks hold what
     differs between the machines: wire(g, a, port, b) makes port of a
     lead to b, for every trie child and chain node (attach, grow_chain);
     close(g, R) runs at each block's end, with icur on the block's index
     leaf and vt_cur on its value leaf; and on_node(g, R, c), if given,
-    runs after each walk node's index levels.
+    runs after each walk node's index level.
 
     Block 0 grows the chain instead of walking it: its first symbol
-    appends the tail and one index level, every later symbol and its '@'
-    a pair and two levels.  No root has a child yet, so the index path
-    only creates, and on_start sets the value path's fresh flag.  A later
-    block's symbol takes one walk node and its index levels (two at a
-    pair, index_levels); the boundary symbol takes the tail, and a walk
+    appends the tail, every later symbol and its '@' a pair, and each
+    one index level on digit 0.  No root has a child yet, so the index
+    path only creates, and on_start sets the value path's fresh flag.  A
+    later block's symbol takes one walk node and its index level
+    (index_level); the boundary symbol takes the tail, and a walk
     that ends early or late is a block-length mismatch and rejects as
     pacing.  Each block symbol also descends the value trie one level on
     its bit, and each boundary re-roots the value path and then re-arms
@@ -368,8 +419,8 @@ def build(registers, graph_factory, cadence, wire, close, x_field,
     probes: above the current index's lowest set bit it follows the
     previous index's path (1 a level) and from that bit on it creates (2
     a level), since no smaller index holds those bits.  So a block-0
-    symbol costs at most chain append 2 + two index levels 2 + 2 + value
-    2 = 8; the first appends the tail, unwired, and one level, 5.
+    symbol costs at most chain append 2 + index level 2 + value 2 = 6;
+    the first appends the tail, unwired, for 5.
     """
     def descend(g, R, bit):
         node = R.vt_cur
@@ -382,8 +433,8 @@ def build(registers, graph_factory, cadence, wire, close, x_field,
         R.vt_cur = attach(g, node, bit, wire)
 
     def grow(g, R):
-        for _ in range(grow_chain(g, R, wire)):
-            R.icur = attach(g, R.icur, ZERO, wire)
+        grow_chain(g, R, wire)
+        R.icur = attach(g, R.icur, ZERO, wire)
 
     def close_block(g, R):
         close(g, R)
@@ -404,7 +455,7 @@ def build(registers, graph_factory, cadence, wire, close, x_field,
         c = walk_step(g, R)
         if R.walk is None:
             return REJ_PACING  # the tail belongs to the boundary
-        index_levels(g, R, c, wire)
+        index_level(g, R, c, wire)
         if on_node is not None:
             on_node(g, R, c)
         descend(g, R, bit)
@@ -416,7 +467,7 @@ def build(registers, graph_factory, cadence, wire, close, x_field,
             return REJ_PACING
         if wrapped(R):
             return REJ_FORMAT  # more than 2^w blocks
-        index_levels(g, R, c, wire)
+        index_level(g, R, c, wire)
         if on_node is not None:
             on_node(g, R, c)
         close_block(g, R)
@@ -428,12 +479,12 @@ def build(registers, graph_factory, cadence, wire, close, x_field,
             return REJ_PACING
         if not power_of_two(R):
             return REJ_FORMAT
-        index_levels(g, R, c, wire)
+        index_level(g, R, c, wire)
         if on_node is not None:
             on_node(g, R, c)
         close(g, R)
         R.icur = skip_pad(g, R, ANCHOR)
-        R.phase = x_field
+        x_field(R)
         return None
 
     def on_start(g, R):

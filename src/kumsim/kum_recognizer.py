@@ -7,18 +7,21 @@ and independent of n).
 
 Storage layout, all grown incrementally while reading:
 
-  index trie     binary trie of depth w = 2k + 1 keyed by padded block
-                 index; the leaf for index i links through its val port
-                 to the val port of i's leaf in the per-value trie below.
-                 The root is the graph's initial node.  Depth w rather
-                 than n lets the machine start building before it can
-                 know n: w is determined by the first block alone, and
-                 the two candidate n (2k and 2k + 1) share the trie with
-                 pads resolving the even case.
+  index trie     radix-4 trie of depth k + 1 keyed by the block index
+                 padded to w = 2k + 1 bits: the root level is its top
+                 bit alone and every later level a digit of two
+                 (gadgets); the leaf for index i links through its val
+                 port to the val port of i's leaf in the per-value trie
+                 below.  The root is the graph's initial node.  Width w
+                 rather than n lets the machine start building before it
+                 can know n: w is determined by the first block alone,
+                 and the two candidate n (2k and 2k + 1) share the trie,
+                 whose root level is a pad bit 0 in the even case.
   value trie     binary trie of depth k with one leaf per distinct block
                  value.  Below each leaf hangs a per-value index trie of
-                 depth w holding exactly the indices carrying that value,
-                 each completed path's last node colored mark.
+                 the index trie's shape holding exactly the indices
+                 carrying that value, each completed path's last node
+                 colored mark.
   counter chain  one chain of k + 1 nodes driven by the gadgets module:
                  the tail holds one bit of the block index and every
                  other node two, and each node's color packs its bits of
@@ -27,70 +30,70 @@ Storage layout, all grown incrementally while reading:
                  decodes.
 
 Per block symbol the machine runs gadgets.build's block section (one
-counter walk node, its index levels and a value-trie level, each priced
+counter walk node, its index level and a value-trie level, each priced
 there) and, as its on_node hook, extends the per-value path for the
-previous index i - 1 two levels, from the pair gadgets.prev_pair decodes
-off the same node, most significant first.  Write s for i's lowest set
-bit.  The per-value path first creates only where i - 1 holds 1: where
-it holds 0, an earlier index of the same value sharing the bits above
-holds 0 there too, so the node exists if any such index does.  A value
-leaf created in this block has an empty per-value trie; the per-value
-fresh flag f_pvfresh inherits the value path's at the block's end, so
-that path is fresh from its first level and never pays 3.  Two levels
-cost at most 5 (create on hi, then fresh), and 4 where i - 1 holds 0 on
-hi (1 + 3 or 2 + 2).  A block symbol (walk + index + per-value + value)
-costs:
+previous index i - 1 one level, on the digit gadgets.digit makes of the
+pair gadgets.prev_pair decodes off the same node and the lo bit carried
+in f_pvlo.  A per-value level costs 1 when the child exists, 3 when the
+probe finds none and creates it, and 2 on a fresh path.  A value leaf
+created in this block has an empty per-value trie; the per-value fresh
+flag f_pvfresh inherits the value path's at the block's end, so that
+path is fresh from its first level and never probes.  A block symbol
+costs at most walk 3 + index level 2 + per-value level 3 + value 3 =
+11.  Block 0 costs at most 6, and its '@' 4.  A later boundary also
+completes both paths: it marks the previous index's per-value leaf and
+links the previous index leaf, held in prev_leaf since its own
+boundary, to it (2).  For even i the walk's tail costs 5 and the index
+path creates there, 5 + 2 + 3 + 2 = 12, the cadence; for odd i the tail
+costs 3, so 3 + 2 + 3 + 2 = 10, and 11 at the first '#' with its pad
+probe.
 
-  - at a pair below s (i even), which keeps its color: 2 + 4 + 5 + 3;
-  - at the pair holding s on its hi bit, where i - 1 holds 01:
-    3 + 4 + 4 + 3;
-  - at the pair holding s on its lo bit: 3 + 3 + 5 + 3;
-  - at any other pair, above s: 3 + 2 + 5 + 3 = 13;
-
-so at most 14, the cadence.  Block 0 costs at most 8, and its '@' 6.  A
-later boundary also completes both paths: it marks the previous index's
-per-value leaf and links the previous index leaf, held in prev_leaf
-since its own boundary, to it (2).  For even i the walk's tail costs 5
-and the index path creates there, 5 + 2 + 3 + 2 = 12; for odd i the
-tail holds s, where i - 1 holds 0, so 3 + 2 + 2 + 2 = 9, and 10 at the
-first '#' with its pad probe.
-
-After the blocks, x replays its bits into the index trie (descend only:
-a missing branch means x is not a valid index), while the per-value path
-for the final index 2^n - 1, whose usual build slot does not exist, is
-finished on the same symbols.  The last walk left the counter one past
-that index (or, when 2^n is 2^w, all ones with no lowest-set marker,
-which decodes as itself), and a second read of the chain (neighbor and
-get_color, gadgets.read_step) decodes it with prev_pair one node per x
-symbol, which fits since the k + 1 nodes are no more than the n symbols
-of x: read 2 + two levels 5 + x's own index-trie probe 1 = 8, and at the
-tail 2 + 3 + mark and link 2 + 1 = 8.  The second '#' follows val from
-x's index leaf to x's per-value leaf.  The y bits then go through a
-small FIFO queue: each y symbol queues its bit and makes three moves.
-The first w moves climb parent ports from x's per-value leaf to the root
-of b_x's per-value trie, counted by a walk down the counter chain that
-moves on every other climb (f_half says which), so the head counts 1
-climb and every later node 2; the rest drain queued bits down that trie.
-A y symbol costs at most enqueue 2 + 3 x (dequeue 3 + descend 1) = 14,
-and the final '#' makes three more moves, enough since w + n moves fit
-in 3(n + 1).  y is a member index for b_x exactly when the last move
-ends on a marked node with the queue empty.
+After the blocks, x replays its digits into the index trie (descend
+only: a missing branch means x is not a valid index), while the
+per-value path for the final index 2^n - 1, whose usual build slot does
+not exist, is finished on the same symbols.  The last walk left the
+counter one past that index (or, when 2^n is 2^w, all ones with no
+lowest-set marker, which decodes as itself), and a second read of the
+chain (neighbor and get_color, gadgets.read_step) decodes it with
+prev_pair one node per x symbol, which fits since the k + 1 nodes are no
+more than the n symbols of x: read 2 + per-value level 3 + x's own
+index-trie probe 1 = 6, and at the tail 2 + 3 + mark and link 2 + 1 =
+8.  The second '#' follows val from x's index leaf to x's per-value
+leaf, and for even n queues the pad's digit 0 (2).  The y digits then
+go through a small FIFO queue, each node colored as a chain pair holding
+its digit: each y symbol queues the digit it completes, if any, and
+then either climbs two parent ports from x's per-value leaf toward the
+root of b_x's per-value trie, while a walk down the counter chain, one
+node a climb, counts the k + 1 levels, or, once that walk has ended,
+drains one queued digit down that trie.  A y symbol costs at most
+enqueue 2 + two climbs 4 = 6, or enqueue 2 + dequeue 3 + descend 1 = 6,
+and the final '#' drains one more digit and reads the color, 5.  The
+queue empties in time, and its length depends on n alone: the climbs
+end on y's symbol c = ceil((k + 1) / 2) with at most c / 2 + 1 digits
+queued, none drained; after it a lo bit queues one digit and drains
+one, and a hi bit or the final '#' drains one, and for k >= 3 the
+n - c >= 2k - c later symbols hold at least c / 2 hi bits (smaller n
+are run in the tests).  y is a member index for b_x exactly when the
+last move ends on a marked node with the queue empty.
 
 Every edge but a val link is made by _wire, build's wire hook, which
 links a port of one node to the parent port of the other.  So no node
-uses more than DEGREE_BOUND = 3 ports.  A trie node uses parent, left
-and right; an index leaf and a per-value leaf use parent and val; a
-chain or queue node uses right, toward the tail or the back, and parent,
-from the node above or in front; the roots have no parent.
+uses more than DEGREE_BOUND = 5 ports, and from n = 2 on a node one
+level below the index trie's root uses all five.  A trie node uses
+parent and a child port per digit; an index leaf and a per-value leaf
+use parent and val; a chain or queue node uses c1, toward the tail or
+the back, and parent, from the node above or in front; the roots have
+no parent.  Val keeps a port of its own, off the child ports the fields
+descend, so no field walks from one trie into the other.
 Two tries share a node only at a value leaf, which roots its per-value
-trie on the same left and right ports, so it must have no value-trie
-children.  Block 0 descends the value trie k times, and a later block
-only while its walk has not reached the tail, at most k times; a
-per-value trie is rooted only at block 0's '@' or at a boundary whose
-walk ended on the tail, after exactly k descends.  So only value leaves
-of depth k, which have no value-trie children, root one.  Likewise a val
-link is made only at such a boundary or in x, on an index leaf and a
-per-value leaf of depth w, neither of which has children.
+trie on child ports, so it must have no value-trie children.  Block 0
+descends the value trie k times, and a later block only while its walk
+has not reached the tail, at most k times; a per-value trie is rooted
+only at block 0's '@' or at a boundary whose walk ended on the tail,
+after exactly k descends.  So only value leaves of depth k, which have
+no value-trie children, root one.  Likewise a val link is made only at
+such a boundary or in x, on an index leaf and a per-value leaf of depth
+k + 1, neither of which has children.
 
 n = 1 has empty blocks, so the first symbol is already the '@' boundary
 and the walk degenerates to its single tail position; '@#x#y#' accepts
@@ -100,28 +103,28 @@ for all four bit pairs because both blocks are the empty string.
 from __future__ import annotations
 
 from .engine import ModelKind, new_graph
-from .gadgets import (ANCHOR, DONE, MARK, PALETTE, REJ_FORMAT,
-                      SKELETON_REGISTERS, TAIL, attach, build, field_tick,
-                      phase, prev_pair, read_step, skip_pad)
+from .gadgets import (ANCHOR, CHAIN0, DONE, MARK, PALETTE, REJ_FORMAT,
+                      SKELETON_REGISTERS, TAIL, ZERO, attach, build, digit,
+                      field, field_tick, prev_pair, read_step)
 
-# After the child ports, left for bit 0 and right for bit 1, which is
-# also the tail-ward port of a chain or queue node (gadgets.TAIL).
-PARENT, VAL = 2, 3
+# After the child ports c0 to c3, one per digit, of which c1 is also the
+# tail-ward port of a chain or queue node (gadgets.TAIL).
+PARENT, VAL = 4, 5
 
-PORTS = ("left", "right", "parent", "val")
-DEGREE_BOUND = 3
+PORTS = ("c0", "c1", "c2", "c3", "parent", "val")
+DEGREE_BOUND = 5
 
 # Worst primitive count of any single symbol handler, measured over the
 # exhaustive short-string sweep and the generated corpus, and equal to
-# the hand count in the module docstring (a later-block symbol at or
-# below the index's lowest set bit). The driver pads every symbol to this.
-KUM_CADENCE = 14
+# the hand count in the module docstring (the '@' that closes an even
+# block index). The driver pads every symbol to this.
+KUM_CADENCE = 12
 
 REGISTERS = SKELETON_REGISTERS + (
     "pv_cur",     # per-value index trie cursor
     "prev_leaf",  # index leaf whose per-value leaf is being built
-    "q_front", "q_back",  # FIFO of pending y bits
-    "f_half",     # set while the y walk's node has one climb left to count
+    "q_front", "q_back",  # FIFO of pending y digits
+    "f_pvlo",     # the lo bit the per-value path carries to its next level
     "f_pvfresh",  # set while the per-value path runs through nodes it created
 )
 
@@ -131,8 +134,10 @@ def _wire(g, a, port, b):
     g.link(a, port, b, PARENT)
 
 
-def _enqueue(g, R, bit):
-    node = g.create_node(bit)
+def _enqueue(g, R, d):
+    # a queued digit is colored as a chain pair holding it: as color d,
+    # digits 2 and 3 would read as blank and mark
+    node = g.create_node(CHAIN0 + d)
     if R.q_back is None:
         R.q_front = node
     else:
@@ -142,7 +147,7 @@ def _enqueue(g, R, bit):
 
 def _dequeue(g, R):
     front = R.q_front
-    bit = g.get_color(front)
+    d = g.get_color(front) - CHAIN0
     nxt = g.neighbor(front, TAIL)
     if nxt is None:
         R.q_front = None
@@ -150,32 +155,29 @@ def _dequeue(g, R):
     else:
         g.unlink(front, TAIL)
         R.q_front = nxt
-    return bit
+    return d
 
 
-def _pv_step(g, R, bit):
-    """One per-value level down along bit, as gadgets.build descends the
+def _pv_step(g, R, d):
+    """One per-value level down on digit d, as gadgets.build descends the
     value trie."""
     node = R.pv_cur
     if R.f_pvfresh is None:
-        child = g.neighbor(node, bit)
+        child = g.neighbor(node, d)
         if child is not None:
             R.pv_cur = child
             return
         R.f_pvfresh = ANCHOR
-    R.pv_cur = attach(g, node, bit, _wire)
+    R.pv_cur = attach(g, node, d, _wire)
 
 
-def _prev_levels(g, R, c):
-    """The previous index's per-value path through the chain node of
-    color c: two levels at a pair; at the tail its last level, whose leaf
-    is then marked and linked to prev_leaf."""
-    hi, lo = prev_pair(R, c)
-    if R.walk is not None:
-        _pv_step(g, R, hi)
-        _pv_step(g, R, lo)
-    else:
-        _pv_step(g, R, lo)
+def _prev_level(g, R, c):
+    """The previous index's per-value level at the chain node of color c;
+    at the tail its last level, whose leaf is then marked and linked to
+    prev_leaf."""
+    d, R.f_pvlo = digit(R, *prev_pair(R, c), R.f_pvlo)
+    _pv_step(g, R, d)
+    if R.walk is None:
         g.set_color(R.pv_cur, MARK)
         g.link(R.prev_leaf, VAL, R.pv_cur, VAL)
 
@@ -189,16 +191,18 @@ def _hold_leaves(g, R):
     R.prev_leaf = R.icur
     R.pv_cur = R.vt_cur
     R.f_pvfresh = R.f_vtfresh
+    R.f_pvlo = None
     R.walk = R.c_head
     R.f_ifresh = None
 
 
-def x_tick(g, R, bit):
-    """x symbol: descend the index trie; finish the last per-value path."""
+def x_tick(g, R, d):
+    """x bit: descend the index trie on a digit; finish the last
+    per-value path."""
     c = read_step(g, R)
     if c is not None:
-        _prev_levels(g, R, c)
-    return field_tick(g, R, bit)
+        _prev_level(g, R, c)
+    return field_tick(g, R, d)
 
 
 def x_end(g, R, _bit):
@@ -209,39 +213,34 @@ def x_end(g, R, _bit):
         return REJ_FORMAT  # x shorter than n
     R.pv_cur = leaf
     R.walk = R.c_head
-    R.f_half = ANCHOR  # the head counts one climb, as if it were the tail
-    R.phase = Y_FIELD
+    if R.f_past is not None:  # even n: the pad's digit goes first
+        _enqueue(g, R, ZERO)
+    Y_FIELD(R)
     return None
 
 
 def _y_moves(g, R):
-    """Three moves: climb one level toward b_x's value leaf while the
-    chain walk lasts, then drain one queued bit down b_x's trie.
-
-    The walk moves on every other climb, so the head counts 1 climb and
-    every later node 2: w climbs in all.
-    """
-    for _ in range(3):
-        if R.walk is not None:
+    """One symbol's moves: climb two levels toward b_x's value leaf while
+    the chain walk, one node a level, lasts; once it has ended, drain one
+    queued digit down b_x's trie."""
+    if R.walk is not None:
+        for _ in range(2):
             R.pv_cur = g.neighbor(R.pv_cur, PARENT)
-            if R.f_half is None:
-                R.f_half = ANCHOR
-                continue
-            R.f_half = None
             R.walk = g.neighbor(R.walk, TAIL)
             if R.walk is None:
-                R.pv_cur = skip_pad(g, R, R.pv_cur)
-        elif R.q_front is not None:
-            child = g.neighbor(R.pv_cur, _dequeue(g, R))
-            if child is None:
-                return REJ_FORMAT  # no index with value b_x continues so
-            R.pv_cur = child
+                break
+    elif R.q_front is not None:
+        child = g.neighbor(R.pv_cur, _dequeue(g, R))
+        if child is None:
+            return REJ_FORMAT  # no index with value b_x continues so
+        R.pv_cur = child
     return None
 
 
-def y_tick(g, R, bit):
-    """y symbol: queue the bit, then three moves."""
-    _enqueue(g, R, bit)
+def y_tick(g, R, d):
+    """y bit: queue the digit it completes, then move."""
+    if d is not None:
+        _enqueue(g, R, d)
     return _y_moves(g, R)
 
 
@@ -255,8 +254,8 @@ def finalize(g, R, _bit):
     return None
 
 
-X_FIELD = phase(x_tick, on_hash=x_end)
-Y_FIELD = phase(y_tick, on_hash=finalize)
+X_FIELD = field(x_tick, x_end)
+Y_FIELD = field(y_tick, finalize)
 
 
 def _graph_factory():
@@ -266,4 +265,4 @@ def _graph_factory():
 def build_kum_recognizer(cadence=KUM_CADENCE):
     """Recognizer program; cadence=None disables padding (measurement)."""
     return build(REGISTERS, _graph_factory, cadence, wire=_wire,
-                 close=_hold_leaves, x_field=X_FIELD, on_node=_prev_levels)
+                 close=_hold_leaves, x_field=X_FIELD, on_node=_prev_level)

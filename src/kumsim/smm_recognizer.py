@@ -7,12 +7,14 @@ blocks are equal exactly when their representatives are the same node.
 
 Layout:
 
-  index trie   trie of depth w = 2k + 1 over directions l/r keyed by the
-               padded block index, rooted at the initial node.  Leaf i
-               points through v at the representative of block value b_i.
-  value trie   trie of depth k over the block bits, one leaf per distinct
-               value, used only to find the representative again when a
-               later block repeats the value.
+  index trie   radix-4 trie of depth k + 1 over directions c0 to c3 keyed
+               by the block index padded to w = 2k + 1 bits (its top bit
+               alone, then digits; gadgets), rooted at the initial node.
+               Leaf i points through v at the representative of block
+               value b_i.
+  value trie   binary trie of depth k over the block bits, one leaf
+               per distinct value, used only to find the representative
+               again when a later block repeats the value.
   reps         one dedicated node per distinct value, pointed at by the
                v pointer of every index leaf carrying that value and by
                nothing else, so its in-degree is exactly the number of
@@ -25,41 +27,40 @@ Layout:
                bounded-degree model cannot have.
 
 Per block symbol the machine runs gadgets.build's block section alone:
-one counter walk node, whose pair feeds two index-trie levels, and one
-value-trie level on the input bit, each priced there.  Two index levels
-cost at most 4, at the pair holding the index's lowest set bit on its
-hi bit, where the walk rewrites the node (3), so a block symbol costs at
-most walk 3 + index 4 + descend 3 = 10, the cadence.  Block 0 costs at
-most 8.  A chain node needs just its tail-ward pointer, since the walk
-only goes from head to tail; it and every trie pointer are set by
-_wire, build's wire hook.  Binding the representative at a block's
+one counter walk node, one index-trie level and one value-trie level on
+the input bit, each priced there, so a block symbol costs at most walk
+3 + index level 2 + descend 3 = 8.  Block 0 costs at most 6.  A chain
+node needs just its tail-ward pointer, since the walk only goes from
+head to tail; it and every trie pointer are set by _wire, build's wire
+hook.  Binding the representative at a block's
 end costs 3: a value leaf created in this block has no carrier, so the
 rep is made without probing for one.  A boundary for even i costs the
-walk's tail 5 + create 2 (the tail lies below i's lowest set bit) + 3 =
-10; for odd i, where the tail holds that bit, 3 + 2 + 3 = 8, and 9 at
-the first '#' with its pad probe.  No per-value tries, no queue.
+walk's tail 5 + create 2 (the tail's digit holds or lies below i's
+lowest set bit) + 3 = 10, the cadence; for odd i, where the tail holds
+that bit, 3 + 2 + 3 = 8, and 9 at the first '#' with its pad probe.  No
+per-value tries, no queue.
 
-x and y each descend the index trie one level per symbol (after eating
-the pad branch when n is even); the second '#' banks x's representative
-in a register and the final '#' compares it with y's by node identity.
+x and y each descend the index trie one level per digit, on the symbol
+that completes it (after eating the pad branch when n is even); the
+second '#' banks x's representative in a register and the final '#'
+compares it with y's by node identity.
 """
 
 from __future__ import annotations
 
 from .engine import ModelKind, new_graph
 from .gadgets import (ANCHOR, BLANK, DONE, PALETTE, REJ_FORMAT,
-                      SKELETON_REGISTERS, build, field_tick, phase, skip_pad)
+                      SKELETON_REGISTERS, build, field, field_tick, skip_pad)
 
-# After the child directions, l for bit 0 and r for bit 1, which is also
-# a chain node's tail-ward pointer (gadgets.TAIL).
-V = 2
+# After the child directions c0 to c3, one per digit, of which c1 is
+# also a chain node's tail-ward pointer (gadgets.TAIL).
+V = 4
 
-DIRECTIONS = ("l", "r", "v")
+DIRECTIONS = ("c0", "c1", "c2", "c3", "v")
 
-# Worst primitive count of any single symbol handler, a later-block
-# symbol whose pair holds the index's lowest set bit on its hi bit, as
-# counted by hand in the module docstring.  Measured over the same
-# corpus as the other machine.
+# Worst primitive count of any single symbol handler, the '@' that
+# closes an even block index, as counted by hand in the module
+# docstring.  Measured over the same corpus as the other machine.
 SMM_CADENCE = 10
 
 REGISTERS = SKELETON_REGISTERS + (
@@ -95,7 +96,7 @@ def smm_x_end(g, R, _bit):
         return REJ_FORMAT  # x shorter than n
     R.rep_x = rep
     R.icur = skip_pad(g, R, ANCHOR)
-    R.phase = Y_FIELD
+    Y_FIELD(R)
     return None
 
 
@@ -109,8 +110,8 @@ def smm_finalize(g, R, _bit):
     return None
 
 
-X_FIELD = phase(field_tick, on_hash=smm_x_end)
-Y_FIELD = phase(field_tick, on_hash=smm_finalize)
+X_FIELD = field(field_tick, smm_x_end)
+Y_FIELD = field(field_tick, smm_finalize)
 
 
 def _graph_factory():

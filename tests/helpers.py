@@ -9,25 +9,25 @@ import dataclasses
 
 from kumsim import gadgets
 from kumsim.engine import StorageGraph
-from kumsim.gadgets import BLANK, ONE, TAIL, ZERO
+from kumsim.gadgets import BLANK, TAIL
 from kumsim.runtime import register_class
 
+# Child ports 0 to 3, one per digit, on both machines.
+CHILD_PORTS = range(4)
 
-def levels(g, root):
-    """Breadth-first trie layout: list of node lists, index = depth."""
+
+def levels(g, root, depth):
+    """Breadth-first trie layout down to depth: list of node lists, index
+    = depth.  It follows child ports 0 to 3 alone and stops at depth, so
+    it never leaves the trie through a leaf's other links."""
     out = [[root]]
-    frontier = [root]
-    while True:
-        nxt = []
-        for node in frontier:
-            for port in (ZERO, ONE):
-                child = g.neighbor(node, port)
-                if child is not None:
-                    nxt.append(child)
+    for _ in range(depth):
+        nxt = [child for node in out[-1] for port in CHILD_PORTS
+               if (child := g.neighbor(node, port)) is not None]
         if not nxt:
-            return out
+            break
         out.append(nxt)
-        frontier = nxt
+    return out
 
 
 def chain_bits(g, head, hi, lo):
@@ -129,9 +129,9 @@ class WasteCountingGraph(StorageGraph):
 
     noop_writes counts set_color calls that write the color the node
     already has.  empty_probes counts neighbor probes of a child port (0
-    or 1 on both machines) of a trie node (BLANK, or the initial node, the
-    index trie's root) whose child ports are both empty.  Counting reads
-    the graph's own columns and costs no steps.
+    to 3 on both machines) of a trie node (BLANK, or the initial node, the
+    index trie's root) none of whose child ports is occupied.  Counting
+    reads the graph's own columns and costs no steps.
     """
 
     __slots__ = ("noop_writes", "empty_probes")
@@ -145,9 +145,9 @@ class WasteCountingGraph(StorageGraph):
 
     def neighbor(self, a, p):
         v = StorageGraph.neighbor(self, a, p)
-        if p in (ZERO, ONE) and (a == 0 or self._color[a] == BLANK):
+        if p in CHILD_PORTS and (a == 0 or self._color[a] == BLANK):
             row = a * self._nports
-            if self._adj[row + ZERO] < 0 and self._adj[row + ONE] < 0:
+            if all(self._adj[row + q] < 0 for q in CHILD_PORTS):
                 self.empty_probes += 1
         return v
 

@@ -328,7 +328,7 @@ def _structure_corpus():
         rng = random.Random(0xACC5 + n)
         insts = [blocklang.gen_positive(n, rng) for _ in range(19)]
         insts.append(blocklang.gen_all_equal(n))
-        w = 2 * (n // 2) + 1  # counter pad width, also index trie depth
+        depth = n // 2 + 1  # index trie: the root's bit, then k digits
         for inst in insts:
             s = blocklang.encode(inst)
             cut = s.index("#", s.index("#") + 1)  # closes the x field
@@ -336,14 +336,15 @@ def _structure_corpus():
             for ch in s[:cut + 1]:
                 assert r.feed(ch) is None, (n, s)
             g = r.graph
-            idx = helpers.levels(g, 0)
-            assert len(idx[w]) == 2 ** n, (n, len(idx[w]))
-            assert all(g.neighbor(leaf, VAL) is not None for leaf in idx[w])
-            vlv = helpers.levels(g, r.registers.vroot)
+            idx = helpers.levels(g, 0, depth)
+            assert len(idx[depth]) == 2 ** n, (n, len(idx[depth]))
+            assert all(g.neighbor(leaf, VAL) is not None
+                       for leaf in idx[depth])
+            vlv = helpers.levels(g, r.registers.vroot, inst.k)
             assert len(vlv[inst.k]) == len(set(inst.blocks)), (n, s)
             marks = helpers.count_color(g, MARK)
             assert marks == 2 ** n, (n, marks)
-            h.update(repr((s[:cut + 1], len(idx[w]), len(vlv[inst.k]),
+            h.update(repr((s[:cut + 1], len(idx[depth]), len(vlv[inst.k]),
                            marks, g.graph_stats()["max_degree"])).encode())
             checked += 1
     return {"checked": checked, "fingerprint": h.hexdigest()}

@@ -75,7 +75,8 @@ def test_register_file_fits():
 def test_counter_chain_at_every_boundary(n):
     # the chain is w = 2k + 1 long; at the boundary that opens block i it
     # holds i as the current index, and i - 1 decodes from its markers
-    w = 2 * (n // 2) + 1
+    k = n // 2
+    w = 2 * k + 1
     s = blocklang.encode(blocklang.gen_positive(n, random.Random(n)))
     r = Runner(PROG)
     i = 0
@@ -91,7 +92,7 @@ def test_counter_chain_at_every_boundary(n):
         assert helpers.chain_bits(g, R.c_head, CUR_HI, CUR_LO) == \
             format(i, "0%db" % w), (n, i)
         if i == 1:  # the all-zero index path exists to full depth
-            assert len(helpers.levels(g, 0)) == w + 1
+            assert len(helpers.levels(g, 0, k + 2)) == k + 2
     assert i == 2 ** n - 1
     assert r.finish().verdict.accepted
 
@@ -103,17 +104,17 @@ def test_structure_counts_after_accepting_run():
     res = run(PROG, s)
     assert res.verdict.accepted
     g = res.graph
-    w = inst.n + 1  # even n carries a pad level
-    lv = helpers.levels(g, 0)
-    assert len(lv) == w + 1
-    assert len(lv[w]) == 2 ** inst.n  # one index leaf per block
+    depth = inst.k + 1  # the root's bit (a pad for even n), then k digits
+    lv = helpers.levels(g, 0, depth + 1)
+    assert len(lv) == depth + 1  # and no level below the leaves
+    assert len(lv[depth]) == 2 ** inst.n  # one index leaf per block
     # every index leaf and its marked per-value leaf link val to val
-    for leaf in lv[w]:
+    for leaf in lv[depth]:
         pv_leaf = g.neighbor(leaf, VAL)
         assert g.get_color(pv_leaf) == MARK
         assert g.neighbor(pv_leaf, VAL) == leaf
     # value trie has one leaf per distinct block value
-    vlv = helpers.levels(g, res.registers.vroot)
+    vlv = helpers.levels(g, res.registers.vroot, inst.k)
     assert len(vlv[inst.k]) == len(set(inst.blocks))
     # one marked per-value leaf per index
     assert helpers.count_color(g, MARK) == 2 ** inst.n

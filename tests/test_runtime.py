@@ -379,8 +379,9 @@ def test_trace_retains_at_most_16_bytes_per_symbol(build):
 @pytest.mark.parametrize("build, bound", [(build_kum_recognizer, 80),
                                           (build_smm_recognizer, 70)])
 def test_graph_retains_few_bytes_per_node(build, bound):
-    """Colors, degrees and KUM far-side ports take a byte each per node and
-    port (lists of ints would take about 116 (KUM) and 78 (SMM) bytes)."""
+    """Port entries are 4-byte machine ints and colors and degrees a byte
+    each per node (lists of ints would take about 116 (KUM) and 78 (SMM)
+    bytes)."""
     prog = build()
     word = encode(gen_positive(10, random.Random(4)))
     tracemalloc.start()

@@ -79,15 +79,15 @@ def test_value_sharing_by_pointer_identity():
     res = run(PROG, s)
     assert res.verdict.accepted
     g = res.graph
-    lv = helpers.levels(g, 0)
-    w = 3
-    assert len(lv[w]) == 4
-    reps = [g.neighbor(leaf, V) for leaf in lv[w]]
+    depth = 2  # the root's pad bit, then k = 1 digit
+    lv = helpers.levels(g, 0, depth)
+    assert len(lv[depth]) == 4
+    reps = [g.neighbor(leaf, V) for leaf in lv[depth]]
     assert all(r is not None for r in reps)
     assert len(set(reps)) == 2
     for rep in set(reps):
         assert g.in_degree(rep) == reps.count(rep) == 2
-    vlv = helpers.levels(g, res.registers.vroot)
+    vlv = helpers.levels(g, res.registers.vroot, 1)
     assert len(vlv[1]) == 2  # k = 1
     # balanced values: no node concentrates more than two in-edges
     assert res.stats["max_in_degree"] == 2

@@ -76,8 +76,8 @@ def _segment_maxima(build):
 
 
 @pytest.mark.parametrize("build, cadence, want", [
-    (build_kum_recognizer, KUM_CADENCE, (8, 14, 12, 8, 14)),
-    (build_smm_recognizer, SMM_CADENCE, (8, 10, 10, 2, 2)),
+    (build_kum_recognizer, KUM_CADENCE, (6, 11, 12, 8, 6)),
+    (build_smm_recognizer, SMM_CADENCE, (6, 8, 10, 2, 2)),
 ], ids=["kum", "smm"])
 def test_per_segment_work_maxima(build, cadence, want):
     top = _segment_maxima(build)
