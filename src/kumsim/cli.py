@@ -84,21 +84,26 @@ def cmd_gen(args):
     return 0
 
 
-def cmd_run(args):
+def _oracle_verdict(s):
+    return "accept" if blocklang.member(s) else "reject"
+
+
+def _each_line(args, row, oracle_row):
+    """run and stats: one output line per input line, row(result) of the
+    machine's run on it, or oracle_row(line) for the oracle."""
     lines = _read_lines(args.input)
-    out = []
     if args.machine == "oracle":
-        for s in lines:
-            verdict = "accept" if blocklang.member(s) else "reject"
-            out.append("%s\t0\t0" % verdict)
+        out = [oracle_row(s) for s in lines]
     else:
         prog = MACHINES[args.machine]()
-        for s in lines:
-            res = run(prog, s)
-            out.append("%s\t%d\t%d" % (res.verdict, res.trace.total_steps,
-                                       max_gap(res.trace)))
+        out = [row(run(prog, s)) for s in lines]
     _emit(args.output, "".join(line + "\n" for line in out))
     return 0
+
+
+def _run_row(res):
+    return "%s\t%d\t%d" % (res.verdict, res.trace.total_steps,
+                           max_gap(res.trace))
 
 
 def cmd_profile(args):
@@ -115,9 +120,8 @@ def cmd_profile(args):
             for _ in range(args.per_n):
                 s = _gen_line(n, args.kind, rng)
                 if prog is None:
-                    verdict = "accept" if blocklang.member(s) else "reject"
                     rows.append("%d,%d,%s,0,0,0.000000,0,0,0"
-                                % (n, len(s), verdict))
+                                % (n, len(s), _oracle_verdict(s)))
                     continue
                 res = run(prog, s)
                 if res.verdict.accepted != blocklang.member(s):
@@ -191,26 +195,17 @@ def cmd_fuzz(args):
     return 0
 
 
-def cmd_stats(args):
-    lines = _read_lines(args.input)
-    out = []
-    if args.machine == "oracle":
-        out = ["{}"] * len(lines)
-    else:
-        prog = MACHINES[args.machine]()
-        for s in lines:
-            res = run(prog, s)
-            out.append(json.dumps(res.stats, sort_keys=True))
-    _emit(args.output, "".join(line + "\n" for line in out))
-    return 0
-
-
 def _build_parser():
     p = argparse.ArgumentParser(
         prog="kumsim",
         description="Pointer-machine recognizers for the block-lookup "
                     "language: generate, run, profile, fuzz.")
     sub = p.add_subparsers(dest="command", required=True)
+    # run, profile and stats share the machine selector and output path
+    common = argparse.ArgumentParser(add_help=False)
+    common.add_argument("--machine", choices=("kum", "smm", "oracle"),
+                        default="kum")
+    common.add_argument("-o", "--output", default="-", metavar="PATH")
 
     g = sub.add_parser("gen", help="generate instance lines")
     g.add_argument("n", type=int, help="index length of the instances")
@@ -220,16 +215,14 @@ def _build_parser():
     g.add_argument("-o", "--output", default="-", metavar="PATH")
     g.set_defaults(func=cmd_gen)
 
-    r = sub.add_parser("run", help="run a machine over input lines")
+    r = sub.add_parser("run", parents=[common],
+                       help="run a machine over input lines")
     r.add_argument("input", help="file path or - for stdin")
-    r.add_argument("--machine", choices=("kum", "smm", "oracle"),
-                   default="kum")
-    r.add_argument("-o", "--output", default="-", metavar="PATH")
-    r.set_defaults(func=cmd_run)
+    r.set_defaults(func=lambda args: _each_line(
+        args, _run_row, lambda s: "%s\t0\t0" % _oracle_verdict(s)))
 
-    pr = sub.add_parser("profile", help="CSV timing/stats over an n range")
-    pr.add_argument("--machine", choices=("kum", "smm", "oracle"),
-                    default="kum")
+    pr = sub.add_parser("profile", parents=[common],
+                        help="CSV timing/stats over an n range")
     pr.add_argument("--n-min", type=int, default=2)
     pr.add_argument("--n-max", type=int, default=8)
     pr.add_argument("--per-n", type=int, default=5)
@@ -239,7 +232,6 @@ def _build_parser():
                     help="exit 1 if any run's max_gap exceeds C (a "
                          "verdict that disagrees with the oracle exits 1 "
                          "with or without it)")
-    pr.add_argument("-o", "--output", default="-", metavar="PATH")
     pr.set_defaults(func=cmd_profile)
 
     f = sub.add_parser("fuzz", help="differential sweep against the oracle")
@@ -250,12 +242,12 @@ def _build_parser():
     f.add_argument("--max-n", type=int, default=6)
     f.set_defaults(func=cmd_fuzz)
 
-    st = sub.add_parser("stats", help="JSON graph stats per input line")
+    st = sub.add_parser("stats", parents=[common],
+                        help="JSON graph stats per input line")
     st.add_argument("input", help="file path or - for stdin")
-    st.add_argument("--machine", choices=("kum", "smm", "oracle"),
-                    default="kum")
-    st.add_argument("-o", "--output", default="-", metavar="PATH")
-    st.set_defaults(func=cmd_stats)
+    st.set_defaults(func=lambda args: _each_line(
+        args, lambda res: json.dumps(res.stats, sort_keys=True),
+        lambda s: "{}"))
     return p
 
 

@@ -73,8 +73,8 @@ the head.  What differs per model is how a port is wired
 (one symmetric link versus one directed pointer), so each recognizer
 passes build one hook, wire(g, a, port, b), which makes port of a lead
 to b.  The helpers here only probe and recolor existing nodes, except
-attach, grow_chain and build's block section, which grow the chain and
-the tries through wire.
+attach, descend, grow_chain and build's block section, which grow the
+chain and the tries through wire.
 
 Registers used here: c_head is the chain's head; walk is the walk's
 position (None past the tail); f_past is set once the walk has passed
@@ -85,8 +85,10 @@ and f_vtfresh the value path's fresh flag.
 Flags are plain registers holding the anchor node when set and None when
 clear.
 With n even, every index path starts with a pad bit 0 that the x and y
-fields do not carry, so skip_pad starts their walks one level down.  The
-fields arrive a bit a symbol and are read a digit at a time (field).
+fields do not carry, so skip_pad starts x's walk, and the directed
+machine's y walk, one level down; the bounded machine's y instead queues
+the pad's digit 0 at the second '#' (kum_recognizer).  The fields arrive
+a bit a symbol and are read a digit at a time (field).
 """
 
 from __future__ import annotations
@@ -191,13 +193,13 @@ def on_end(g, R):
     return ACCEPT if R.phase is DONE else REJ_TRUNCATED
 
 
-def skip_pad(g, R, root):
-    """Where an x or y walk down the trie at root starts: root itself for
-    odd n (the last block's walk saw no lowest zero), its zero child for
-    even n."""
+def skip_pad(g, R):
+    """Where a field's walk down the index trie starts: its root for odd
+    n (the last block's walk saw no lowest zero), the root's zero child
+    for even n."""
     if R.f_past is None:
-        return root
-    return g.neighbor(root, ZERO)
+        return ANCHOR
+    return g.neighbor(ANCHOR, ZERO)
 
 
 def field(on_bit, on_hash):
@@ -320,6 +322,18 @@ def attach(g, node, port, wire):
     return child
 
 
+def descend(g, R, node, bit, fresh, flag, wire):
+    """node's child at port bit on a trie path whose fresh flag is the
+    register named flag, now holding fresh (see build for the prices).
+    Only the path that probes and then creates sets the flag, by name."""
+    if fresh is None:
+        child = g.neighbor(node, bit)
+        if child is not None:
+            return child
+        setattr(R, flag, ANCHOR)
+    return attach(g, node, bit, wire)
+
+
 def index_level(g, R, c, wire):
     """The current index's level at the node of color c that the walk
     has just reached.
@@ -335,25 +349,6 @@ def index_level(g, R, c, wire):
         R.icur = g.neighbor(R.icur, d)
     else:
         R.icur = attach(g, R.icur, d, wire)
-
-
-def tail_step(g, R):
-    """The boundary symbol's walk node, which must be the tail: its
-    color, or None if the walk does not end here (the block's length
-    differs from block 0's)."""
-    c = walk_step(g, R)
-    return c if R.walk is None else None
-
-
-def wrapped(R):
-    """After a block's walk: current is all ones, so '@' would start
-    block 2^w."""
-    return R.f_past is None
-
-
-def power_of_two(R):
-    """After the last block's walk: current + 1 is 2^w or 2^(w - 1)."""
-    return R.f_past is None or R.f_lead is not None
 
 
 def grow_chain(g, R, wire):
@@ -422,16 +417,6 @@ def build(registers, graph_factory, cadence, wire, close, x_field,
     symbol costs at most chain append 2 + index level 2 + value 2 = 6;
     the first appends the tail, unwired, for 5.
     """
-    def descend(g, R, bit):
-        node = R.vt_cur
-        if R.f_vtfresh is None:
-            child = g.neighbor(node, bit)
-            if child is not None:
-                R.vt_cur = child
-                return
-            R.f_vtfresh = ANCHOR
-        R.vt_cur = attach(g, node, bit, wire)
-
     def grow(g, R):
         grow_chain(g, R, wire)
         R.icur = attach(g, R.icur, ZERO, wire)
@@ -444,7 +429,8 @@ def build(registers, graph_factory, cadence, wire, close, x_field,
 
     def first_tick(g, R, bit):
         grow(g, R)
-        descend(g, R, bit)
+        R.vt_cur = descend(g, R, R.vt_cur, bit, R.f_vtfresh, "f_vtfresh",
+                           wire)
 
     def first_boundary(g, R, _bit):  # fixes w = 2k + 1; the count is 1
         grow(g, R)
@@ -458,15 +444,16 @@ def build(registers, graph_factory, cadence, wire, close, x_field,
         index_level(g, R, c, wire)
         if on_node is not None:
             on_node(g, R, c)
-        descend(g, R, bit)
+        R.vt_cur = descend(g, R, R.vt_cur, bit, R.f_vtfresh, "f_vtfresh",
+                           wire)
         return None
 
     def boundary(g, R, _bit):
-        c = tail_step(g, R)
-        if c is None:
-            return REJ_PACING
-        if wrapped(R):
-            return REJ_FORMAT  # more than 2^w blocks
+        c = walk_step(g, R)
+        if c is None or R.walk is not None:
+            return REJ_PACING  # the walk ends off the tail: block length
+        if R.f_past is None:
+            return REJ_FORMAT  # the counter wrapped: more than 2^w blocks
         index_level(g, R, c, wire)
         if on_node is not None:
             on_node(g, R, c)
@@ -474,16 +461,16 @@ def build(registers, graph_factory, cadence, wire, close, x_field,
         return None
 
     def last_boundary(g, R, _bit):  # the first '#'
-        c = tail_step(g, R)
-        if c is None:
-            return REJ_PACING
-        if not power_of_two(R):
-            return REJ_FORMAT
+        c = walk_step(g, R)
+        if c is None or R.walk is not None:
+            return REJ_PACING  # the walk ends off the tail: block length
+        if R.f_past is not None and R.f_lead is None:
+            return REJ_FORMAT  # the count is neither 2^w nor 2^(w - 1)
         index_level(g, R, c, wire)
         if on_node is not None:
             on_node(g, R, c)
         close(g, R)
-        R.icur = skip_pad(g, R, ANCHOR)
+        R.icur = skip_pad(g, R)
         x_field(R)
         return None
 

@@ -34,19 +34,19 @@ counter walk node, its index level and a value-trie level, each priced
 there) and, as its on_node hook, extends the per-value path for the
 previous index i - 1 one level, on the digit gadgets.digit makes of the
 pair gadgets.prev_pair decodes off the same node and the lo bit carried
-in f_pvlo.  A per-value level costs 1 when the child exists, 3 when the
-probe finds none and creates it, and 2 on a fresh path.  A value leaf
-created in this block has an empty per-value trie; the per-value fresh
-flag f_pvfresh inherits the value path's at the block's end, so that
-path is fresh from its first level and never probes.  A block symbol
-costs at most walk 3 + index level 2 + per-value level 3 + value 3 =
-11.  Block 0 costs at most 6, and its '@' 4.  A later boundary also
-completes both paths: it marks the previous index's per-value leaf and
-links the previous index leaf, held in prev_leaf since its own
-boundary, to it (2).  For even i the walk's tail costs 5 and the index
-path creates there, 5 + 2 + 3 + 2 = 12, the cadence; for odd i the tail
-costs 3, so 3 + 2 + 3 + 2 = 10, and 11 at the first '#' with its pad
-probe.
+in f_pvlo.  A per-value level is one gadgets.descend: 1 when the child
+exists, 3 when the probe finds none and creates it, and 2 on a fresh
+path.  A value leaf created in this block has an empty per-value trie;
+the per-value fresh flag f_pvfresh inherits the value path's at the
+block's end, so that path is fresh from its first level and never
+probes.  A block symbol costs at most walk 3 + index level 2 +
+per-value level 3 + value 3 = 11.  Block 0 costs at most 6, and its
+'@' 4.  A later boundary also completes both paths: it marks the
+previous index's per-value leaf and links the previous index leaf, held
+in prev_leaf since its own boundary, to it (2).  For even i the walk's
+tail costs 5 and the index path creates there, 5 + 2 + 3 + 2 = 12, the
+cadence; for odd i the tail costs 3, so 3 + 2 + 3 + 2 = 10, and 11 at
+the first '#' with its pad probe.
 
 After the blocks, x replays its digits into the index trie (descend
 only: a missing branch means x is not a valid index), while the
@@ -103,8 +103,8 @@ for all four bit pairs because both blocks are the empty string.
 from __future__ import annotations
 
 from .engine import ModelKind, new_graph
-from .gadgets import (ANCHOR, CHAIN0, DONE, MARK, PALETTE, REJ_FORMAT,
-                      SKELETON_REGISTERS, TAIL, ZERO, attach, build, digit,
+from .gadgets import (CHAIN0, DONE, MARK, PALETTE, REJ_FORMAT,
+                      SKELETON_REGISTERS, TAIL, ZERO, build, descend, digit,
                       field, field_tick, prev_pair, read_step)
 
 # After the child ports c0 to c3, one per digit, of which c1 is also the
@@ -158,25 +158,12 @@ def _dequeue(g, R):
     return d
 
 
-def _pv_step(g, R, d):
-    """One per-value level down on digit d, as gadgets.build descends the
-    value trie."""
-    node = R.pv_cur
-    if R.f_pvfresh is None:
-        child = g.neighbor(node, d)
-        if child is not None:
-            R.pv_cur = child
-            return
-        R.f_pvfresh = ANCHOR
-    R.pv_cur = attach(g, node, d, _wire)
-
-
 def _prev_level(g, R, c):
     """The previous index's per-value level at the chain node of color c;
     at the tail its last level, whose leaf is then marked and linked to
     prev_leaf."""
     d, R.f_pvlo = digit(R, *prev_pair(R, c), R.f_pvlo)
-    _pv_step(g, R, d)
+    R.pv_cur = descend(g, R, R.pv_cur, d, R.f_pvfresh, "f_pvfresh", _wire)
     if R.walk is None:
         g.set_color(R.pv_cur, MARK)
         g.link(R.prev_leaf, VAL, R.pv_cur, VAL)

@@ -49,8 +49,8 @@ compares it with y's by node identity.
 from __future__ import annotations
 
 from .engine import ModelKind, new_graph
-from .gadgets import (ANCHOR, BLANK, DONE, PALETTE, REJ_FORMAT,
-                      SKELETON_REGISTERS, build, field, field_tick, skip_pad)
+from .gadgets import (BLANK, DONE, PALETTE, REJ_FORMAT, SKELETON_REGISTERS,
+                      build, field, field_tick, skip_pad)
 
 # After the child directions c0 to c3, one per digit, of which c1 is
 # also a chain node's tail-ward pointer (gadgets.TAIL).
@@ -95,7 +95,7 @@ def smm_x_end(g, R, _bit):
     if rep is None:
         return REJ_FORMAT  # x shorter than n
     R.rep_x = rep
-    R.icur = skip_pad(g, R, ANCHOR)
+    R.icur = skip_pad(g, R)
     Y_FIELD(R)
     return None
 

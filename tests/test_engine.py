@@ -3,11 +3,11 @@
 import tracemalloc
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from kumsim.engine import (
     BadHandle, BadPort, DegreeBoundExceeded, EngineError, ModelKind,
-    ModelMismatch, PortFree, PortOccupied, StorageGraph, UnknownColor,
+    ModelMismatch, PortFree, PortOccupied, UnknownColor,
     new_graph,
 )
 from kumsim.kum_recognizer import build_kum_recognizer
@@ -319,80 +319,155 @@ def test_fork_is_independent():
     assert g.in_degree(a) == 0
 
 
-# -- randomized invariant checks -------------------------------------------
+# -- the engine against a reference model --------------------------------
 
-@st.composite
-def op_scripts(draw):
-    return draw(st.lists(st.tuples(st.integers(0, 6), st.integers(0, 7),
-                                   st.integers(0, 3), st.integers(0, 7),
-                                   st.integers(0, 3)), max_size=60))
+class Reference:
+    """The engine's contract over a dict of edges: a primitive checks its
+    colors, then its handles, then its ports, and raises the engine's
+    error, or it changes the state and costs one step."""
+
+    def __init__(self, g):
+        self.kum, self.bound = g.model is ModelKind.KUM, g.degree_bound
+        self.nports, self.ncolors = len(g.labels), len(g.palette)
+        self.colors, self.edges = [0], {}  # (a, p) -> (b, q); SMM q = 0
+        self.steps = self.max_degree = self.max_in_degree = 0
+
+    def _args(self, handles=(), ports=(), colors=()):
+        for args, limit, error in ((colors, self.ncolors, UnknownColor),
+                                   (handles, len(self.colors), BadHandle),
+                                   (ports, self.nports, BadPort)):
+            for v in args:
+                if type(v) is not int or not 0 <= v < limit:
+                    raise error(v)
+
+    def _step(self, result=None):
+        self.steps += 1
+        _, _, deg, indeg, _, _ = self.state()
+        self.max_degree = max(self.max_degree, *deg)
+        self.max_in_degree = max(self.max_in_degree, *indeg)
+        return result
+
+    def create_node(self, c):
+        self._args(colors=[c])
+        self.colors.append(c)
+        return self._step(len(self.colors) - 1)
+
+    def link(self, a, pa, b, pb):
+        if not self.kum:
+            raise ModelMismatch()
+        self._args([a, b], [pa, pb])
+        if {(a, pa), (b, pb)} & self.edges.keys() or (a, pa) == (b, pb):
+            raise PortOccupied()
+        deg = self.state()[2]
+        if max(deg[a], deg[b]) + 1 + (a == b) > self.bound:
+            raise DegreeBoundExceeded()
+        self.edges[a, pa], self.edges[b, pb] = (b, pb), (a, pa)
+        return self._step()
+
+    def set_pointer(self, a, d, b):
+        if self.kum:
+            raise ModelMismatch()
+        self._args([a, b], [d])
+        self.edges[a, d] = (b, 0)
+        return self._step()
+
+    def unlink(self, a, p):
+        self._args([a], [p])
+        far = self.edges.pop((a, p), None)
+        if far is None:
+            raise PortFree()
+        if self.kum:
+            del self.edges[far]
+        return self._step()
+
+    def neighbor(self, a, p):
+        self._args([a], [p])
+        return self._step(self.edges.get((a, p), (None,))[0])
+
+    def get_color(self, a):
+        self._args([a])
+        return self._step(self.colors[a])
+
+    def set_color(self, a, c):
+        self._args([a], colors=[c])
+        self.colors[a] = c
+        return self._step()
+
+    def identity_eq(self, a, b):
+        self._args([a, b])
+        return self._step(a == b)
+
+    def state(self):
+        nodes = range(len(self.colors))
+        ends = [u for u, _ in self.edges], [u for u, _ in self.edges.values()]
+        return ([[self.edges.get((v, p), (None,))[0]
+                  for p in range(self.nports)] for v in nodes],
+                self.colors, [ends[0].count(v) for v in nodes],
+                [0 if self.kum else ends[1].count(v) for v in nodes],
+                {"node_count": len(self.colors),
+                 "max_degree": self.max_degree,
+                 "max_in_degree": self.max_in_degree}, self.steps)
 
 
-def apply_script(g, script):
-    """Drive a graph through a script, skipping ops the model rejects."""
-    observations = []
-    for kind, a, pa, b, pb in script:
-        a %= g._node_count
-        b %= g._node_count
+def engine_state(g):
+    """state() of the engine graph g, read from a fork so that the reads
+    cost g no steps."""
+    h = g.fork()
+    nodes = range(g.graph_stats()["node_count"])
+    return ([[h.neighbor(v, p) for p in range(len(g.labels))] for v in nodes],
+            [h.get_color(v) for v in nodes], list(g._deg),
+            [g.in_degree(v) for v in nodes], g.graph_stats(), g.step_counter)
+
+
+# Mostly valid handles, ports and colors, then values just past each end
+# of their range, and the bools, which compare as 0 and 1; wiring calls
+# come up most often, so ports fill and links reach the degree bound.
+_handles = st.sampled_from((0, 1, 2) * 8 + (3, -1, True, False, None))
+_ports = st.sampled_from((0, 1, 2, 3) * 6 + (-1, 4, True, False))
+_colors = st.sampled_from((0, 1, 2, 3) * 2 + (-1, 4, True))
+_wiring = (st.tuples(st.just("link"), _handles, _ports, _handles, _ports),
+           st.tuples(st.just("set_pointer"), _handles, _ports, _handles),
+           st.tuples(st.just("unlink"), _handles, _ports))
+_calls = st.one_of(
+    *_wiring, *_wiring,
+    st.tuples(st.just("create_node"), _colors),
+    st.tuples(st.just("neighbor"), _handles, _ports),
+    st.tuples(st.just("get_color"), _handles),
+    st.tuples(st.just("set_color"), _handles, _colors),
+    st.tuples(st.just("identity_eq"), _handles, _handles),
+)
+
+
+# bound 2, below the four ports, so links over the bound come up
+@pytest.mark.parametrize("make", [lambda: kum(bound=2), smm],
+                         ids=["kum", "smm"])
+@given(st.lists(_calls, min_size=10, max_size=60))
+@example([("link", 0, 0, 1, 0), ("link", 0, 1, 2, 0),
+          ("link", 0, 2, 1, 1),  # over the bound on the KUM graph
+          ("link", 0, 0, 2, 2),  # an occupied port
+          ("set_pointer", 0, 0, 1), ("set_pointer", 0, 0, 2),
+          ("unlink", 0, 0), ("unlink", 0, 0),  # then a free port
+          ("neighbor", True, 0), ("neighbor", 0, -1), ("get_color", None),
+          ("create_node", True)])
+@settings(max_examples=150, deadline=None)
+def test_engine_matches_the_reference_model(make, calls):
+    g = make()
+    ref = Reference(g)
+    # two nodes first, so that most handles drawn are valid
+    for name, *args in [("create_node", 1)] * 2 + calls:
         try:
-            if kind == 0:
-                observations.append(g.create_node(pa))
-            elif kind == 1 and g.model is ModelKind.KUM:
-                g.link(a, pa, b, pb)
-            elif kind == 1:
-                g.set_pointer(a, pa % 3, b)
-            elif kind == 2:
-                g.unlink(a, pa if g.model is ModelKind.KUM else pa % 3)
-            elif kind == 3:
-                observations.append(g.neighbor(a, pa if g.model is ModelKind.KUM else pa % 3))
-            elif kind == 4:
-                observations.append(g.get_color(a))
-            elif kind == 5:
-                g.set_color(a, pa)
-            else:
-                observations.append(g.identity_eq(a, b))
-        except EngineError:
-            observations.append("err")
-    return observations
-
-
-@given(op_scripts())
-@settings(max_examples=60, deadline=None)
-def test_kum_degree_invariant_holds_under_random_scripts(script):
-    # bound tighter than the port alphabet so the cap actually gets probed
-    g = new_graph(ModelKind.KUM, 2, PALETTE, KUM_PORTS)
-    apply_script(g, script)
-    assert all(d <= g.degree_bound for d in g._deg)
-    assert g.graph_stats()["max_degree"] <= g.degree_bound
-
-
-@given(op_scripts())
-@settings(max_examples=60, deadline=None)
-def test_smm_out_degree_capped_by_direction_alphabet(script):
-    g = smm()
-    apply_script(g, script)
-    assert all(d <= len(SMM_DIRS) for d in g._deg)
-
-
-@given(op_scripts())
-@settings(max_examples=40, deadline=None)
-def test_same_script_same_observations_and_stats(script):
-    g1, g2 = smm(), smm()
-    assert apply_script(g1, script) == apply_script(g2, script)
-    assert g1.graph_stats() == g2.graph_stats()
-    assert g1.step_counter == g2.step_counter
-
-
-@given(op_scripts())
-@settings(max_examples=40, deadline=None)
-def test_step_counter_counts_successful_primitives(script):
-    g = kum()
-    before = g.step_counter
-    obs = apply_script(g, script)
-    # every op either bumped the counter once or raised; observers aside,
-    # the counter can never have moved more than the script length
-    assert before == 0
-    assert g.step_counter <= len(script)
+            want = getattr(ref, name)(*args)
+        except EngineError as exc:
+            want = type(exc)
+        before = engine_state(g)
+        try:
+            got = getattr(g, name)(*args)
+        except EngineError as exc:
+            got = type(exc)
+            # a failed call leaves the state and the step counter alone
+            assert engine_state(g) == before, (name, args)
+        assert got == want, (name, args)
+        assert engine_state(g) == ref.state(), (name, args)
 
 
 # -- memory ----------------------------------------------------------------

@@ -4,15 +4,10 @@ import pytest
 
 import helpers
 from kumsim import gadgets, kum_recognizer, smm_recognizer
-from kumsim.engine import ModelKind, new_graph
 from kumsim.runtime import register_class
 
-MACHINES = {
-    "kum": (ModelKind.KUM, kum_recognizer.DEGREE_BOUND, kum_recognizer.PORTS,
-            kum_recognizer._wire),
-    "smm": (ModelKind.SMM, None, smm_recognizer.DIRECTIONS,
-            smm_recognizer._wire),
-}
+# Each recognizer's own graph factory and wire hook.
+MACHINES = {"kum": kum_recognizer, "smm": smm_recognizer}
 
 
 def _node_of(bit, w):
@@ -33,9 +28,10 @@ def _lowest(i, w, value):
 
 @pytest.mark.parametrize("machine", sorted(MACHINES))
 def test_walk_counts_through_every_value(machine):
-    model, bound, ports, wire = MACHINES[machine]
+    rec = MACHINES[machine]
+    wire = rec._wire
     for w in range(1, 14, 2):
-        g = new_graph(model, bound, gadgets.PALETTE, ports)
+        g = rec._graph_factory()
         R = register_class(gadgets.SKELETON_REGISTERS)()
         for _ in range((w + 1) // 2):  # the tail first, then pairs
             gadgets.grow_chain(g, R, wire)
@@ -68,14 +64,17 @@ def test_walk_counts_through_every_value(machine):
                 assert R.walk is not None
                 prev += gadgets.prev_pair(R, c)
             before = g.step_counter
-            c = gadgets.tail_step(g, R)
-            assert c == colors[-1]
+            c = gadgets.walk_step(g, R)
+            assert R.walk is None and c == colors[-1]
             assert g.step_counter - before <= (3 if i % 2 else 5), (w, i)
             prev.append(gadgets.prev_pair(R, c)[1])
             # the walk's own decoding, as the recognizers use it
             assert "".join(map(str, prev)) == want_prev, (w, i)
-            assert gadgets.wrapped(R) == (i == 2 ** w - 1), (w, i)
-            assert gadgets.power_of_two(R) == (i + 1 in (2 ** w, 2 ** (w - 1)))
+            # build's boundary checks: the counter wrapped, and the
+            # block count is 2^w or 2^(w - 1)
+            assert (R.f_past is None) == (i == 2 ** w - 1), (w, i)
+            assert (R.f_past is None or R.f_lead is not None) == \
+                (i + 1 in (2 ** w, 2 ** (w - 1))), (w, i)
             gadgets.next_block(R)
         # the walk over all ones keeps them and drops the lowest-set
         # marker, so the chain decodes 2^w - 1 as the previous index too
@@ -86,3 +85,30 @@ def test_walk_counts_through_every_value(machine):
         colors = [g.get_color(node) for node in chain]
         assert not any(gadgets.LOW_ZERO[c] or gadgets.LOW_SET[c]
                        for c in colors), w
+
+
+@pytest.mark.parametrize("machine", sorted(MACHINES))
+def test_descend_follows_probes_or_creates(machine):
+    rec = MACHINES[machine]
+    g = rec._graph_factory()
+    R = register_class(gadgets.SKELETON_REGISTERS)()
+    root = g.initial_node
+
+    def priced(bit, fresh, flag="f_vtfresh"):
+        before = g.step_counter
+        child = gadgets.descend(g, R, root, bit, fresh, flag, rec._wire)
+        return child, g.step_counter - before
+
+    # a fresh path creates the child without probing and writes no flag
+    child, steps = priced(1, gadgets.ANCHOR)
+    assert steps == 2 and R.f_vtfresh is None
+    # a path that is not fresh follows the child that exists
+    assert priced(1, None) == (child, 1) and R.f_vtfresh is None
+    # where the probe finds no child it creates one and sets the flag
+    other, steps = priced(2, None)
+    assert steps == 3 and R.f_vtfresh == gadgets.ANCHOR
+    assert [g.neighbor(root, d) for d in (1, 2)] == [child, other]
+    # registers are slots, so a misspelled flag cannot make a new one
+    with pytest.raises(AttributeError):
+        priced(3, None, flag="f_vtfrsh")
+    assert not hasattr(R, "f_vtfrsh")

@@ -2,11 +2,9 @@
 
 import random
 
-import pytest
-
 from kumsim import blocklang
-from kumsim.gadgets import CUR_HI, CUR_LO, MARK
-from kumsim.kum_recognizer import (DEGREE_BOUND, KUM_CADENCE, REGISTERS, VAL,
+from kumsim.gadgets import MARK
+from kumsim.kum_recognizer import (DEGREE_BOUND, KUM_CADENCE, VAL,
                                    build_kum_recognizer)
 from kumsim.runtime import RejectReason, Runner, max_gap, run
 
@@ -66,37 +64,6 @@ def test_reject_reasons():
         assert v.reason == want, (s, v.reason)
 
 
-def test_register_file_fits():
-    assert len(REGISTERS) <= 32
-    assert len(set(REGISTERS)) == len(REGISTERS)
-
-
-@pytest.mark.parametrize("n", [3, 4])
-def test_counter_chain_at_every_boundary(n):
-    # the chain is w = 2k + 1 long; at the boundary that opens block i it
-    # holds i as the current index, and i - 1 decodes from its markers
-    k = n // 2
-    w = 2 * k + 1
-    s = blocklang.encode(blocklang.gen_positive(n, random.Random(n)))
-    r = Runner(PROG)
-    i = 0
-    for ch in s:
-        assert r.feed(ch) is None
-        if ch != "@":
-            continue
-        i += 1
-        probe = r.fork()  # probing costs steps; keep them off the run
-        g, R = probe.graph, probe.registers
-        assert helpers.chain_prev_bits(g, R.c_head) == \
-            format(i - 1, "0%db" % w), (n, i)
-        assert helpers.chain_bits(g, R.c_head, CUR_HI, CUR_LO) == \
-            format(i, "0%db" % w), (n, i)
-        if i == 1:  # the all-zero index path exists to full depth
-            assert len(helpers.levels(g, 0, k + 2)) == k + 2
-    assert i == 2 ** n - 1
-    assert r.finish().verdict.accepted
-
-
 def test_structure_counts_after_accepting_run():
     inst = blocklang.Instance(4, ("00", "11", "01", "10") * 4, "0011", "0111")
     s = blocklang.encode(inst)
@@ -142,26 +109,6 @@ def test_degree_never_exceeds_bound():
         assert res.stats["max_degree"] <= DEGREE_BOUND
 
 
-def test_gap_profile_is_flat_at_cadence():
-    rng = random.Random(5)
-    for n in (1, 2, 3, 5, 8):
-        s = blocklang.encode(blocklang.gen_positive(n, rng))
-        tr = run(PROG, s).trace
-        gaps = tr.gaps()
-        assert gaps[0] == 0
-        assert set(gaps[1:]) == {KUM_CADENCE}
-        assert max_gap(tr) == KUM_CADENCE
-
-
-def test_real_time_report_constant_across_n():
-    # every run's worst gap is the cadence itself, at every n
-    rng = random.Random(6)
-    for n in (1, 2, 3, 4, 6):
-        for _ in range(5):
-            s = blocklang.encode(blocklang.gen_positive(n, rng))
-            assert max_gap(run(PROG, s).trace) == KUM_CADENCE, (n, s)
-
-
 def test_rejects_never_exceed_cadence():
     # early rejection may leave a short final gap but never a long one
     rng = random.Random(7)
@@ -170,28 +117,6 @@ def test_rejects_never_exceed_cadence():
             s = blocklang.gen_negative(n, kind, rng)
             tr = run(PROG, s).trace
             assert max_gap(tr) <= KUM_CADENCE, (s, kind)
-
-
-def test_differential_against_oracle():
-    rng = random.Random(8)
-    for n in range(1, 7):
-        for _ in range(25):
-            s = blocklang.encode(blocklang.gen_positive(n, rng))
-            chars = list(s)
-            if rng.random() < 0.5:
-                chars[rng.randrange(len(chars))] = rng.choice("01@#")
-            s = "".join(chars)
-            assert run(PROG, s).verdict.accepted == blocklang.member(s), s
-
-
-def test_runs_are_deterministic():
-    s = "10@01@11@00#01#11#"
-    a = run(PROG, s)
-    b = run(PROG, s)
-    assert a.verdict == b.verdict
-    assert a.trace.gaps() == b.trace.gaps()
-    assert a.trace.halted and b.trace.halted
-    assert a.stats == b.stats
 
 
 def test_fork_explores_divergent_suffixes():

@@ -1,15 +1,9 @@
 """Directed-pointer recognizer: verdicts, in-degree shape, pacing."""
 
-import random
-
-import pytest
-
 from kumsim import blocklang
-from kumsim.gadgets import CUR_HI, CUR_LO
 from kumsim.kum_recognizer import KUM_CADENCE, build_kum_recognizer
-from kumsim.runtime import RejectReason, Runner, max_gap, run
-from kumsim.smm_recognizer import (REGISTERS, SMM_CADENCE, V,
-                                   build_smm_recognizer)
+from kumsim.runtime import run
+from kumsim.smm_recognizer import SMM_CADENCE, V, build_smm_recognizer
 
 import helpers
 
@@ -44,34 +38,6 @@ def test_reject_reasons_match_bounded_machine():
         assert a == b, (s, a, b)
 
 
-def test_register_file_fits():
-    assert len(REGISTERS) <= 32
-    assert len(set(REGISTERS)) == len(REGISTERS)
-
-
-@pytest.mark.parametrize("n", [3, 4])
-def test_counter_chain_at_every_boundary(n):
-    # the chain is w = 2k + 1 long; at the boundary that opens block i it
-    # holds i as the current index, and i - 1 decodes from its markers
-    w = 2 * (n // 2) + 1
-    s = blocklang.encode(blocklang.gen_positive(n, random.Random(n)))
-    r = Runner(PROG)
-    i = 0
-    for ch in s:
-        assert r.feed(ch) is None
-        if ch != "@":
-            continue
-        i += 1
-        probe = r.fork()  # probing costs steps; keep them off the run
-        g, R = probe.graph, probe.registers
-        assert helpers.chain_prev_bits(g, R.c_head) == \
-            format(i - 1, "0%db" % w), (n, i)
-        assert helpers.chain_bits(g, R.c_head, CUR_HI, CUR_LO) == \
-            format(i, "0%db" % w), (n, i)
-    assert i == 2 ** n - 1
-    assert r.finish().verdict.accepted
-
-
 def test_value_sharing_by_pointer_identity():
     # two distinct values among four blocks: two representative nodes,
     # each the v target of exactly the two index leaves carrying it
@@ -101,50 +67,5 @@ def test_all_equal_blocks_concentrate_in_degree():
         assert res.stats["max_in_degree"] == 2 ** n, n
 
 
-def test_gap_profile_is_flat_at_cadence():
-    rng = random.Random(5)
-    for n in (1, 2, 3, 5, 8):
-        s = blocklang.encode(blocklang.gen_positive(n, rng))
-        tr = run(PROG, s).trace
-        gaps = tr.gaps()
-        assert gaps[0] == 0
-        assert set(gaps[1:]) == {SMM_CADENCE}
-        assert max_gap(tr) == SMM_CADENCE
-
-
 def test_cadence_not_above_bounded_machine():
     assert SMM_CADENCE <= KUM_CADENCE
-
-
-def test_real_time_report_constant_across_n():
-    # every run's worst gap is the cadence itself, at every n
-    rng = random.Random(6)
-    for n in (1, 2, 4, 6):
-        for _ in range(5):
-            s = blocklang.encode(blocklang.gen_positive(n, rng))
-            assert max_gap(run(PROG, s).trace) == SMM_CADENCE, (n, s)
-
-
-def test_differential_against_oracle_and_kum():
-    kum = build_kum_recognizer()
-    rng = random.Random(9)
-    for n in range(1, 7):
-        for _ in range(25):
-            s = blocklang.encode(blocklang.gen_positive(n, rng))
-            chars = list(s)
-            if rng.random() < 0.5:
-                chars[rng.randrange(len(chars))] = rng.choice("01@#")
-            s = "".join(chars)
-            want = blocklang.member(s)
-            assert run(PROG, s).verdict.accepted == want, s
-            assert run(kum, s).verdict.accepted == want, s
-
-
-def test_runs_are_deterministic():
-    s = "10@01@11@00#01#11#"
-    a = run(PROG, s)
-    b = run(PROG, s)
-    assert a.verdict == b.verdict
-    assert a.trace.gaps() == b.trace.gaps()
-    assert a.trace.halted and b.trace.halted
-    assert a.stats == b.stats
