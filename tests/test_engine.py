@@ -470,6 +470,58 @@ def test_engine_matches_the_reference_model(make, calls):
         assert engine_state(g) == ref.state(), (name, args)
 
 
+# -- invariants under the same random calls, each read off the engine alone --
+
+def run_calls(g, calls):
+    """Two nodes, then the calls; each call's result, or its error class."""
+    observations = []
+    for name, *args in [("create_node", 1)] * 2 + calls:
+        try:
+            observations.append(getattr(g, name)(*args))
+        except EngineError as exc:
+            observations.append(type(exc))
+    return observations
+
+
+@given(st.lists(_calls, max_size=60))
+@settings(max_examples=60, deadline=None)
+def test_kum_degree_invariant_holds_under_random_scripts(calls):
+    # bound tighter than the port alphabet so the cap actually gets probed
+    g = kum(bound=2)
+    run_calls(g, calls)
+    assert all(d <= g.degree_bound for d in g._deg)
+    assert g.graph_stats()["max_degree"] <= g.degree_bound
+
+
+@given(st.lists(_calls, max_size=60))
+@settings(max_examples=60, deadline=None)
+def test_smm_out_degree_capped_by_direction_alphabet(calls):
+    g = smm()
+    run_calls(g, calls)
+    assert all(d <= len(SMM_DIRS) for d in g._deg)
+
+
+@given(st.lists(_calls, max_size=60))
+@settings(max_examples=40, deadline=None)
+def test_same_script_same_observations_and_stats(calls):
+    g1, g2 = smm(), smm()
+    assert run_calls(g1, calls) == run_calls(g2, calls)
+    assert g1.graph_stats() == g2.graph_stats()
+    assert g1.step_counter == g2.step_counter
+
+
+@given(st.lists(_calls, max_size=60))
+@settings(max_examples=40, deadline=None)
+def test_step_counter_counts_successful_primitives(calls):
+    g = kum()
+    assert g.step_counter == 0
+    obs = run_calls(g, calls)
+    # every call either bumped the counter once or raised
+    failed = sum(isinstance(o, type) and issubclass(o, EngineError)
+                 for o in obs)
+    assert g.step_counter == len(obs) - failed
+
+
 # -- memory ----------------------------------------------------------------
 
 @pytest.mark.parametrize("build", [build_kum_recognizer, build_smm_recognizer])
