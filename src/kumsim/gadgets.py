@@ -257,12 +257,11 @@ def walk_step(g, R):
         return None
     c = g.get_color(pos)
     R.walk = nxt = g.neighbor(pos, TAIL)
-    if R.f_past is not None:  # below current's lowest zero: next clears
-        if nxt is None:  # the tail: current's lowest set bit, next's zero
-            R.f_ifresh = ANCHOR
-            g.set_color(pos, CHAIN0 + _ZERO)
-        else:
-            g.set_color(pos, CHAIN0)
+    if LOW_SET[c]:
+        R.f_ifresh = ANCHOR
+    if R.f_past is not None:  # below current's lowest zero: next clears,
+        # and the tail, current's lowest set bit, holds next's lowest zero
+        g.set_color(pos, CHAIN0 + _ZERO if nxt is None else CHAIN0)
     elif LOW_ZERO[c]:  # current's lowest zero, next's lowest set bit
         R.f_past = ANCHOR
         if not CUR_LO[c]:  # on the lo bit: current is not 01...1
@@ -276,7 +275,6 @@ def walk_step(g, R):
         if not (CUR_HI[c] and CUR_LO[c]):
             R.last_zero = pos
         if LOW_SET[c]:  # current's lowest set bit; next's lies lower
-            R.f_ifresh = ANCHOR
             g.set_color(pos, c - _SET)
     return c
 

@@ -66,8 +66,8 @@ then either climbs two parent ports from x's per-value leaf toward the
 root of b_x's per-value trie, while a walk down the counter chain, one
 node a climb, counts the k + 1 levels, or, once that walk has ended,
 drains one queued digit down that trie.  A y symbol costs at most
-enqueue 2 + two climbs 4 = 6, or enqueue 2 + dequeue 3 + descend 1 = 6,
-and the final '#' drains one more digit and reads the color, 5.  The
+enqueue 2 + two climbs 4 = 6, or enqueue 2 + dequeue 2 + descend 1 = 5,
+and the final '#' drains one more digit and reads the color, 4.  The
 queue empties in time, and its length depends on n alone: the climbs
 end on y's symbol c = ceil((k + 1) / 2) with at most c / 2 + 1 digits
 queued, none drained; after it a lo bit queues one digit and drains
@@ -148,13 +148,10 @@ def _enqueue(g, R, d):
 def _dequeue(g, R):
     front = R.q_front
     d = g.get_color(front) - CHAIN0
-    nxt = g.neighbor(front, TAIL)
-    if nxt is None:
-        R.q_front = None
+    # the old front is never read again, so its link stays
+    R.q_front = g.neighbor(front, TAIL)
+    if R.q_front is None:
         R.q_back = None
-    else:
-        g.unlink(front, TAIL)
-        R.q_front = nxt
     return d
 
 

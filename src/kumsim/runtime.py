@@ -287,15 +287,17 @@ class Runner:
             early = self.program.on_symbol(g, self.registers, symbol)
         except EngineError:
             return self._halt(Verdict.reject(RejectReason.MACHINE_FAULT))
-        if early is not None:
-            if early.accepted:
-                early = Verdict.reject(RejectReason.MACHINE_FAULT)
-            return self._halt(early)
+        # an overrun is a fault even on a symbol whose handler rejects
         cadence = self.program.cadence
         if cadence is not None:
             spent = g.step_counter - self._mark
             if spent > cadence:
                 return self._halt(Verdict.reject(RejectReason.MACHINE_FAULT))
+        if early is not None:
+            if early.accepted:
+                early = Verdict.reject(RejectReason.MACHINE_FAULT)
+            return self._halt(early)
+        if cadence is not None:
             g.idle(cadence - spent)
         return None
 

@@ -1,19 +1,82 @@
-"""Post-run graph inspection used by recognizer and acceptance tests.
+"""The two machines as every test runs them, the checks every corpus
+shares, and post-run graph inspection.
 
-These walk the finished storage graph through the public engine API.
-Probing costs steps on the (already halted) run's graph, which is fine:
-the run's stats and trace were captured at halt time.
+The inspection helpers walk the finished storage graph through the
+public engine API.  Probing costs steps on the (already halted) run's
+graph, which is fine: the run's stats and trace were captured at halt
+time.
 """
 
 import dataclasses
+from typing import Callable, NamedTuple
 
-from kumsim import gadgets
-from kumsim.engine import StorageGraph
+from kumsim import blocklang, gadgets, kum_recognizer, smm_recognizer
+from kumsim.engine import EngineError, StorageGraph
 from kumsim.gadgets import BLANK, TAIL
-from kumsim.runtime import register_class
+from kumsim.kum_recognizer import DEGREE_BOUND, KUM_CADENCE
+from kumsim.runtime import (Program, RejectReason, Verdict, max_gap,
+                            register_class, run)
+from kumsim.smm_recognizer import SMM_CADENCE
 
 # Child ports 0 to 3, one per digit, on both machines.
 CHILD_PORTS = range(4)
+
+
+class Machine(NamedTuple):
+    build: Callable    # build(None) is the unpadded program
+    prog: Program      # build(): padded to the cadence
+    cadence: int       # the pinned cadence
+    fan_in: Callable   # fan_in(stats, m): the fan-in law, see check_run
+    wire: Callable     # build's wire hook
+
+
+MACHINES = {
+    "kum": Machine(kum_recognizer.build_kum_recognizer,
+                   kum_recognizer.build_kum_recognizer(), KUM_CADENCE,
+                   lambda stats, m: stats["max_degree"] == DEGREE_BOUND,
+                   kum_recognizer._wire),
+    "smm": Machine(smm_recognizer.build_smm_recognizer,
+                   smm_recognizer.build_smm_recognizer(), SMM_CADENCE,
+                   lambda stats, m: stats["max_in_degree"] == m,
+                   smm_recognizer._wire),
+}
+
+
+def check_run(machine, s, m=None):
+    """Run MACHINES[machine] on s and return the result, asserting what
+    every corpus asserts of a run: the verdict is member(s) and no
+    machine fault; no gap exceeds the cadence, and an accepting run's
+    largest gap is the cadence; the KUM's degree stays within
+    DEGREE_BOUND.
+
+    m, when given, is the most blocks of s that share one value, and s
+    must complete its block section.  Then the fan-in law holds too: the
+    SMM's largest in-degree is m, and the KUM uses all DEGREE_BOUND ports
+    of some node, which it does from n = 2 on.
+    """
+    mach = MACHINES[machine]
+    res = run(mach.prog, s)
+    v = res.verdict
+    assert v.accepted == blocklang.member(s), (machine, s, str(v))
+    assert v.reason is not RejectReason.MACHINE_FAULT, (machine, s)
+    gap = max_gap(res.trace)
+    assert gap <= mach.cadence and (gap == mach.cadence or not v.accepted), \
+        (machine, s, gap)
+    if machine == "kum":
+        assert res.stats["max_degree"] <= DEGREE_BOUND, (s, res.stats)
+    if m is not None:
+        assert mach.fan_in(res.stats, m), (machine, s, m, res.stats)
+    return res
+
+
+def finish(runner, text):
+    """Feed text to runner until it has read all of it or halted, then
+    finish the run."""
+    for ch in text:
+        if runner.verdict is not None:
+            break
+        runner.feed(ch)
+    return runner.finish()
 
 
 def levels(g, root, depth):
@@ -89,10 +152,7 @@ def broken_kum_builder():
     Used to prove the differential fuzz harness actually catches a bad
     build rather than waving everything through.
     """
-    from kumsim.kum_recognizer import build_kum_recognizer
-    from kumsim.runtime import RejectReason, Verdict
-
-    prog = build_kum_recognizer()
+    prog = MACHINES["kum"].prog
     real_on_end = prog.on_end
 
     def flipped_on_end(g, R):
@@ -109,10 +169,7 @@ def faulting_kum_builder():
     each symbol whose handler rejects raises EngineError instead, so the
     driver ends the run as a machine fault.
     """
-    from kumsim.engine import EngineError
-    from kumsim.kum_recognizer import build_kum_recognizer
-
-    prog = build_kum_recognizer()
+    prog = MACHINES["kum"].prog
     real_on_symbol = prog.on_symbol
 
     def faulting_on_symbol(g, R, ch):

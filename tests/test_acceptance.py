@@ -42,13 +42,12 @@ import helpers
 from kumsim import blocklang, cli
 from kumsim.blocklang import NegativeKind
 from kumsim.gadgets import MARK
-from kumsim.kum_recognizer import (DEGREE_BOUND, KUM_CADENCE, VAL,
-                                   build_kum_recognizer)
+from kumsim.kum_recognizer import DEGREE_BOUND, KUM_CADENCE, VAL
 from kumsim.runtime import RejectReason, Runner, max_gap, run
-from kumsim.smm_recognizer import SMM_CADENCE, build_smm_recognizer
+from kumsim.smm_recognizer import SMM_CADENCE
 
-KUM_PROG = build_kum_recognizer()
-SMM_PROG = build_smm_recognizer()
+KUM_PROG = helpers.MACHINES["kum"].prog
+SMM_PROG = helpers.MACHINES["smm"].prog
 
 MAX_SWEEP_LEN = 14
 ALPHABET = "01@#"
@@ -172,14 +171,15 @@ def _sweep_corpus():
 
 def _gen_corpus():
     """502 generated cases per n in 2..8: positives, all-equal, and
-    every negative kind, all checked against the oracle on both machines.
+    every negative kind, each run through helpers.check_run on both
+    machines.
 
     Each positive and all-equal case also obeys the fan-in law: the
     directed machine's largest in-degree is m, the most blocks that share
     one value, and the bounded machine uses exactly DEGREE_BOUND ports
     somewhere."""
     h = hashlib.sha256()
-    state = {"cases": 0, "max_degree": 0, "faults": 0, "per_n": {}}
+    state = {"cases": 0, "per_n": {}}
     for n in range(2, 9):
         rng = random.Random(0xACC0 + n)
         insts = [blocklang.gen_positive(n, rng) for _ in range(173)]
@@ -192,22 +192,8 @@ def _gen_corpus():
                       for _ in range(46)]
         assert len(cases) >= 500
         for s, m in cases:
-            want = blocklang.member(s)
-            for prog in (KUM_PROG, SMM_PROG):
-                res = run(prog, s)
-                assert res.verdict.accepted == want, \
-                    "n=%d %r: got %s, oracle %s" % (n, s, res.verdict, want)
-                if res.verdict.reason is RejectReason.MACHINE_FAULT:
-                    state["faults"] += 1
-                _hash_run(h, s, res)
-                if prog is KUM_PROG:
-                    d = res.stats["max_degree"]
-                    if d > state["max_degree"]:
-                        state["max_degree"] = d
-                    assert m is None or d == DEGREE_BOUND, (s, d)
-                else:
-                    assert m is None or res.stats["max_in_degree"] == m, \
-                        (s, m, res.stats)
+            for machine in helpers.MACHINES:
+                _hash_run(h, s, helpers.check_run(machine, s, m))
         state["per_n"][n] = len(cases)
         state["cases"] += len(cases)
     state["fingerprint"] = h.hexdigest()
@@ -236,23 +222,20 @@ RT_NS = (2, 4, 6, 8, 10, 12)
 
 
 def _realtime_corpus():
-    """50 accepting instances per n on both machines, gap profile kept."""
+    """50 accepting instances per n on both machines, each run through
+    helpers.check_run with its fan-in law, gap profile kept."""
     h = hashlib.sha256()
-    state = {"max_degree": 0, "faults": 0, "runs": []}
+    state = {"runs": []}
     for n in RT_NS:
         rng = random.Random(0xACC1 + n)
-        cases = [blocklang.encode(blocklang.gen_positive(n, rng))
-                 for _ in range(45)]
-        cases += [blocklang.encode(blocklang.gen_all_equal(n))] * 5
-        for s in cases:
-            for name, prog in (("kum", KUM_PROG), ("smm", SMM_PROG)):
-                res = run(prog, s)
-                assert res.verdict.accepted, (n, name, str(res.verdict))
+        insts = [blocklang.gen_positive(n, rng) for _ in range(45)]
+        insts += [blocklang.gen_all_equal(n)] * 5
+        for inst in insts:
+            s = blocklang.encode(inst)
+            m = max(collections.Counter(inst.blocks).values())
+            for name in helpers.MACHINES:
+                res = helpers.check_run(name, s, m)
                 state["runs"].append((n, name, max_gap(res.trace)))
-                if name == "kum":
-                    d = res.stats["max_degree"]
-                    if d > state["max_degree"]:
-                        state["max_degree"] = d
                 _hash_run(h, s, res)
     state["fingerprint"] = h.hexdigest()
     return state
@@ -275,15 +258,15 @@ def test_criterion_2_realtime_gap_constant():
 # ---------------------------------------------------------------- check 3
 
 def test_criterion_3_kum_degree_bound():
+    # helpers.check_run asserts both on every gen and realtime run, and
+    # the fan-in law puts the watermark of their members at DEGREE_BOUND
+    _cached("gen", _gen_corpus)
+    _cached("realtime", _realtime_corpus)
     sweep = _cached("sweep", _sweep_corpus)
-    gen = _cached("gen", _gen_corpus)
-    rt = _cached("realtime", _realtime_corpus)
-    for name, state in (("sweep", sweep), ("gen", gen), ("realtime", rt)):
-        assert state["max_degree"] <= DEGREE_BOUND, (name, state["max_degree"])
-        assert state["faults"] == 0, (name, state["faults"])
-    print("criterion 3 PASS: degree watermark %d <= %d, zero faults"
-          % (max(sweep["max_degree"], gen["max_degree"], rt["max_degree"]),
-             DEGREE_BOUND))
+    assert sweep["max_degree"] <= DEGREE_BOUND, sweep["max_degree"]
+    assert sweep["faults"] == 0, sweep["faults"]
+    print("criterion 3 PASS: degree within %d on every run, zero faults"
+          % DEGREE_BOUND)
 
 
 # ---------------------------------------------------------------- check 4

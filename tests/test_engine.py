@@ -5,13 +5,12 @@ import tracemalloc
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+import helpers
 from kumsim.engine import (
     BadHandle, BadPort, DegreeBoundExceeded, EngineError, ModelKind,
     ModelMismatch, PortFree, PortOccupied, UnknownColor,
     new_graph,
 )
-from kumsim.kum_recognizer import build_kum_recognizer
-from kumsim.smm_recognizer import build_smm_recognizer
 
 PALETTE = ("zero", "one", "blank", "mark")
 ZERO, ONE, BLANK, MARK = range(4)
@@ -524,7 +523,7 @@ def test_step_counter_counts_successful_primitives(calls):
 
 # -- memory ----------------------------------------------------------------
 
-@pytest.mark.parametrize("build", [build_kum_recognizer, build_smm_recognizer])
+@pytest.mark.parametrize("build", [m.build for m in helpers.MACHINES.values()])
 def test_node_costs_at_most_32_bytes(build):
     # A chain of recognizer-shaped nodes.  Port rows hold machine ints;
     # rows that held an int object per handle would cost about 70 bytes

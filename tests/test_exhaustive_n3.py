@@ -1,14 +1,15 @@
 """Every well-formed n = 3 string on both padded machines.
 
 n = 3 has 2^3 one-bit blocks, so 2^8 block assignments, and 8 x 8 index
-pairs: 16,384 strings, about a quarter of them members.  Each run must
-agree with the reference predicate, end without a machine fault, keep
-every gap within the cadence, and, when it accepts, reach it.  Each run
-also obeys the fan-in law: the directed machine's largest in-degree is
-m, the largest number of blocks sharing one value (each value's
-representative is aimed at by exactly its carriers' index leaves, no
-other node has in-degree above 2, and m >= 2), while the bounded machine
-uses exactly DEGREE_BOUND ports somewhere.
+pairs: 16,384 strings, about a quarter of them members.  Each run
+passes helpers.check_run: it must agree with the reference predicate,
+end without a machine fault, keep every gap within the cadence, and,
+when it accepts, reach it.  Each run also obeys the fan-in law: the
+directed machine's largest in-degree is m, the largest number of blocks
+sharing one value (each value's representative is aimed at by exactly
+its carriers' index leaves, no other node has in-degree above 2, and
+m >= 2), while the bounded machine uses exactly DEGREE_BOUND ports
+somewhere.
 """
 
 import collections
@@ -16,11 +17,8 @@ import itertools
 
 import pytest
 
+import helpers
 from kumsim import blocklang
-from kumsim.kum_recognizer import (DEGREE_BOUND, KUM_CADENCE,
-                                   build_kum_recognizer)
-from kumsim.runtime import RejectReason, max_gap, run
-from kumsim.smm_recognizer import SMM_CADENCE, build_smm_recognizer
 
 N = 3
 
@@ -34,26 +32,11 @@ def _strings():
             yield blocklang.encode(blocklang.Instance(N, blocks, x, y)), m
 
 
-@pytest.mark.parametrize("build, cadence, fan_in", [
-    (build_kum_recognizer, KUM_CADENCE,
-     lambda stats, m: stats["max_degree"] == DEGREE_BOUND),
-    (build_smm_recognizer, SMM_CADENCE,
-     lambda stats, m: stats["max_in_degree"] == m),
-], ids=["kum", "smm"])
-def test_every_n3_string(build, cadence, fan_in):
-    prog = build()
+@pytest.mark.parametrize("machine", sorted(helpers.MACHINES))
+def test_every_n3_string(machine):
     runs = accepted = 0
     for s, m in _strings():
-        res = run(prog, s)
-        assert fan_in(res.stats, m), (s, m, res.stats)
-        v = res.verdict
-        assert v.accepted == blocklang.member(s), (s, str(v))
-        assert v.reason is not RejectReason.MACHINE_FAULT, s
-        gap = max_gap(res.trace)
-        assert gap <= cadence, (s, gap)
-        if v.accepted:
-            assert gap == cadence, (s, gap)
-            accepted += 1
+        accepted += helpers.check_run(machine, s, m).verdict.accepted
         runs += 1
     assert runs == 2 ** (2 ** N) * 4 ** N
     assert 0 < accepted < runs

@@ -13,12 +13,9 @@ import random
 
 import pytest
 
+import helpers
 from kumsim import blocklang
-from kumsim.kum_recognizer import build_kum_recognizer
-from kumsim.runtime import RejectReason, Runner, run
-from kumsim.smm_recognizer import build_smm_recognizer
-
-MACHINES = {"kum": build_kum_recognizer(), "smm": build_smm_recognizer()}
+from kumsim.runtime import RejectReason, Runner
 
 # Long fields that run from a leaf toward its val partner: n = 1 and
 # n = 2 members with y lengthened by one digit.
@@ -35,22 +32,9 @@ def _off_by(bits):
             yield bits + "".join(tail)
 
 
-def _rejects(runner, rest, s):
-    """Feed rest to runner and check the run rejects s without a fault."""
-    verdict = None
-    for ch in rest:
-        verdict = runner.feed(ch)
-        if verdict is not None:
-            break
-    if verdict is None:
-        verdict = runner.finish().verdict
-    assert not verdict.accepted, s
-    assert verdict.reason is not RejectReason.MACHINE_FAULT, s
-
-
-@pytest.mark.parametrize("machine", sorted(MACHINES))
+@pytest.mark.parametrize("machine", sorted(helpers.MACHINES))
 def test_off_length_fields_reject(machine):
-    prog = MACHINES[machine]
+    prog = helpers.MACHINES[machine].prog
     cases = 0
     for n in range(1, 7):
         inst = blocklang.gen_positive(n, random.Random(n))
@@ -64,15 +48,15 @@ def test_off_length_fields_reject(machine):
                 rest = bits + "#" + ("" if field == "y" else inst.y + "#")
                 s = head + rest
                 assert not blocklang.member(s), s
-                _rejects(base.fork(), rest, s)
+                verdict = helpers.finish(base.fork(), rest).verdict
+                assert not verdict.accepted, s
+                assert verdict.reason is not RejectReason.MACHINE_FAULT, s
                 cases += 1
     assert cases == 2 * sum(min(4, n) + 30 for n in range(1, 7))
 
 
-@pytest.mark.parametrize("machine", sorted(MACHINES))
+@pytest.mark.parametrize("machine", sorted(helpers.MACHINES))
 @pytest.mark.parametrize("s", NAMED)
 def test_named_long_fields_reject(machine, s):
     assert not blocklang.member(s)
-    res = run(MACHINES[machine], s)
-    assert not res.verdict.accepted, s
-    assert res.verdict.reason is not RejectReason.MACHINE_FAULT, s
+    assert not helpers.check_run(machine, s).verdict.accepted, s

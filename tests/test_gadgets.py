@@ -3,11 +3,8 @@
 import pytest
 
 import helpers
-from kumsim import gadgets, kum_recognizer, smm_recognizer
+from kumsim import gadgets
 from kumsim.runtime import register_class
-
-# Each recognizer's own graph factory and wire hook.
-MACHINES = {"kum": kum_recognizer, "smm": smm_recognizer}
 
 
 def _node_of(bit, w):
@@ -26,12 +23,12 @@ def _lowest(i, w, value):
     return None
 
 
-@pytest.mark.parametrize("machine", sorted(MACHINES))
+@pytest.mark.parametrize("machine", sorted(helpers.MACHINES))
 def test_walk_counts_through_every_value(machine):
-    rec = MACHINES[machine]
-    wire = rec._wire
+    mach = helpers.MACHINES[machine]
+    wire = mach.wire
     for w in range(1, 14, 2):
-        g = rec._graph_factory()
+        g = mach.prog.graph_factory()
         R = register_class(gadgets.SKELETON_REGISTERS)()
         for _ in range((w + 1) // 2):  # the tail first, then pairs
             gadgets.grow_chain(g, R, wire)
@@ -87,16 +84,16 @@ def test_walk_counts_through_every_value(machine):
                        for c in colors), w
 
 
-@pytest.mark.parametrize("machine", sorted(MACHINES))
+@pytest.mark.parametrize("machine", sorted(helpers.MACHINES))
 def test_descend_follows_probes_or_creates(machine):
-    rec = MACHINES[machine]
-    g = rec._graph_factory()
+    mach = helpers.MACHINES[machine]
+    g = mach.prog.graph_factory()
     R = register_class(gadgets.SKELETON_REGISTERS)()
     root = g.initial_node
 
     def priced(bit, fresh, flag="f_vtfresh"):
         before = g.step_counter
-        child = gadgets.descend(g, R, root, bit, fresh, flag, rec._wire)
+        child = gadgets.descend(g, R, root, bit, fresh, flag, mach.wire)
         return child, g.step_counter - before
 
     # a fresh path creates the child without probing and writes no flag

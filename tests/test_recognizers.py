@@ -1,22 +1,70 @@
-"""Checks both recognizers pass alike, run once per machine: the counter
-chain, the flat gap at the machine's cadence, verdicts against the oracle
-and determinism."""
+"""Both recognizers: verdicts and reject reasons, the counter chain, the
+flat gap at the cadence, and verdicts against the oracle, run once per
+machine; then the structure each machine builds."""
 
 import random
 
 import pytest
 
 from kumsim import blocklang
-from kumsim.gadgets import CUR_HI, CUR_LO
-from kumsim.kum_recognizer import KUM_CADENCE, build_kum_recognizer
-from kumsim.runtime import Runner, max_gap, run
-from kumsim.smm_recognizer import SMM_CADENCE, build_smm_recognizer
+from kumsim.gadgets import CUR_HI, CUR_LO, MARK
+from kumsim.kum_recognizer import VAL
+from kumsim.runtime import RejectReason, Runner, run
+from kumsim.smm_recognizer import V
 
 import helpers
 
-MACHINES = {"kum": (build_kum_recognizer(), KUM_CADENCE),
-            "smm": (build_smm_recognizer(), SMM_CADENCE)}
-each_machine = pytest.mark.parametrize("machine", sorted(MACHINES))
+each_machine = pytest.mark.parametrize("machine", sorted(helpers.MACHINES))
+KUM = helpers.MACHINES["kum"].prog
+SMM = helpers.MACHINES["smm"].prog
+
+KNOWN = [
+    ("0@1@0@1#00#10#", True),
+    ("0@1@0@1#00#01#", False),
+    ("1@1@1@1#00#11#", True),
+    # x == y is a membership witness regardless of the values
+    ("0@1@0@1#11#11#", True),
+    # n = 1: both blocks are empty, so every well-formed string accepts
+    ("@#0#0#", True), ("@#0#1#", True), ("@#1#0#", True), ("@#1#1#", True),
+]
+
+REJECTS = [
+    ("0@1@0@1#00#10", RejectReason.TRUNCATED),
+    ("0@1@0@1#00", RejectReason.TRUNCATED),
+    ("0@1@0", RejectReason.TRUNCATED),
+    ("", RejectReason.TRUNCATED),
+    ("@#0#1#0", RejectReason.BAD_SUFFIX),
+    ("@#0#1##", RejectReason.BAD_SUFFIX),
+    ("@#0#1#@", RejectReason.BAD_SUFFIX),
+    ("@#0x#1#", RejectReason.BAD_ALPHABET),
+    ("0@11@0@1#00#10#", RejectReason.PACING),   # block 1 too long
+    ("0@@1@1#00#10#", RejectReason.PACING),     # block 1 too short
+    ("0@1@0#00#01#", RejectReason.FORMAT),      # 3 blocks: count not 2^n
+    ("0@1@0@1@1#00#10#", RejectReason.FORMAT),  # 5 blocks
+    ("@@#0#1#", RejectReason.FORMAT),           # counter wraps: 2 blocks, w=1
+    ("#0#1#", RejectReason.FORMAT),             # '#' before any '@'
+    ("0@1@0@1#0@#10#", RejectReason.FORMAT),    # '@' inside x
+    ("0@1@0@1#000#10#", RejectReason.FORMAT),   # x too long
+    ("0@1@0@1#0#10#", RejectReason.FORMAT),     # x too short
+    ("0@1@0@1#00#100#", RejectReason.FORMAT),   # y too long
+    ("0@1@0@1#00#1#", RejectReason.FORMAT),     # y too short
+    ("0@1@0@1#00##", RejectReason.FORMAT),      # y empty
+    ("0@1@0@1#00#@", RejectReason.FORMAT),      # '@' opens y
+    ("0@1@0@1#00#1@", RejectReason.FORMAT),     # '@' inside y
+]
+
+
+@each_machine
+def test_known_verdicts(machine):
+    for s, want in KNOWN:
+        assert helpers.check_run(machine, s).verdict.accepted is want, s
+
+
+@each_machine
+def test_reject_reasons(machine):
+    for s, want in REJECTS:
+        v = helpers.check_run(machine, s).verdict
+        assert v.reason == want, (s, v.reason)
 
 
 @pytest.mark.parametrize("n", [3, 4])
@@ -24,11 +72,10 @@ each_machine = pytest.mark.parametrize("machine", sorted(MACHINES))
 def test_counter_chain_at_every_boundary(machine, n):
     # the chain is w = 2k + 1 long; at the boundary that opens block i it
     # holds i as the current index, and i - 1 decodes from its markers
-    prog = MACHINES[machine][0]
     k = n // 2
     w = 2 * k + 1
     s = blocklang.encode(blocklang.gen_positive(n, random.Random(n)))
-    r = Runner(prog)
+    r = Runner(helpers.MACHINES[machine].prog)
     i = 0
     for ch in s:
         assert r.feed(ch) is None
@@ -49,31 +96,21 @@ def test_counter_chain_at_every_boundary(machine, n):
 
 @each_machine
 def test_gap_profile_is_flat_at_cadence(machine):
-    prog, cadence = MACHINES[machine]
+    # every symbol of every accepting run costs the cadence, at every n
+    cadence = helpers.MACHINES[machine].cadence
     rng = random.Random(5)
-    for n in (1, 2, 3, 5, 8):
-        s = blocklang.encode(blocklang.gen_positive(n, rng))
-        tr = run(prog, s).trace
-        gaps = tr.gaps()
-        assert gaps[0] == 0
-        assert set(gaps[1:]) == {cadence}
-        assert max_gap(tr) == cadence
-
-
-@each_machine
-def test_real_time_report_constant_across_n(machine):
-    # every run's worst gap is the cadence itself, at every n
-    prog, cadence = MACHINES[machine]
+    insts = [blocklang.gen_positive(n, rng) for n in (1, 2, 3, 5, 8)]
     rng = random.Random(6)
-    for n in (1, 2, 3, 4, 6):
-        for _ in range(5):
-            s = blocklang.encode(blocklang.gen_positive(n, rng))
-            assert max_gap(run(prog, s).trace) == cadence, (n, s)
+    insts += [blocklang.gen_positive(n, rng)
+              for n in (1, 2, 3, 4, 6) for _ in range(5)]
+    for inst in insts:
+        s = blocklang.encode(inst)
+        gaps = helpers.check_run(machine, s).trace.gaps()
+        assert gaps[0] == 0 and set(gaps[1:]) == {cadence}, s
 
 
 @each_machine
 def test_differential_against_oracle(machine):
-    prog = MACHINES[machine][0]
     for seed in (8, 9):
         rng = random.Random(seed)
         for n in range(1, 7):
@@ -82,18 +119,69 @@ def test_differential_against_oracle(machine):
                 chars = list(s)
                 if rng.random() < 0.5:
                     chars[rng.randrange(len(chars))] = rng.choice("01@#")
-                s = "".join(chars)
-                assert run(prog, s).verdict.accepted == \
-                    blocklang.member(s), (seed, s)
+                helpers.check_run(machine, "".join(chars))
 
 
-@each_machine
-def test_runs_are_deterministic(machine):
-    prog = MACHINES[machine][0]
-    s = "10@01@11@00#01#11#"
-    a = run(prog, s)
-    b = run(prog, s)
-    assert a.verdict == b.verdict
-    assert a.trace.gaps() == b.trace.gaps()
-    assert a.trace.halted and b.trace.halted
-    assert a.stats == b.stats
+# -- the bounded machine's tries ---------------------------------------------
+
+def test_structure_counts_after_accepting_run():
+    inst = blocklang.Instance(4, ("00", "11", "01", "10") * 4, "0011", "0111")
+    s = blocklang.encode(inst)
+    assert blocklang.member(s)
+    res = run(KUM, s)
+    assert res.verdict.accepted
+    g = res.graph
+    depth = inst.k + 1  # the root's bit (a pad for even n), then k digits
+    lv = helpers.levels(g, 0, depth + 1)
+    assert len(lv) == depth + 1  # and no level below the leaves
+    assert len(lv[depth]) == 2 ** inst.n  # one index leaf per block
+    # every index leaf and its marked per-value leaf link val to val
+    for leaf in lv[depth]:
+        pv_leaf = g.neighbor(leaf, VAL)
+        assert g.get_color(pv_leaf) == MARK
+        assert g.neighbor(pv_leaf, VAL) == leaf
+    # value trie has one leaf per distinct block value
+    vlv = helpers.levels(g, res.registers.vroot, inst.k)
+    assert len(vlv[inst.k]) == len(set(inst.blocks))
+    # one marked per-value leaf per index
+    assert helpers.count_color(g, MARK) == 2 ** inst.n
+
+
+def test_nodes_per_symbol():
+    # one index leaf per block and one per-value leaf per index, but no
+    # copy of the block values: the graph stays within 1.5 nodes a symbol
+    s = blocklang.encode(blocklang.gen_positive(10, random.Random(10)))
+    res = run(KUM, s)
+    assert res.verdict.accepted
+    assert res.stats["node_count"] <= 1.5 * len(s), res.stats
+
+
+# -- the directed machine's shared representatives ---------------------------
+
+def test_value_sharing_by_pointer_identity():
+    # two distinct values among four blocks: two representative nodes,
+    # each the v target of exactly the two index leaves carrying it
+    s = "0@1@0@1#00#10#"
+    res = run(SMM, s)
+    assert res.verdict.accepted
+    g = res.graph
+    depth = 2  # the root's pad bit, then k = 1 digit
+    lv = helpers.levels(g, 0, depth)
+    assert len(lv[depth]) == 4
+    reps = [g.neighbor(leaf, V) for leaf in lv[depth]]
+    assert all(r is not None for r in reps)
+    assert len(set(reps)) == 2
+    for rep in set(reps):
+        assert g.in_degree(rep) == reps.count(rep) == 2
+    vlv = helpers.levels(g, res.registers.vroot, 1)
+    assert len(vlv[1]) == 2  # k = 1
+    # balanced values: no node concentrates more than two in-edges
+    assert res.stats["max_in_degree"] == 2
+
+
+def test_all_equal_blocks_concentrate_in_degree():
+    # all 2^n blocks share one value, so its representative has in-degree
+    # 2^n (check_run's fan-in law)
+    for n in (1, 2, 3, 4, 6):
+        s = blocklang.encode(blocklang.gen_all_equal(n))
+        assert helpers.check_run("smm", s, m=2 ** n).verdict.accepted, n

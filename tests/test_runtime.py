@@ -6,14 +6,15 @@ import tracemalloc
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import helpers
 from kumsim.blocklang import encode, gen_positive
 from kumsim.engine import ModelKind, new_graph
-from kumsim.kum_recognizer import build_kum_recognizer
 from kumsim.runtime import (
     Program, RejectReason, Registers, Runner, Trace, Verdict,
     max_gap, mean_gap, register_class, run,
 )
-from kumsim.smm_recognizer import build_smm_recognizer
+
+KUM = helpers.MACHINES["kum"].prog
 
 
 def toy_graph():
@@ -125,6 +126,10 @@ def test_cadence_pads_every_symbol_to_the_same_gap():
 def test_cadence_overrun_is_a_machine_fault():
     res = run(make_toy(cadence=2, steps_per_symbol=5), "01")
     assert res.verdict.reason is RejectReason.MACHINE_FAULT
+    # a handler that overruns is not real-time even when it rejects
+    res = run(make_toy(cadence=2, steps_per_symbol=3, reject_at="0"), "0")
+    assert res.verdict.reason is RejectReason.MACHINE_FAULT
+    assert res.trace.gaps() == [0, 3]
 
 
 def test_registers_reject_unknown_names():
@@ -160,7 +165,7 @@ def test_max_gap_and_mean_gap():
 def test_mean_gap_refuses_an_unhalted_trace():
     # total_steps is set only at the halt, so a mean taken mid-run would
     # read 0 while the gaps say otherwise
-    r = Runner(build_kum_recognizer())
+    r = Runner(KUM)
     for ch in "0@1@":
         assert r.feed(ch) is None
     assert max_gap(r.trace) > 0
@@ -283,7 +288,7 @@ WORD = encode(gen_positive(2, random.Random(3)))
 ], ids=["accept", "early-reject", "bad-alphabet", "empty", "start-fault"])
 def test_events_view_equals_tuples_rebuilt_from_gaps(machine, text, verdict,
                                                      length):
-    prog = START_FAULT if machine == "start-fault" else RECOGNIZERS[machine]
+    prog = START_FAULT if machine == "start-fault" else KUM
     res = run(prog, text)
     assert str(res.verdict) == verdict
     tr = res.trace
@@ -332,7 +337,7 @@ def test_gaps_returns_a_copy():
 
 
 def test_fork_and_original_fed_different_suffixes_match_fresh_runs():
-    prog = build_kum_recognizer()
+    prog = KUM
     word = "0@1@0@1#00#10#"
     base = Runner(prog)
     for ch in word[:9]:
@@ -354,8 +359,7 @@ def test_fork_and_original_fed_different_suffixes_match_fresh_runs():
     assert base.verdict.accepted and not fork.verdict.accepted
 
 
-@pytest.mark.parametrize("build", [build_kum_recognizer,
-                                   build_smm_recognizer])
+@pytest.mark.parametrize("build", [m.build for m in helpers.MACHINES.values()])
 def test_trace_retains_at_most_16_bytes_per_symbol(build):
     """A padded run's trace is one small int per symbol (a tuple and a
     position int per event would be about 104 bytes)."""
@@ -376,8 +380,8 @@ def test_trace_retains_at_most_16_bytes_per_symbol(build):
     assert (with_trace - without) / len(word) <= 16
 
 
-@pytest.mark.parametrize("build, bound", [(build_kum_recognizer, 80),
-                                          (build_smm_recognizer, 70)])
+@pytest.mark.parametrize("build, bound", [(helpers.MACHINES["kum"].build, 80),
+                                          (helpers.MACHINES["smm"].build, 70)])
 def test_graph_retains_few_bytes_per_node(build, bound):
     """Port entries are 4-byte machine ints and colors and degrees a byte
     each per node (lists of ints would take about 116 (KUM) and 78 (SMM)
@@ -416,15 +420,9 @@ def test_streaming_prefix_consistency(text, cut):
 
 # -- the real recognizers' register files and forks ------------------------
 
-RECOGNIZERS = {
-    "kum": build_kum_recognizer(), "kum0": build_kum_recognizer(None),
-    "smm": build_smm_recognizer(), "smm0": build_smm_recognizer(None),
-}
-
-
 def test_register_classes_are_shared_by_name_set():
-    assert (RECOGNIZERS["kum"].register_class
-            is RECOGNIZERS["kum0"].register_class)
+    assert KUM.register_class is helpers.MACHINES["kum"].build(
+        None).register_class
     assert register_class(("a", "b")) is register_class(["a", "b"])
     assert register_class(("a", "b")) is not register_class(("b", "a"))
 
@@ -435,10 +433,10 @@ def _register_writes(names):
                     max_size=40)
 
 
-@given(st.sampled_from(["kum", "smm"]), st.data())
+@given(st.sampled_from(sorted(helpers.MACHINES)), st.data())
 @settings(max_examples=60, deadline=None)
 def test_register_copy_is_equal_then_independent(machine, data):
-    cls = RECOGNIZERS[machine].register_class
+    cls = helpers.MACHINES[machine].prog.register_class
     writes = _register_writes(cls().keys())
     R = cls()
     for name, value in data.draw(writes):
@@ -457,14 +455,6 @@ def test_register_copy_is_equal_then_independent(machine, data):
     assert dict(C) == want_c
 
 
-def _finish(runner, text):
-    for ch in text:
-        if runner.verdict is not None:
-            break
-        runner.feed(ch)
-    return runner.finish()
-
-
 def _same_run(got, want):
     assert got.verdict == want.verdict
     assert got.trace.halted and want.trace.halted
@@ -474,12 +464,15 @@ def _same_run(got, want):
     assert dict(got.registers) == dict(want.registers)
 
 
-@given(st.sampled_from(sorted(RECOGNIZERS)), st.integers(1, 2),
-       st.integers(0, 2 ** 16), st.data())
+@given(st.sampled_from(sorted(helpers.MACHINES)), st.booleans(),
+       st.integers(1, 2), st.integers(0, 2 ** 16), st.data())
 @settings(max_examples=80, deadline=None)
-def test_forked_recognizer_matches_a_fresh_run(machine, n, seed, data):
-    """Fork mid-input, feed both sides any suffix: each equals a fresh run."""
-    prog = RECOGNIZERS[machine]
+def test_forked_recognizer_matches_a_fresh_run(machine, padded, n, seed,
+                                               data):
+    """Fork mid-input, feed both sides any suffix, padded or not: each
+    equals a fresh run."""
+    mach = helpers.MACHINES[machine]
+    prog = mach.prog if padded else mach.build(None)
     word = encode(gen_positive(n, random.Random(seed)))
     cut = data.draw(st.integers(0, len(word)))
     suffixes = st.one_of(st.just(word[cut:]),
@@ -491,5 +484,7 @@ def test_forked_recognizer_matches_a_fresh_run(machine, n, seed, data):
         if base.feed(ch) is not None:
             break
     fork = base.fork()
-    _same_run(_finish(fork, fork_suffix), run(prog, word[:cut] + fork_suffix))
-    _same_run(_finish(base, base_suffix), run(prog, word[:cut] + base_suffix))
+    _same_run(helpers.finish(fork, fork_suffix),
+              run(prog, word[:cut] + fork_suffix))
+    _same_run(helpers.finish(base, base_suffix),
+              run(prog, word[:cut] + base_suffix))

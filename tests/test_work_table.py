@@ -17,11 +17,11 @@ import pytest
 import helpers
 from kumsim import blocklang
 from kumsim.gadgets import BLANK, ZERO
-from kumsim.kum_recognizer import KUM_CADENCE, build_kum_recognizer
 from kumsim.runtime import Runner, run
-from kumsim.smm_recognizer import SMM_CADENCE, build_smm_recognizer
 
 SEGMENTS = ("block0", "blocks", "sep", "x", "y")
+# Each machine's maximum per segment, in SEGMENTS order.
+WORK_MAXIMA = {"kum": (6, 11, 12, 8, 6), "smm": (6, 8, 10, 2, 2)}
 INPUTS_PER_N = 9
 
 
@@ -59,8 +59,8 @@ def _corpus():
             yield blocklang.encode(inst)
 
 
-def _segment_maxima(build):
-    prog = build(cadence=None)
+def _segment_maxima(machine):
+    prog = helpers.MACHINES[machine].build(None)
     top = dict.fromkeys(SEGMENTS, 0)
     for s in _corpus():
         r = Runner(prog)
@@ -75,22 +75,18 @@ def _segment_maxima(build):
     return top
 
 
-@pytest.mark.parametrize("build, cadence, want", [
-    (build_kum_recognizer, KUM_CADENCE, (6, 11, 12, 8, 6)),
-    (build_smm_recognizer, SMM_CADENCE, (6, 8, 10, 2, 2)),
-], ids=["kum", "smm"])
-def test_per_segment_work_maxima(build, cadence, want):
-    top = _segment_maxima(build)
-    assert tuple(top[seg] for seg in SEGMENTS) == want, top
-    assert max(top.values()) == cadence
+@pytest.mark.parametrize("machine", sorted(helpers.MACHINES))
+def test_per_segment_work_maxima(machine):
+    top = _segment_maxima(machine)
+    assert tuple(top[seg] for seg in SEGMENTS) == WORK_MAXIMA[machine], top
+    assert max(top.values()) == helpers.MACHINES[machine].cadence
 
 
-@pytest.mark.parametrize("build", [
-    build_kum_recognizer, build_smm_recognizer], ids=["kum", "smm"])
-def test_no_wasted_primitive(build):
+@pytest.mark.parametrize("machine", sorted(helpers.MACHINES))
+def test_no_wasted_primitive(machine):
     # no set_color rewrites a node's own color, and no neighbor probes a
     # child port of a trie node that has no child
-    prog = helpers.waste_counting(build(cadence=None))
+    prog = helpers.waste_counting(helpers.MACHINES[machine].build(None))
     noop_writes = empty_probes = 0
     for s in _corpus():
         res = run(prog, s)
@@ -103,7 +99,7 @@ def test_no_wasted_primitive(build):
 def test_forked_waste_counter_keeps_counting():
     # a sweep forks its runners: the fork of a counting graph must be a
     # counting graph that starts from the same counts and counts on alone
-    prog = helpers.waste_counting(build_kum_recognizer(cadence=None))
+    prog = helpers.waste_counting(helpers.MACHINES["kum"].build(None))
     r = Runner(prog)
     for ch in "01@":
         assert r.feed(ch) is None
