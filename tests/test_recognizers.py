@@ -1,6 +1,7 @@
 """Both recognizers: verdicts and reject reasons, the counter chain, the
-flat gap at the cadence, and verdicts against the oracle, run once per
-machine; then the structure each machine builds."""
+flat gap at the cadence, the real-time constant across n, and verdicts
+against the oracle, run once per machine; then the structure each machine
+builds."""
 
 import random
 
@@ -9,7 +10,7 @@ import pytest
 from kumsim import blocklang
 from kumsim.gadgets import CUR_HI, CUR_LO, MARK
 from kumsim.kum_recognizer import VAL
-from kumsim.runtime import RejectReason, Runner, run
+from kumsim.runtime import RejectReason, Runner, max_gap, run
 from kumsim.smm_recognizer import V
 
 import helpers
@@ -99,14 +100,23 @@ def test_gap_profile_is_flat_at_cadence(machine):
     # every symbol of every accepting run costs the cadence, at every n
     cadence = helpers.MACHINES[machine].cadence
     rng = random.Random(5)
-    insts = [blocklang.gen_positive(n, rng) for n in (1, 2, 3, 5, 8)]
-    rng = random.Random(6)
-    insts += [blocklang.gen_positive(n, rng)
-              for n in (1, 2, 3, 4, 6) for _ in range(5)]
-    for inst in insts:
-        s = blocklang.encode(inst)
+    for n in (1, 2, 3, 5, 8):
+        s = blocklang.encode(blocklang.gen_positive(n, rng))
         gaps = helpers.check_run(machine, s).trace.gaps()
         assert gaps[0] == 0 and set(gaps[1:]) == {cadence}, s
+
+
+@each_machine
+def test_real_time_report_constant_across_n(machine):
+    # the real-time constant the profile reports, max_gap, is the cadence
+    # in every run at every n, and no symbol of those runs costs less
+    cadence = helpers.MACHINES[machine].cadence
+    rng = random.Random(6)
+    for n in (1, 2, 3, 4, 6):
+        for _ in range(5):
+            s = blocklang.encode(blocklang.gen_positive(n, rng))
+            tr = helpers.check_run(machine, s).trace
+            assert max_gap(tr) == cadence == min(tr.gaps()[1:]), (n, s)
 
 
 @each_machine
