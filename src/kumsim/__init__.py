@@ -17,8 +17,8 @@ from kumsim.engine import (
 )
 from kumsim.kum_recognizer import KUM_CADENCE, build_kum_recognizer
 from kumsim.runtime import (
-    Program, Registers, RejectReason, RunResult, Runner, Trace, Verdict,
-    max_gap, mean_gap, run,
+    Program, Registers, RejectReason, Runner, Trace, Verdict, max_gap,
+    mean_gap, run,
 )
 from kumsim.smm_recognizer import SMM_CADENCE, build_smm_recognizer
 
@@ -28,9 +28,8 @@ __all__ = [
     "DegreeBoundExceeded", "EngineError", "FormatError", "Instance",
     "KUM_CADENCE", "ModelKind", "ModelMismatch", "NegativeKind", "NodeRef",
     "PortFree", "PortOccupied", "Program", "Registers", "RejectReason",
-    "RunResult", "Runner", "SMM_CADENCE", "StorageGraph", "Trace",
-    "UnknownColor", "Verdict", "build_kum_recognizer",
-    "build_smm_recognizer", "encode", "gen_all_equal", "gen_negative",
-    "gen_positive", "max_gap", "mean_gap", "member", "new_graph", "parse",
-    "run", "__version__",
+    "Runner", "SMM_CADENCE", "StorageGraph", "Trace", "UnknownColor",
+    "Verdict", "build_kum_recognizer", "build_smm_recognizer", "encode",
+    "gen_all_equal", "gen_negative", "gen_positive", "max_gap", "mean_gap",
+    "member", "new_graph", "parse", "run", "__version__",
 ]

@@ -82,18 +82,6 @@ class Instance:
             if len(field) != self.n or not _is_bits(field):
                 raise ValueError("indices must be %d-bit strings" % self.n)
 
-    @classmethod
-    def _unchecked(cls, n: int, blocks: tuple, x: str, y: str) -> "Instance":
-        """An Instance built without __post_init__, for fields already checked.
-
-        parse() has verified n, the block count and every block and index
-        length and alphabet by the time it builds its result, so checking
-        them again would double the cost of every oracle call.
-        """
-        inst = object.__new__(cls)
-        vars(inst).update(n=n, blocks=blocks, x=x, y=y)
-        return inst
-
     @property
     def k(self) -> int:
         return self.n // 2
@@ -117,6 +105,12 @@ def parse(s: str) -> Instance:
     after the final '#' that is also outside the alphabet reports
     BAD_ALPHABET rather than BAD_SUFFIX.
     """
+    n, blocks, x, y = _fields(s)
+    return Instance(n, tuple(blocks), x, y)
+
+
+def _fields(s: str) -> tuple:
+    """parse's checks: (n, the block list, x, y) of s, or FormatError."""
     if not ALPHABET.issuperset(s):
         for i, c in enumerate(s):
             if c not in ALPHABET:
@@ -159,16 +153,16 @@ def parse(s: str) -> Instance:
     if start != len(s):
         raise FormatError(NegativeKind.BAD_SUFFIX, start)
 
-    return Instance._unchecked(n, tuple(blocks), fields[0], fields[1])
+    return n, blocks, fields[0], fields[1]
 
 
 def member(s: str) -> bool:
     """The oracle: direct evaluation of the definition; malformed is false."""
     try:
-        inst = parse(s)
+        n, blocks, x, y = _fields(s)
     except FormatError:
         return False
-    return inst.is_member()
+    return blocks[int(x, 2)] == blocks[int(y, 2)]
 
 
 def _self_check(s: str, want: bool) -> str:

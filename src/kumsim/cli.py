@@ -5,7 +5,8 @@ Subcommands
   gen      write generated instance lines (one per line)
   run      one "<verdict>\\t<total_steps>\\t<max_gap>" line per input line
   profile  CSV of per-run timing and graph statistics over an n range;
-           exit 1 if a machine verdict disagrees with the oracle
+           exit 1 if a machine verdict disagrees with the oracle or
+           is a machine fault
   fuzz     differential machines-vs-oracle sweep; exit 1 on any mismatch
            or machine fault
   stats    JSON graph statistics per input line
@@ -18,8 +19,8 @@ are 0 and its stats are empty).  Oracle reject verdicts print as plain
 Input is newline-delimited UTF-8 text from a file path or "-" for stdin.
 Identical flags and seed give byte-identical output.  Exit codes:
 0 success or agreement, 1 a verdict that disagrees with the oracle
-(fuzz, profile) or a max_gap over profile's --realtime-c, 2 usage error
-or I/O failure.
+or is a machine fault (fuzz, profile) or a max_gap over profile's
+--realtime-c, 2 usage error or I/O failure.
 """
 
 from __future__ import annotations
@@ -84,6 +85,12 @@ def cmd_gen(args):
     return 0
 
 
+def _wrong(verdict, want):
+    """Whether verdict fails the oracle's answer want; a fault always does."""
+    return (verdict.accepted != want
+            or verdict.reason is RejectReason.MACHINE_FAULT)
+
+
 def _oracle_verdict(s):
     return "accept" if blocklang.member(s) else "reject"
 
@@ -124,8 +131,7 @@ def cmd_profile(args):
                                 % (n, len(s), _oracle_verdict(s)))
                     continue
                 res = run(prog, s)
-                if res.verdict.accepted != blocklang.member(s):
-                    wrong += 1
+                wrong += _wrong(res.verdict, blocklang.member(s))
                 mg = max_gap(res.trace)
                 worst = max(worst, mg)
                 rows.append("%d,%d,%s,%d,%d,%.6f,%d,%d,%d" % (
@@ -183,9 +189,7 @@ def cmd_fuzz(args):
         want = blocklang.member(s)
         for name, prog in progs:
             got = run(prog, s).verdict
-            # a fault is never a correct answer, even where it rejects
-            if (got.accepted != want
-                    or got.reason is RejectReason.MACHINE_FAULT):
+            if _wrong(got, want):
                 print("mismatch\tcase=%d\tmachine=%s\toracle=%s\tgot=%s"
                       % (i, name, "accept" if want else "reject", got))
                 print(s)
@@ -203,7 +207,7 @@ def _build_parser():
     sub = p.add_subparsers(dest="command", required=True)
     # run, profile and stats share the machine selector and output path
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--machine", choices=("kum", "smm", "oracle"),
+    common.add_argument("--machine", choices=(*MACHINES, "oracle"),
                         default="kum")
     common.add_argument("-o", "--output", default="-", metavar="PATH")
 
@@ -235,8 +239,8 @@ def _build_parser():
     pr.set_defaults(func=cmd_profile)
 
     f = sub.add_parser("fuzz", help="differential sweep against the oracle")
-    f.add_argument("--machines", nargs="+", choices=("kum", "smm"),
-                   default=["kum", "smm"])
+    f.add_argument("--machines", nargs="+", choices=tuple(MACHINES),
+                   default=list(MACHINES))
     f.add_argument("--cases", type=int, required=True)
     f.add_argument("--seed", type=int, default=0)
     f.add_argument("--max-n", type=int, default=6)

@@ -153,9 +153,6 @@ def _prev(s):
 
 _PREV = _table(_prev)
 _ONES = (1, 1)
-# Whether the lowest set bit is the pair's lo bit, which leaves the hi
-# bit on the previous index's path.
-_SET_ON_LO = _table(lambda s: s & _SET and s & 1)
 # The lowest zero's node in next: the pair plus 1 (a pair holding a
 # lowest zero is never 11), marked as next's lowest set bit.
 _STEP = _table(lambda s: CHAIN0 + ((s + 1) & 3 | _SET))
@@ -343,7 +340,7 @@ def index_level(g, R, c, wire):
     a pair's lo bit, which the next digit carries.
     """
     d, R.f_lo = digit(R, CUR_HI[c], CUR_LO[c], R.f_lo)
-    if R.f_ifresh is None or (_SET_ON_LO[c] and R.walk is not None):
+    if R.f_ifresh is None or (LOW_SET[c] and CUR_LO[c] and R.walk is not None):
         R.icur = g.neighbor(R.icur, d)
     else:
         R.icur = attach(g, R.icur, d, wire)

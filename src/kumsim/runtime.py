@@ -106,17 +106,21 @@ class Registers:
 def register_class(names: Iterable[str]) -> type:
     """The Registers subclass with one slot per name, in order.
 
-    A name must be an identifier that is not a Python keyword, does not
-    start with an underscore and does not shadow an attribute of a
-    register file (keys, copy).  Classes are shared between calls with
-    the same names.
+    At most MAX_REGISTERS names, none twice.  A name must be an
+    identifier that is not a Python keyword, does not start with an
+    underscore and does not shadow an attribute of a register file (keys,
+    copy).  Classes are shared between calls with the same names.
     """
     names = tuple(names)
+    if len(names) > MAX_REGISTERS:
+        raise ValueError("register file capped at %d names" % MAX_REGISTERS)
     for name in names:
         if (not isinstance(name, str) or not name.isidentifier()
                 or keyword.iskeyword(name) or name.startswith("_")
                 or name == "copy" or hasattr(Registers, name)):
             raise ValueError("bad register name %r" % (name,))
+    if len(set(names)) != len(names):
+        raise ValueError("duplicate register names")
     return _compiled_register_class(names)
 
 
@@ -146,10 +150,12 @@ class Trace:
     faulted) and halted becomes true; total_steps is the step counter at
     the halt.  gaps() returns a copy of the gap list.
 
-    events is a read-only view of the same record as (kind, position,
-    gap) tuples, kept for the benchmark harness: read i is ("read", i,
-    gap i) and the halt is ("halt", number of reads, last gap), so an
-    event's position is its index.  New code reads gaps() and halted.
+    A Trace is also the sequence of the run's (kind, position, gap)
+    events, built on demand: read i is ("read", i, gap i) and the halt is
+    ("halt", number of reads, last gap), so an event's position is its
+    index.  It has len, truth, int indexing and iteration, and events
+    returns the trace itself, the name the benchmark harness reads.  New
+    code reads gaps() and halted.
     """
 
     __slots__ = ("_gaps", "halted", "total_steps")
@@ -160,39 +166,29 @@ class Trace:
         self.total_steps = 0
 
     @property
-    def events(self) -> "TraceEvents":
-        return TraceEvents(self)
+    def events(self) -> "Trace":
+        return self
 
     def gaps(self) -> list[int]:
         return self._gaps[:]
 
-
-class TraceEvents:
-    """Live view of a Trace: len, truth, int indexing and iteration."""
-
-    __slots__ = ("_trace",)
-
-    def __init__(self, trace: Trace):
-        self._trace = trace
-
     def __len__(self) -> int:
-        return len(self._trace._gaps)
+        return len(self._gaps)
 
     def __getitem__(self, i: int):
-        t = self._trace
-        n = len(t._gaps)
+        gaps = self._gaps
+        n = len(gaps)
         j = i + n if i < 0 else i
         if not 0 <= j < n:
             raise IndexError("trace event index out of range")
-        return ("halt" if t.halted and j == n - 1 else "read", j, t._gaps[j])
+        return ("halt" if self.halted and j == n - 1 else "read", j, gaps[j])
 
     def __iter__(self):
-        t = self._trace
-        gaps = t._gaps
-        reads = len(gaps) - t.halted
+        gaps = self._gaps
+        reads = len(gaps) - self.halted
         for i in range(reads):
             yield ("read", i, gaps[i])
-        if t.halted:
+        if self.halted:
             yield ("halt", reads, gaps[reads])
 
 
@@ -222,10 +218,6 @@ class Program:
     register_class: type = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if len(self.register_names) > MAX_REGISTERS:
-            raise ValueError("register file capped at %d names" % MAX_REGISTERS)
-        if len(set(self.register_names)) != len(self.register_names):
-            raise ValueError("duplicate register names")
         if self.cadence is not None and (type(self.cadence) is not int
                                          or self.cadence < 1):
             raise ValueError("cadence must be a positive int")
@@ -233,22 +225,15 @@ class Program:
                            register_class(self.register_names))
 
 
-@dataclass
-class RunResult:
-    verdict: Verdict
-    trace: Trace
-    stats: dict
-    # introspection handles for the harness; not part of machine semantics
-    graph: StorageGraph = field(repr=False, default=None)
-    registers: Registers = field(repr=False, default=None)
-
-
 class Runner:
     """Incremental run state: feed symbols one by one, then finish.
 
-    run() is the one-shot wrapper.  fork() snapshots the whole machine
-    mid-stream, which lets a harness explore many continuations of a
-    common prefix without replaying it.
+    A Runner is also the run's record: its verdict (None until the
+    halt), trace and stats, and the graph and registers as introspection
+    handles for the harness, not part of machine semantics.  run() is the
+    one-shot wrapper.  fork() snapshots the whole machine mid-stream,
+    which lets a harness explore many continuations of a common prefix
+    without replaying it.
     """
 
     __slots__ = ("program", "graph", "registers", "trace", "_mark",
@@ -272,6 +257,11 @@ class Runner:
         """The number of symbols delivered so far."""
         t = self.trace
         return len(t._gaps) - t.halted
+
+    @property
+    def stats(self) -> dict:
+        """graph.graph_stats(); reading them costs no steps."""
+        return self.graph.graph_stats()
 
     def feed(self, symbol: str) -> Optional[Verdict]:
         """Deliver one symbol; returns the verdict if the run just ended."""
@@ -301,8 +291,8 @@ class Runner:
             g.idle(cadence - spent)
         return None
 
-    def finish(self) -> RunResult:
-        """Signal end-of-input and collect the result."""
+    def finish(self) -> "Runner":
+        """Signal end-of-input (if the run has not halted) and return self."""
         if self.verdict is None:
             try:
                 verdict = self.program.on_end(self.graph, self.registers)
@@ -311,8 +301,7 @@ class Runner:
             if verdict is None:
                 verdict = Verdict.reject(RejectReason.MACHINE_FAULT)
             self._halt(verdict)
-        return RunResult(self.verdict, self.trace, self.graph.graph_stats(),
-                         self.graph, self.registers)
+        return self
 
     def _halt(self, verdict: Verdict) -> Verdict:
         now = self.graph.step_counter
@@ -338,8 +327,9 @@ class Runner:
         return r
 
 
-def run(program: Program, text: str) -> RunResult:
-    """Run a Program over text, strictly left to right, one symbol each.
+def run(program: Program, text: str) -> Runner:
+    """Run a Program over text, strictly left to right, one symbol each,
+    and return the finished Runner.
 
     Symbols outside {0,1,@,#} reject at the offending position without
     reaching the program.  Early rejection stops delivery; engine rule
@@ -356,15 +346,11 @@ def run(program: Program, text: str) -> RunResult:
 
 def max_gap(trace: Trace) -> int:
     """Largest step gap in the trace (the observed real-time constant)."""
-    if not trace._gaps:
-        raise ValueError("empty trace")
     return max(trace._gaps)
 
 
 def mean_gap(trace: Trace) -> float:
     """Steps per gap over a halted run (total_steps counts on_start too)."""
-    if not trace._gaps:
-        raise ValueError("empty trace")
     if not trace.halted:
         raise ValueError("trace has not halted")
     return trace.total_steps / len(trace._gaps)

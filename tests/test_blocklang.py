@@ -272,8 +272,8 @@ def near_words(draw):
 @given(st.one_of(near_words(), st.text(alphabet="01@#", max_size=24)))
 @settings(max_examples=300, deadline=None)
 def test_parse_accepts_only_valid_instance_fields(s):
-    """parse builds its Instance without re-validating; whatever it accepts
-    must pass Instance's own checks and give an equal instance."""
+    """Whatever parse accepts passes Instance's own checks, gives an equal
+    instance and agrees with member."""
     try:
         inst = parse(s)
     except FormatError:

@@ -135,6 +135,13 @@ def test_profile_wrong_verdict_exits_1(monkeypatch, capsys):
                      "--realtime-c", "100"]) == 1
     body = [r.split(",") for r in out_of(capsys).splitlines()[1:]]
     assert {r[2] for r in body} == {"reject:format"}
+    # a fault is a wrong verdict even where it rejects a non-member
+    monkeypatch.setitem(cli.MACHINES, "kum", helpers.faulting_kum_builder)
+    assert cli.main(["profile", "--machine", "kum", "--kind",
+                     "value-mismatch", "--n-min", "2", "--n-max", "3",
+                     "--per-n", "2"]) == 1
+    body = [r.split(",") for r in out_of(capsys).splitlines()[1:]]
+    assert {r[2] for r in body} == {"reject:machine-fault"}
 
 
 def test_profile_output_is_byte_identical(tmp_path):

@@ -144,11 +144,15 @@ def test_program_register_cap():
     names = tuple("r%d" % i for i in range(33))
     with pytest.raises(ValueError):
         Program(names, toy_graph, None, None, None)
+    with pytest.raises(ValueError):
+        Registers(names)
 
 
 def test_program_rejects_duplicate_names_and_a_zero_cadence():
     with pytest.raises(ValueError):
         Program(("a", "b", "a"), toy_graph, None, None, None)
+    with pytest.raises(ValueError):
+        Registers(("a", "b", "a"))
     for cadence in (0, 14.0, True):  # idle() takes only a nonnegative int
         with pytest.raises(ValueError):
             Program(("a",), toy_graph, None, None, None, cadence=cadence)
@@ -322,7 +326,8 @@ def test_events_view_of_an_unfinished_run_and_an_empty_trace():
     view = r.trace.events
     r.finish()
     assert r.position == 3
-    assert view[-1] == ("halt", 3, 5)   # the view is live
+    assert view[-1] == ("halt", 3, 5)   # the view is live: it is the trace
+    assert view is r.trace
     assert len(view) == 4 and list(view) == _rebuilt(r.trace)
     assert list(Trace().events) == []
 
