@@ -86,9 +86,6 @@ class Instance:
     def k(self) -> int:
         return self.n // 2
 
-    def is_member(self) -> bool:
-        return self.blocks[int(self.x, 2)] == self.blocks[int(self.y, 2)]
-
 
 def encode(inst: Instance) -> str:
     """Flat string form: blocks joined by '@', then '#x#y#'."""

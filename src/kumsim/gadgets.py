@@ -18,8 +18,11 @@ current block index i, a marker set on the node that holds i's lowest
 zero (its lo bit if that is 0, else its hi bit, since every bit below a
 lowest zero is 1) and a marker set on the node that holds i's lowest set
 bit (its lo bit if that is 1, else its hi bit, since every bit below a
-lowest set bit is 0).  That is 16 chain codes, a palette of 20 with the
-four plain colors; CUR_HI, CUR_LO, LOW_ZERO and LOW_SET decode a color.
+lowest set bit is 0).  A fifth bit marks the tail, so a color says
+where the chain ends.  That is 32 chain codes, a palette of 36 with the
+four plain colors; the tail reaches three of them (bit 0 with i's lowest
+zero, bit 1 with i's lowest set bit, and bit 1 bare once the counter has
+wrapped).  CUR_HI, CUR_LO, LOW_ZERO, LOW_SET and AT_TAIL decode a color.
 
 The previous index i - 1 is not stored: it follows from i (Warren,
 Hacker's Delight, 2nd ed., sec. 2-1), and prev_pair decodes it one node
@@ -39,10 +42,11 @@ one walk node to the next, so a level costs one descend.  For even n the
 root level is the pad bit 0, and x and y fill whole digits.
 
 During block i one walk runs from head to tail, one node per symbol and
-the tail on the boundary symbol, at most 3 primitives a node (get_color,
-neighbor, set_color on the same node).  The color it reads gives the
-node's bits of i (for the index path) and, through prev_pair, of i - 1
-(for the structure builders, most significant first).  The walk rewrites
+the tail on the boundary symbol, at most 3 primitives a node: get_color,
+then neighbor unless the color says tail, and set_color on the same
+node.  The color it reads gives the node's bits of i (for the index
+path) and, through prev_pair, of i - 1 (for the structure builders, most
+significant first).  The walk rewrites
 the node in place to hold next = i + 1, which keeps i above its lowest
 zero, sets that bit and clears every bit below it; the bit it sets is
 next's lowest set bit, so the same set_color moves that marker there.
@@ -52,11 +56,12 @@ lowest zero), the nodes from i's lowest zero down to the tail, and the
 node of next's lowest zero.  When i's lowest zero lies above the tail,
 next's is the tail, and the tail's set_color marks it.  Otherwise (i
 even) next's lowest zero is on the last node above the tail that kept a
-0; last_zero holds it, and the tail's position marks it for 2 more
-primitives.  A walk that sees no lowest-zero marker read all ones: at '@'
-the counter wrapped (more than 2^w blocks), and at '#' the block count
-2^n is 2^w; that walk clears the tail's lowest-set marker, so the chain
-then decodes i - 1 as all ones.  The only other count '#' allows is
+0; last_zero holds it and z_color the color the walk left there, so the
+tail marks it with one set_color in place of its neighbor probe.  A walk
+that sees no lowest-zero marker read all ones: at '@' the counter
+wrapped (more than 2^w blocks), and at '#' the block count 2^n is 2^w;
+that walk clears the tail's lowest-set marker, so the chain then decodes
+i - 1 as all ones.  The only other count '#' allows is
 2^(w - 1), current 01...1, whose lowest zero is the head's hi bit:
 f_lead says the walk met that marker there first.
 
@@ -78,12 +83,12 @@ chain and the tries through wire.
 
 Registers used here: c_head is the chain's head; walk is the walk's
 position (None past the tail); f_past is set once the walk has passed
-i's lowest zero; f_lead and last_zero are as above; icur is the index
-path's cursor, f_ifresh its fresh flag and f_lo the lo bit it carries
-to the next level; vroot and vt_cur are the value trie's root and cursor
-and f_vtfresh the value path's fresh flag.
+i's lowest zero; f_lead, last_zero and z_color are as above; icur is
+the index path's cursor, f_ifresh its fresh flag and f_lo the lo bit it
+carries to the next level; vroot and vt_cur are the value trie's root
+and cursor and f_vtfresh the value path's fresh flag.
 Flags are plain registers holding the anchor node when set and None when
-clear.
+clear; z_color, like phase, holds finite control, one of a few colors.
 With n even, every index path starts with a pad bit 0 that the x and y
 fields do not carry, so skip_pad starts x's walk, and the directed
 machine's y walk, one level down; the bounded machine's y instead queues
@@ -102,11 +107,11 @@ TAIL = 1  # a chain node's port toward the tail
 
 # Counter chain colors follow: CHAIN0 + s, where bits 0 and 1 of s are
 # the node's lo and hi bit of the current index, bit 2 (_ZERO) marks its
-# lowest zero and bit 3 (_SET) its lowest set bit.
+# lowest zero, bit 3 (_SET) its lowest set bit and bit 4 (_TAIL) the tail.
 CHAIN0 = 4
-_ZERO, _SET = 4, 8
+_ZERO, _SET, _TAIL = 4, 8, 16
 PALETTE = ("zero", "one", "blank", "mark") + tuple(
-    "chain%s" % format(s, "04b") for s in range(16))
+    "chain%s" % format(s, "05b") for s in range(32))
 
 # The initial node: trie root on both machines, and the value flags point
 # at when set (never dereferenced through a flag).
@@ -124,22 +129,23 @@ BIT = {"0": ZERO, "1": ONE, "@": None, "#": None}
 # First in every recognizer's register file: the phase, the counter
 # chain's head, the walk, the index path and the value path.
 SKELETON_REGISTERS = (
-    "phase", "c_head", "walk", "f_past", "f_lead", "last_zero", "icur",
-    "f_ifresh", "f_lo", "vroot", "vt_cur", "f_vtfresh",
+    "phase", "c_head", "walk", "f_past", "f_lead", "last_zero", "z_color",
+    "icur", "f_ifresh", "f_lo", "vroot", "vt_cur", "f_vtfresh",
 )
 
 
 def _table(f):
     """f over the chain colors, indexed by color (None off the chain)."""
-    return (None,) * CHAIN0 + tuple(f(s) for s in range(16))
+    return (None,) * CHAIN0 + tuple(f(s) for s in range(32))
 
 
-# Decoding: the node's bits of the current index, and whether it holds
-# the current index's lowest zero or lowest set bit.
+# Decoding: the node's bits of the current index, whether it holds the
+# current index's lowest zero or lowest set bit, and whether it is the tail.
 CUR_LO = _table(lambda s: s & 1)
 CUR_HI = _table(lambda s: s >> 1 & 1)
 LOW_ZERO = _table(lambda s: s >> 2 & 1)
 LOW_SET = _table(lambda s: s >> 3 & 1)
+AT_TAIL = _table(lambda s: s >> 4 & 1)
 
 
 def _prev(s):
@@ -155,10 +161,10 @@ _PREV = _table(_prev)
 _ONES = (1, 1)
 # The lowest zero's node in next: the pair plus 1 (a pair holding a
 # lowest zero is never 11), marked as next's lowest set bit.
-_STEP = _table(lambda s: CHAIN0 + ((s + 1) & 3 | _SET))
+_STEP = _table(lambda s: CHAIN0 + ((s + 1) & 3 | _SET | s & _TAIL))
 # Block 1's counter, current 1: the tail's bit, 1's lowest set bit, and
 # 1's lowest zero (the lo bit of the pair above the tail).
-_SEED_TAIL = CHAIN0 + (1 | _SET)
+_SEED_TAIL = CHAIN0 + (1 | _SET | _TAIL)
 _SEED_MARK = CHAIN0 + _ZERO
 
 
@@ -244,7 +250,8 @@ def field_tick(g, R, d):
 def walk_step(g, R):
     """One node of the block's walk: read the color at walk, write next
     there where it differs from current, move walk on (None past the
-    tail), and set f_ifresh at current's lowest set bit.
+    tail, which its color marks), and set f_ifresh at current's lowest
+    set bit.  The read is read_step's, inline on this hot path.
 
     Returns the color read, for the tables to decode, or None if the walk
     was already past the tail.
@@ -253,26 +260,27 @@ def walk_step(g, R):
     if pos is None:
         return None
     c = g.get_color(pos)
-    R.walk = nxt = g.neighbor(pos, TAIL)
+    R.walk = None if AT_TAIL[c] else g.neighbor(pos, TAIL)
     if LOW_SET[c]:
         R.f_ifresh = ANCHOR
     if R.f_past is not None:  # below current's lowest zero: next clears,
         # and the tail, current's lowest set bit, holds next's lowest zero
-        g.set_color(pos, CHAIN0 + _ZERO if nxt is None else CHAIN0)
+        g.set_color(pos, CHAIN0 + _ZERO + _TAIL if AT_TAIL[c] else CHAIN0)
     elif LOW_ZERO[c]:  # current's lowest zero, next's lowest set bit
         R.f_past = ANCHOR
         if not CUR_LO[c]:  # on the lo bit: current is not 01...1
             R.f_lead = None
         g.set_color(pos, _STEP[c])
         z = R.last_zero
-        if nxt is None and z is not None:  # next's lowest zero is above
-            g.set_color(z, g.get_color(z) + _ZERO)
+        if AT_TAIL[c] and z is not None:  # next's lowest zero is above
+            g.set_color(z, R.z_color + _ZERO)
     else:  # above it: next keeps current's bits
         R.f_lead = None
+        z = c - _SET if LOW_SET[c] else c
+        if z != c:  # current's lowest set bit; next's lies lower
+            g.set_color(pos, z)
         if not (CUR_HI[c] and CUR_LO[c]):
-            R.last_zero = pos
-        if LOW_SET[c]:  # current's lowest set bit; next's lies lower
-            g.set_color(pos, c - _SET)
+            R.last_zero, R.z_color = pos, z
     return c
 
 
@@ -283,8 +291,8 @@ def read_step(g, R):
     pos = R.walk
     if pos is None:
         return None
-    R.walk = g.neighbor(pos, TAIL)
     c = g.get_color(pos)
+    R.walk = None if AT_TAIL[c] else g.neighbor(pos, TAIL)
     if LOW_SET[c]:
         R.f_ifresh = ANCHOR
     return c

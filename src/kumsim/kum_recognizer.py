@@ -40,13 +40,13 @@ path.  A value leaf created in this block has an empty per-value trie;
 the per-value fresh flag f_pvfresh inherits the value path's at the
 block's end, so that path is fresh from its first level and never
 probes.  A block symbol costs at most walk 3 + index level 2 +
-per-value level 3 + value 3 = 11.  Block 0 costs at most 6, and its
-'@' 4.  A later boundary also completes both paths: it marks the
-previous index's per-value leaf and links the previous index leaf, held
-in prev_leaf since its own boundary, to it (2).  For even i the walk's
-tail costs 5 and the index path creates there, 5 + 2 + 3 + 2 = 12, the
-cadence; for odd i the tail costs 3, so 3 + 2 + 3 + 2 = 10, and 11 at
-the first '#' with its pad probe.
+per-value level 3 + value 3 = 11, the cadence.  Block 0 costs at most
+6, and its '@' 4.  A later boundary also completes both paths: it marks
+the previous index's per-value leaf and links the previous index leaf,
+held in prev_leaf since its own boundary, to it (2).  For even i the
+walk's tail costs 3, with its mark on last_zero, and the index path
+creates there, 3 + 2 + 3 + 2 = 10; for odd i the tail costs 2, so
+2 + 2 + 3 + 2 = 9, and 10 at the first '#' with its pad probe.
 
 After the blocks, x replays its digits into the index trie (descend
 only: a missing branch means x is not a valid index), while the
@@ -54,11 +54,11 @@ per-value path for the final index 2^n - 1, whose usual build slot does
 not exist, is finished on the same symbols.  The last walk left the
 counter one past that index (or, when 2^n is 2^w, all ones with no
 lowest-set marker, which decodes as itself), and a second read of the
-chain (neighbor and get_color, gadgets.read_step) decodes it with
-prev_pair one node per x symbol, which fits since the k + 1 nodes are no
-more than the n symbols of x: read 2 + per-value level 3 + x's own
-index-trie probe 1 = 6, and at the tail 2 + 3 + mark and link 2 + 1 =
-8.  The second '#' follows val from x's index leaf to x's per-value
+chain (get_color, neighbor off the tail: gadgets.read_step) decodes it
+with prev_pair one node per x symbol, which fits since the k + 1 nodes
+are no more than the n symbols of x: read 2 + per-value level 3 + x's
+own index-trie probe 1 = 6, and at the tail 1 + 3 + mark and link 2 +
+1 = 7.  The second '#' follows val from x's index leaf to x's per-value
 leaf, and for even n queues the pad's digit 0 (2).  The y digits then
 go through a small FIFO queue, each node colored as a chain pair holding
 its digit: each y symbol queues the digit it completes, if any, and
@@ -116,9 +116,9 @@ DEGREE_BOUND = 5
 
 # Worst primitive count of any single symbol handler, measured over the
 # exhaustive short-string sweep and the generated corpus, and equal to
-# the hand count in the module docstring (the '@' that closes an even
-# block index). The driver pads every symbol to this.
-KUM_CADENCE = 12
+# the hand count in the module docstring (a block symbol after block 0).
+# The driver pads every symbol to this.
+KUM_CADENCE = 11
 
 REGISTERS = SKELETON_REGISTERS + (
     "pv_cur",     # per-value index trie cursor

@@ -72,9 +72,10 @@ class Registers:
     works.  copy() returns a second file of the same class holding the
     same values; register_class compiles it for each name set.  Values
     are the machine's distinguished node handles (or None), except that
-    a recognizer's phase register holds finite control, not a node: a
-    phase table (see gadgets).  Reading and writing registers is finite
-    control, not graph work, so it costs no steps.
+    a recognizer's phase and z_color registers hold finite control, not
+    a node: a phase table and one of a few chain colors (see gadgets).
+    Reading and writing registers is finite control, not graph work, so
+    it costs no steps.
     """
 
     __slots__ = ()

@@ -35,10 +35,11 @@ head to tail; it and every trie pointer are set by _wire, build's wire
 hook.  Binding the representative at a block's
 end costs 3: a value leaf created in this block has no carrier, so the
 rep is made without probing for one.  A boundary for even i costs the
-walk's tail 5 + create 2 (the tail's digit holds or lies below i's
-lowest set bit) + 3 = 10, the cadence; for odd i, where the tail holds
-that bit, 3 + 2 + 3 = 8, and 9 at the first '#' with its pad probe.  No
-per-value tries, no queue.
+walk's tail 3, with its mark on last_zero, + create 2 (the tail's digit
+holds or lies below i's lowest set bit) + 3 = 8, the cadence with the
+block symbol; for odd i, where the tail holds that bit, 2 + 2 + 3 = 7,
+and 8 at the first '#' with its pad probe.  No per-value tries, no
+queue.
 
 x and y each descend the index trie one level per digit, on the symbol
 that completes it (after eating the pad branch when n is even); the
@@ -58,10 +59,11 @@ V = 4
 
 DIRECTIONS = ("c0", "c1", "c2", "c3", "v")
 
-# Worst primitive count of any single symbol handler, the '@' that
-# closes an even block index, as counted by hand in the module
+# Worst primitive count of any single symbol handler, a block symbol
+# after block 0 and, tied with it, the '@' that closes an even block
+# index or the first '#' of an even n, as counted by hand in the module
 # docstring.  Measured over the same corpus as the other machine.
-SMM_CADENCE = 10
+SMM_CADENCE = 8
 
 REGISTERS = SKELETON_REGISTERS + (
     "rep_x",      # representative of b_x, held between the last two '#'

@@ -53,6 +53,9 @@ def test_walk_counts_through_every_value(machine):
                 == ([] if zero is None else [zero]), (w, i)
             assert [j for j, c in enumerate(colors) if gadgets.LOW_SET[c]] \
                 == [_lowest(i, w, 1)], (w, i)
+            # the tail, and no other node, holds a tail code
+            assert [j for j, c in enumerate(colors) if gadgets.AT_TAIL[c]] \
+                == [len(chain) - 1], (w, i)
             prev = []
             for _ in range(w // 2):
                 before = g.step_counter
@@ -60,10 +63,14 @@ def test_walk_counts_through_every_value(machine):
                 assert g.step_counter - before <= 3, (w, i)
                 assert R.walk is not None
                 prev += gadgets.prev_pair(R, c)
+            if gadgets.LOW_ZERO[colors[-1]] and R.last_zero is not None:
+                # the tail marks next's lowest zero on last_zero from
+                # z_color alone; the graph's color column costs no step
+                assert R.z_color == g._color[R.last_zero], (w, i)
             before = g.step_counter
             c = gadgets.walk_step(g, R)
             assert R.walk is None and c == colors[-1]
-            assert g.step_counter - before <= (3 if i % 2 else 5), (w, i)
+            assert g.step_counter - before <= 3, (w, i)
             prev.append(gadgets.prev_pair(R, c)[1])
             # the walk's own decoding, as the recognizers use it
             assert "".join(map(str, prev)) == want_prev, (w, i)
@@ -82,6 +89,7 @@ def test_walk_counts_through_every_value(machine):
         colors = [g.get_color(node) for node in chain]
         assert not any(gadgets.LOW_ZERO[c] or gadgets.LOW_SET[c]
                        for c in colors), w
+        assert [gadgets.AT_TAIL[c] for c in colors] == [0] * (w // 2) + [1]
 
 
 @pytest.mark.parametrize("machine", sorted(helpers.MACHINES))

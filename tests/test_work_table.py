@@ -6,10 +6,13 @@ to, split as the benchmark splits them: block 0's bits, later blocks'
 bits, the block section's separators ('@' and the first '#'), the x
 field with its closing '#', and everything after it.  The maximum of each
 segment is what a proof of the cadences has to reproduce, and the
-largest of them is the cadence itself.  On the same inputs neither
-machine spends a primitive whose outcome it already knew.
+largest of them is the cadence itself.  The exact totals of steps and
+symbols are pinned too, so a change that raises the average cost without
+raising any maximum fails here.  On the same inputs neither machine
+spends a primitive whose outcome it already knew.
 """
 
+import functools
 import random
 
 import pytest
@@ -21,7 +24,9 @@ from kumsim.runtime import Runner, run
 
 SEGMENTS = ("block0", "blocks", "sep", "x", "y")
 # Each machine's maximum per segment, in SEGMENTS order.
-WORK_MAXIMA = {"kum": (6, 11, 12, 8, 6), "smm": (6, 8, 10, 2, 2)}
+WORK_MAXIMA = {"kum": (6, 11, 10, 7, 6), "smm": (6, 8, 8, 2, 2)}
+# Each machine's (steps, symbols) over the whole corpus.
+WORK_TOTALS = {"kum": (639562, 99468), "smm": (487646, 99468)}
 INPUTS_PER_N = 9
 
 
@@ -59,9 +64,13 @@ def _corpus():
             yield blocklang.encode(inst)
 
 
-def _segment_maxima(machine):
+@functools.cache
+def _work(machine):
+    """The machine's per-segment maxima, as a dict, and its total steps
+    and symbols over the corpus."""
     prog = helpers.MACHINES[machine].build(None)
     top = dict.fromkeys(SEGMENTS, 0)
+    steps = symbols = 0
     for s in _corpus():
         r = Runner(prog)
         for ch in s:
@@ -72,14 +81,21 @@ def _segment_maxima(machine):
         for seg, work in zip(_segments(s), res.trace.gaps()[1:]):
             if work > top[seg]:
                 top[seg] = work
-    return top
+            steps += work
+        symbols += len(s)
+    return top, steps, symbols
 
 
 @pytest.mark.parametrize("machine", sorted(helpers.MACHINES))
 def test_per_segment_work_maxima(machine):
-    top = _segment_maxima(machine)
+    top = _work(machine)[0]
     assert tuple(top[seg] for seg in SEGMENTS) == WORK_MAXIMA[machine], top
     assert max(top.values()) == helpers.MACHINES[machine].cadence
+
+
+@pytest.mark.parametrize("machine", sorted(helpers.MACHINES))
+def test_total_work(machine):
+    assert _work(machine)[1:] == WORK_TOTALS[machine]
 
 
 @pytest.mark.parametrize("machine", sorted(helpers.MACHINES))
