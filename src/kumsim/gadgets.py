@@ -45,11 +45,12 @@ During block i one walk runs from head to tail, one node per symbol and
 the tail on the boundary symbol, at most 3 primitives a node: get_color,
 then neighbor unless the color says tail, and set_color on the same
 node.  The color it reads gives the node's bits of i (for the index
-path) and, through prev_pair, of i - 1 (for the structure builders, most
-significant first).  The walk rewrites
-the node in place to hold next = i + 1, which keeps i above its lowest
-zero, sets that bit and clears every bit below it; the bit it sets is
-next's lowest set bit, so the same set_color moves that marker there.
+path) and, through prev_pair, of i - 1 (handed to build's on_node hook,
+most significant first); nothing else reads a chain node's color.  The
+walk rewrites the node in place to hold next = i + 1, which keeps i
+above its lowest zero, sets that bit and clears every bit below it; the
+bit it sets is next's lowest set bit, so the same set_color moves that
+marker there.
 Only three kinds of node change: the node of i's lowest set bit, which
 loses its marker when i is even (for odd i it is the tail, below the
 lowest zero), the nodes from i's lowest zero down to the tail, and the
@@ -91,9 +92,10 @@ Flags are plain registers holding the anchor node when set and None when
 clear; z_color, like phase, holds finite control, one of a few colors.
 With n even, every index path starts with a pad bit 0 that the x and y
 fields do not carry, so skip_pad starts x's walk, and the directed
-machine's y walk, one level down; the bounded machine's y instead queues
-the pad's digit 0 at the second '#' (kum_recognizer).  The fields arrive
-a bit a symbol and are read a digit at a time (field).
+machine's y walk, one level down; the bounded machine's y climbs a
+per-value trie back up and stops one level short of its root in the
+same way (kum_recognizer).  The fields arrive a bit a symbol and are
+read a digit at a time (field).
 """
 
 from __future__ import annotations
@@ -251,7 +253,7 @@ def walk_step(g, R):
     """One node of the block's walk: read the color at walk, write next
     there where it differs from current, move walk on (None past the
     tail, which its color marks), and set f_ifresh at current's lowest
-    set bit.  The read is read_step's, inline on this hot path.
+    set bit.
 
     Returns the color read, for the tables to decode, or None if the walk
     was already past the tail.
@@ -284,34 +286,20 @@ def walk_step(g, R):
     return c
 
 
-def read_step(g, R):
-    """One node of a second read of the chain, which rewrites nothing:
-    the color at walk, moving walk on, with f_ifresh set at current's
-    lowest set bit as walk_step sets it; None past the tail."""
-    pos = R.walk
-    if pos is None:
-        return None
-    c = g.get_color(pos)
-    R.walk = None if AT_TAIL[c] else g.neighbor(pos, TAIL)
-    if LOW_SET[c]:
-        R.f_ifresh = ANCHOR
-    return c
-
-
 def prev_pair(R, c):
     """The previous index's (hi, lo) at the node of color c that the walk
-    (or a read) has just reached; at the tail, lo is its bit 0."""
+    has just reached; at the tail, lo is its bit 0."""
     if R.f_ifresh is None or LOW_SET[c]:
         return _PREV[c]
     return _ONES
 
 
 def digit(R, hi, lo, carry):
-    """(d, carry) at the node whose bits, of some index, are (hi, lo) and
-    that the walk (or a read) has just reached: d is this node's level of
-    that index's path, 2 * carry + hi (at the tail, 2 * carry + lo), and
-    carry, a flag, holds the previous node's lo bit and comes back as
-    this one's."""
+    """(d, carry) at the chain node whose bits, of some index, are (hi,
+    lo), with walk moved on from it (None past the tail): d is this
+    node's level of that index's path, 2 * carry + hi (at the tail,
+    2 * carry + lo), and carry, a flag, holds the previous node's lo bit
+    and comes back as this one's."""
     d = lo if R.walk is None else hi
     if carry is not None:
         d += 2
@@ -394,8 +382,9 @@ def build(registers, graph_factory, cadence, wire, close, x_field,
     differs between the machines: wire(g, a, port, b) makes port of a
     lead to b, for every trie child and chain node (attach, grow_chain);
     close(g, R) runs at each block's end, with icur on the block's index
-    leaf and vt_cur on its value leaf; and on_node(g, R, c), if given,
-    runs after each walk node's index level.
+    leaf and vt_cur on its value leaf; and on_node(g, R, hi, lo), if
+    given, runs after each walk node's index level, with the node's bits
+    of the previous index (prev_pair).
 
     Block 0 grows the chain instead of walking it: its first symbol
     appends the tail, every later symbol and its '@' a pair, and each
@@ -446,7 +435,7 @@ def build(registers, graph_factory, cadence, wire, close, x_field,
             return REJ_PACING  # the tail belongs to the boundary
         index_level(g, R, c, wire)
         if on_node is not None:
-            on_node(g, R, c)
+            on_node(g, R, *prev_pair(R, c))
         R.vt_cur = descend(g, R, R.vt_cur, bit, R.f_vtfresh, "f_vtfresh",
                            wire)
         return None
@@ -459,7 +448,7 @@ def build(registers, graph_factory, cadence, wire, close, x_field,
             return REJ_FORMAT  # the counter wrapped: more than 2^w blocks
         index_level(g, R, c, wire)
         if on_node is not None:
-            on_node(g, R, c)
+            on_node(g, R, *prev_pair(R, c))
         close_block(g, R)
         return None
 
@@ -471,7 +460,7 @@ def build(registers, graph_factory, cadence, wire, close, x_field,
             return REJ_FORMAT  # the count is neither 2^w nor 2^(w - 1)
         index_level(g, R, c, wire)
         if on_node is not None:
-            on_node(g, R, c)
+            on_node(g, R, *prev_pair(R, c))
         close(g, R)
         R.icur = skip_pad(g, R)
         x_field(R)

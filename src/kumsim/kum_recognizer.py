@@ -33,7 +33,7 @@ Per block symbol the machine runs gadgets.build's block section (one
 counter walk node, its index level and a value-trie level, each priced
 there) and, as its on_node hook, extends the per-value path for the
 previous index i - 1 one level, on the digit gadgets.digit makes of the
-pair gadgets.prev_pair decodes off the same node and the lo bit carried
+bits of i - 1 that build decodes off the same node and the lo bit carried
 in f_pvlo.  A per-value level is one gadgets.descend: 1 when the child
 exists, 3 when the probe finds none and creates it, and 2 on a fresh
 path.  A value leaf created in this block has an empty per-value trie;
@@ -51,29 +51,31 @@ creates there, 3 + 2 + 3 + 2 = 10; for odd i the tail costs 2, so
 After the blocks, x replays its digits into the index trie (descend
 only: a missing branch means x is not a valid index), while the
 per-value path for the final index 2^n - 1, whose usual build slot does
-not exist, is finished on the same symbols.  The last walk left the
-counter one past that index (or, when 2^n is 2^w, all ones with no
-lowest-set marker, which decodes as itself), and a second read of the
-chain (get_color, neighbor off the tail: gadgets.read_step) decodes it
-with prev_pair one node per x symbol, which fits since the k + 1 nodes
-are no more than the n symbols of x: read 2 + per-value level 3 + x's
-own index-trie probe 1 = 6, and at the tail 1 + 3 + mark and link 2 +
-1 = 7.  The second '#' follows val from x's index leaf to x's per-value
-leaf, and for even n queues the pad's digit 0 (2).  The y digits then
-go through a small FIFO queue, each node colored as a chain pair holding
-its digit: each y symbol queues the digit it completes, if any, and
-then either climbs two parent ports from x's per-value leaf toward the
-root of b_x's per-value trie, while a walk down the counter chain, one
-node a climb, counts the k + 1 levels, or, once that walk has ended,
-drains one queued digit down that trie.  A y symbol costs at most
-enqueue 2 + two climbs 4 = 6, or enqueue 2 + dequeue 2 + descend 1 = 5,
-and the final '#' drains one more digit and reads the color, 4.  The
-queue empties in time, and its length depends on n alone: the climbs
-end on y's symbol c = ceil((k + 1) / 2) with at most c / 2 + 1 digits
-queued, none drained; after it a lo bit queues one digit and drains
-one, and a hi bit or the final '#' drains one, and for k >= 3 the
-n - c >= 2k - c later symbols hold at least c / 2 hi bits (smaller n
-are run in the tests).  y is a member index for b_x exactly when the
+not exist, is finished on the same symbols.  Finite control knows that
+index: the first '#' admits only 2^w or 2^(w - 1) blocks, so it is all
+ones, under the pad 0 at the root for even n.  So x reads no color: walk
+steps down the chain only to count the k + 1 levels, one a symbol, which
+fits since the k + 1 nodes are no more than the n symbols of x: walk 1 +
+per-value level 3 + x's own index-trie probe 1 = 5, and at the tail 1 +
+3 + mark and link 2 + 1 = 7.  The second '#' follows val from x's index
+leaf to x's per-value leaf and re-arms the walk to count y's climb (1,
+and 2 for even n).  The y digits then go through a small FIFO queue,
+each node colored as a chain pair holding its digit: each y symbol
+queues the digit it completes, if any, and then either climbs two parent
+ports from x's per-value leaf toward the root of b_x's per-value trie,
+while the walk, one node a climb, lasts, or, once it has ended, drains
+one queued digit down that trie.  x and y both carry an even n's pad 0,
+so for even n the walk starts one node down the chain and y climbs k
+levels, to the pad's node; for odd n it climbs k + 1, to the value leaf.
+Either way y completes one digit per level climbed.  A y symbol costs at
+most enqueue 2 + two climbs 4 = 6 (first at n = 11), or enqueue 2 +
+dequeue 2 + descend 1 = 5, and the final '#' drains one more digit and
+reads the color, 4.  The queue empties in time, and its length depends
+on n alone: the climbs end on y's symbol c, half the levels rounded up,
+with every digit completed so far queued and none drained; after it a lo
+bit queues one digit and drains one, and a hi bit or the final '#'
+drains one; those hi bits and the '#' number k + 1 - c >= 0 more than
+the digits queued by c.  y is a member index for b_x exactly when the
 last move ends on a marked node with the queue empty.
 
 Every edge but a val link is made by _wire, build's wire hook, which
@@ -104,8 +106,8 @@ from __future__ import annotations
 
 from .engine import ModelKind, new_graph
 from .gadgets import (CHAIN0, DONE, MARK, PALETTE, REJ_FORMAT,
-                      SKELETON_REGISTERS, TAIL, ZERO, build, descend, digit,
-                      field, field_tick, prev_pair, read_step)
+                      SKELETON_REGISTERS, TAIL, build, descend, digit, field,
+                      field_tick)
 
 # After the child ports c0 to c3, one per digit, of which c1 is also the
 # tail-ward port of a chain or queue node (gadgets.TAIL).
@@ -155,11 +157,11 @@ def _dequeue(g, R):
     return d
 
 
-def _prev_level(g, R, c):
-    """The previous index's per-value level at the chain node of color c;
-    at the tail its last level, whose leaf is then marked and linked to
-    prev_leaf."""
-    d, R.f_pvlo = digit(R, *prev_pair(R, c), R.f_pvlo)
+def _prev_level(g, R, hi, lo):
+    """The previous index's per-value level at the chain node holding its
+    bits (hi, lo); at the tail its last level, whose leaf is then marked
+    and linked to prev_leaf."""
+    d, R.f_pvlo = digit(R, hi, lo, R.f_pvlo)
     R.pv_cur = descend(g, R, R.pv_cur, d, R.f_pvfresh, "f_pvfresh", _wire)
     if R.walk is None:
         g.set_color(R.pv_cur, MARK)
@@ -169,23 +171,24 @@ def _prev_level(g, R, c):
 def _hold_leaves(g, R):
     """Block end: hold the finished index leaf in prev_leaf, start the
     per-value path at the value leaf just reached (its per-value trie is
-    empty if this block created it), and arm a read of the chain from its
-    head.  After the last block, x reads the chain to finish the last
-    per-value path; after '@', next_block re-arms the same walk."""
+    empty if this block created it), and arm the walk at the chain's
+    head, which after the last block counts the levels of x's last
+    per-value path (after '@', next_block arms it anyway)."""
     R.prev_leaf = R.icur
     R.pv_cur = R.vt_cur
     R.f_pvfresh = R.f_vtfresh
     R.f_pvlo = None
     R.walk = R.c_head
-    R.f_ifresh = None
 
 
 def x_tick(g, R, d):
     """x bit: descend the index trie on a digit; finish the last
     per-value path."""
-    c = read_step(g, R)
-    if c is not None:
-        _prev_level(g, R, c)
+    if R.walk is not None:
+        R.walk = g.neighbor(R.walk, TAIL)
+        # 2^n - 1 is all ones, under the pad 0 at the root for even n
+        _prev_level(g, R, 0 if R.f_pvlo is None and R.f_past is not None
+                    else 1, 1)
     return field_tick(g, R, d)
 
 
@@ -196,9 +199,8 @@ def x_end(g, R, _bit):
     if leaf is None:
         return REJ_FORMAT  # x shorter than n
     R.pv_cur = leaf
-    R.walk = R.c_head
-    if R.f_past is not None:  # even n: the pad's digit goes first
-        _enqueue(g, R, ZERO)
+    # even n: x and y both carry the pad, so the climb stops at its node
+    R.walk = R.c_head if R.f_past is None else g.neighbor(R.c_head, TAIL)
     Y_FIELD(R)
     return None
 

@@ -24,19 +24,50 @@ CHILD_PORTS = range(4)
 
 class Machine(NamedTuple):
     build: Callable    # build(None) is the unpadded program
-    prog: Program      # build(): padded to the cadence
+    prog: Program      # build(), padded to the cadence, on GrowOnlyGraphs
     cadence: int       # the pinned cadence
     fan_in: Callable   # fan_in(stats, m): the fan-in law, see check_run
     wire: Callable     # build's wire hook
 
 
+class GrowOnlyGraph(StorageGraph):
+    """A graph that asserts the machine only grows it: unlink raises
+    AssertionError, and set_pointer asserts that the port it aims is
+    empty, reading the graph's own columns at no step cost.  (link
+    already refuses an occupied port.)"""
+
+    __slots__ = ()
+
+    def unlink(self, a, p):
+        raise AssertionError("grow-only graph: unlink(%r, %r)" % (a, p))
+
+    def set_pointer(self, a, d, b):
+        if (type(a) is int and type(d) is int
+                and 0 <= a < self._node_count and 0 <= d < self._nports):
+            assert self._adj[a * self._nports + d] < 0, \
+                "grow-only graph: set_pointer(%r, %r) retargets" % (a, d)
+        StorageGraph.set_pointer(self, a, d, b)
+
+
+def on_graphs(cls, prog):
+    """prog running on graphs of cls, a StorageGraph subclass."""
+    def factory():
+        g = prog.graph_factory()
+        return cls(g.model, g.degree_bound, g.palette, g.labels)
+    return dataclasses.replace(prog, graph_factory=factory)
+
+
 MACHINES = {
     "kum": Machine(kum_recognizer.build_kum_recognizer,
-                   kum_recognizer.build_kum_recognizer(), KUM_CADENCE,
+                   on_graphs(GrowOnlyGraph,
+                             kum_recognizer.build_kum_recognizer()),
+                   KUM_CADENCE,
                    lambda stats, m: stats["max_degree"] == DEGREE_BOUND,
                    kum_recognizer._wire),
     "smm": Machine(smm_recognizer.build_smm_recognizer,
-                   smm_recognizer.build_smm_recognizer(), SMM_CADENCE,
+                   on_graphs(GrowOnlyGraph,
+                             smm_recognizer.build_smm_recognizer()),
+                   SMM_CADENCE,
                    lambda stats, m: stats["max_in_degree"] == m,
                    smm_recognizer._wire),
 }
@@ -47,7 +78,7 @@ def check_run(machine, s, m=None):
     every corpus asserts of a run: the verdict is member(s) and no
     machine fault; no gap exceeds the cadence, and an accepting run's
     largest gap is the cadence; the KUM's degree stays within
-    DEGREE_BOUND.
+    DEGREE_BOUND; the graph only grows (GrowOnlyGraph).
 
     m, when given, is the most blocks of s that share one value, and s
     must complete its block section.  Then the fan-in law holds too: the
@@ -109,41 +140,29 @@ def chain_bits(g, head, hi, lo):
 
 
 def chain_prev_bits(g, head):
-    """The previous index off the chain, head to tail, as the x phase
-    reads it: gadgets.read_step on each node and gadgets.prev_pair on its
-    color."""
+    """The previous index off the chain, head to tail, as the block walk
+    decodes it, but rewriting nothing: gadgets.prev_pair on each node's
+    color, with f_ifresh set from the node that holds the current index's
+    lowest set bit on."""
     R = register_class(gadgets.SKELETON_REGISTERS)()
-    R.walk = head
     bits = []
-    while True:
-        c = gadgets.read_step(g, R)
-        if c is None:
-            return "".join(bits)
+    node = head
+    while node is not None:
+        c = g.get_color(node)
+        node = g.neighbor(node, TAIL)
+        if gadgets.LOW_SET[c]:
+            R.f_ifresh = gadgets.ANCHOR
         hi, lo = gadgets.prev_pair(R, c)
-        if R.walk is not None:
+        if node is not None:
             bits.append(str(hi))
         bits.append(str(lo))
+    return "".join(bits)
 
 
 def count_color(g, color):
     """How many nodes in the whole graph carry the given color."""
     n = g.graph_stats()["node_count"]
     return sum(1 for node in range(n) if g.get_color(node) == color)
-
-
-# repr() of each event kind from when kinds were EventKind members; the
-# pinned fingerprints in tests/data/acceptance_fingerprints.json hash it.
-_KIND_REPRS = {"read": "<EventKind.READ_SYMBOL: 'read'>",
-               "halt": "<EventKind.HALT: 'halt'>"}
-
-
-def event_reprs(trace):
-    """repr() of each (kind, position, gap) event of trace, as pinned."""
-    gaps = trace.gaps()
-    last = len(gaps) - 1 if trace.halted else -1
-    return ["(%s, %d, %d)" % (_KIND_REPRS["halt" if i == last else "read"],
-                              i, gap)
-            for i, gap in enumerate(gaps)]
 
 
 def broken_kum_builder():
@@ -193,6 +212,10 @@ class WasteCountingGraph(StorageGraph):
 
     __slots__ = ("noop_writes", "empty_probes")
 
+    def __init__(self, *args):
+        StorageGraph.__init__(self, *args)
+        self.noop_writes = self.empty_probes = 0
+
     def set_color(self, a, c):
         old = (self._color[a] if type(a) is int and 0 <= a < self._node_count
                else None)
@@ -213,14 +236,3 @@ class WasteCountingGraph(StorageGraph):
         g.noop_writes = self.noop_writes
         g.empty_probes = self.empty_probes
         return g
-
-
-def waste_counting(prog):
-    """prog running on WasteCountingGraphs."""
-    def factory():
-        g0 = prog.graph_factory()
-        g = WasteCountingGraph(g0.model, g0.degree_bound, g0.palette,
-                               g0.labels)
-        g.noop_writes = g.empty_probes = 0
-        return g
-    return dataclasses.replace(prog, graph_factory=factory)

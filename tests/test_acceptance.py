@@ -71,8 +71,7 @@ def _hash_run(h, s, res):
     h.update(s.encode())
     h.update(str(res.verdict).encode())
     h.update(b"|%d|" % res.trace.total_steps)
-    for ev in helpers.event_reprs(res.trace):
-        h.update(ev.encode())
+    h.update(repr((res.trace.gaps(), res.trace.halted)).encode())
     h.update(repr(sorted(res.stats.items())).encode())
 
 
@@ -361,11 +360,10 @@ def _truncation_corpus():
         _hash_run(h, s, full)
         for j in range(len(s) + 1):
             part = run(prog, s[:j])
-            assert part.trace.gaps()[:j] == full.trace.gaps()[:j], \
-                (name, s, j)
-            h.update(("(%d, %r, %s)" % (j, str(part.verdict),
-                                        helpers.event_reprs(part.trace)[-1])
-                      ).encode())
+            gaps = part.trace.gaps()
+            assert gaps[:j] == full.trace.gaps()[:j], (name, s, j)
+            h.update(repr((j, str(part.verdict), gaps[-1],
+                           part.trace.halted)).encode())
             prefix_runs += 1
         instances += 1
     return {"instances": instances, "prefix_runs": prefix_runs,

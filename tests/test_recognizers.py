@@ -1,14 +1,16 @@
 """Both recognizers: verdicts and reject reasons, the counter chain, the
-flat gap at the cadence, the real-time constant across n, and verdicts
-against the oracle, run once per machine; then the structure each machine
-builds."""
+flat gap at the cadence, the real-time constant across n, the last
+index's lookups and verdicts against the oracle, run once per machine,
+and check_run's refusal of a graph that shrinks; then the structure each
+machine builds."""
 
+import dataclasses
 import random
 
 import pytest
 
 from kumsim import blocklang
-from kumsim.gadgets import CUR_HI, CUR_LO, MARK
+from kumsim.gadgets import CUR_HI, CUR_LO, MARK, TAIL
 from kumsim.kum_recognizer import VAL
 from kumsim.runtime import RejectReason, Runner, max_gap, run
 from kumsim.smm_recognizer import V
@@ -95,6 +97,36 @@ def test_counter_chain_at_every_boundary(machine, n):
     assert r.finish().verdict.accepted
 
 
+def _damaged_at_boundaries(machine, damage):
+    """MACHINES[machine] with damage(g, R) run after each '@', where the
+    chain's head is wired at TAIL."""
+    mach = helpers.MACHINES[machine]
+    real = mach.prog.on_symbol
+
+    def on_symbol(g, R, ch):
+        v = real(g, R, ch)
+        if ch == "@":
+            damage(g, R)
+        return v
+    return mach._replace(prog=dataclasses.replace(mach.prog,
+                                                  on_symbol=on_symbol))
+
+
+@each_machine
+def test_check_run_fails_a_program_that_unlinks(machine, monkeypatch):
+    monkeypatch.setitem(helpers.MACHINES, machine, _damaged_at_boundaries(
+        machine, lambda g, R: g.unlink(R.c_head, TAIL)))
+    with pytest.raises(AssertionError, match="grow-only graph: unlink"):
+        helpers.check_run(machine, "0@1@0@1#00#10#")
+
+
+def test_check_run_fails_a_program_that_retargets_a_pointer(monkeypatch):
+    monkeypatch.setitem(helpers.MACHINES, "smm", _damaged_at_boundaries(
+        "smm", lambda g, R: g.set_pointer(R.c_head, TAIL, R.c_head)))
+    with pytest.raises(AssertionError, match="retargets"):
+        helpers.check_run("smm", "0@1@0@1#00#10#")
+
+
 @each_machine
 def test_gap_profile_is_flat_at_cadence(machine):
     # every symbol of every accepting run costs the cadence, at every n
@@ -117,6 +149,32 @@ def test_real_time_report_constant_across_n(machine):
             s = blocklang.encode(blocklang.gen_positive(n, rng))
             tr = helpers.check_run(machine, s).trace
             assert max_gap(tr) == cadence == min(tr.gaps()[1:]), (n, s)
+
+
+@each_machine
+def test_lookups_of_the_last_index(machine):
+    # x finishes the per-value path of 2^n - 1, all ones, from finite
+    # control, and for even n y climbs only to the pad's node: look it up
+    # with itself, with a carrier of its value and with a non-carrier,
+    # as x and as y, at every n
+    rng = random.Random(12)
+    runs = 0
+    for n in range(1, 11):
+        inst = blocklang.gen_positive(n, rng)
+        last = 2 ** n - 1
+        pairs = [(last, last)]
+        for same in (True, False):
+            others = [j for j in range(last)
+                      if (inst.blocks[j] == inst.blocks[last]) is same]
+            if others:
+                j = rng.choice(others)
+                pairs += [(last, j), (j, last)]
+        for x, y in pairs:
+            s = blocklang.encode(dataclasses.replace(
+                inst, x=format(x, "0%db" % n), y=format(y, "0%db" % n)))
+            helpers.check_run(machine, s)
+            runs += 1
+    assert runs == 48  # n = 1 has no non-carrier: its blocks are empty
 
 
 @each_machine
