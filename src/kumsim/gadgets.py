@@ -37,9 +37,9 @@ every node from there on without probing (index_level).
 Every trie keyed by the index is radix 4, one level per chain node: the
 root level is the head's hi bit alone, and every later level is a digit,
 2 * hi + lo, of the previous node's lo bit and this node's hi bit (at
-the tail, its one bit).  A flag carries the previous node's lo bit from
-one walk node to the next, so a level costs one descend.  For even n the
-root level is the pad bit 0, and x and y fill whole digits.
+the tail, its one bit).  A register carries the previous node's lo bit
+from one walk node to the next, so a level costs one descend.  For even
+n the root level is the pad bit 0, and x and y fill whole digits.
 
 During block i one walk runs from head to tail, one node per symbol and
 the tail on the boundary symbol, at most 3 primitives a node: get_color,
@@ -87,9 +87,10 @@ position (None past the tail); f_past is set once the walk has passed
 i's lowest zero; f_lead, last_zero and z_color are as above; icur is
 the index path's cursor, f_ifresh its fresh flag and f_lo the lo bit it
 carries to the next level; vroot and vt_cur are the value trie's root
-and cursor and f_vtfresh the value path's fresh flag.
-Flags are plain registers holding the anchor node when set and None when
-clear; z_color, like phase, holds finite control, one of a few colors.
+and cursor and f_vtfresh the value path's fresh flag.  Like phase, the
+flags, the carries and z_color are finite control, not nodes: a flag
+holds True or False (None, read as clear, before its first write), a
+carry a lo bit, 0 or 1, and z_color one of a few colors.
 With n even, every index path starts with a pad bit 0 that the x and y
 fields do not carry, so skip_pad starts x's walk, and the directed
 machine's y walk, one level down; the bounded machine's y climbs a
@@ -115,8 +116,7 @@ _ZERO, _SET, _TAIL = 4, 8, 16
 PALETTE = ("zero", "one", "blank", "mark") + tuple(
     "chain%s" % format(s, "05b") for s in range(32))
 
-# The initial node: trie root on both machines, and the value flags point
-# at when set (never dereferenced through a flag).
+# The initial node, the index trie's root on both machines.
 ANCHOR = 0
 
 REJ_PACING = Verdict.reject(RejectReason.PACING)
@@ -202,9 +202,7 @@ def skip_pad(g, R):
     """Where a field's walk down the index trie starts: its root for odd
     n (the last block's walk saw no lowest zero), the root's zero child
     for even n."""
-    if R.f_past is None:
-        return ANCHOR
-    return g.neighbor(ANCHOR, ZERO)
+    return g.neighbor(ANCHOR, ZERO) if R.f_past else ANCHOR
 
 
 def field(on_bit, on_hash):
@@ -234,7 +232,7 @@ def field(on_bit, on_hash):
     holding = (completing(0), completing(1))
 
     def enter(R):
-        R.phase = holding[0] if R.f_past is None else between
+        R.phase = between if R.f_past else holding[0]
     return enter
 
 
@@ -264,20 +262,20 @@ def walk_step(g, R):
     c = g.get_color(pos)
     R.walk = None if AT_TAIL[c] else g.neighbor(pos, TAIL)
     if LOW_SET[c]:
-        R.f_ifresh = ANCHOR
-    if R.f_past is not None:  # below current's lowest zero: next clears,
-        # and the tail, current's lowest set bit, holds next's lowest zero
+        R.f_ifresh = True
+    if R.f_past:  # below current's lowest zero: next clears, and the
+        # tail, current's lowest set bit, holds next's lowest zero
         g.set_color(pos, CHAIN0 + _ZERO + _TAIL if AT_TAIL[c] else CHAIN0)
     elif LOW_ZERO[c]:  # current's lowest zero, next's lowest set bit
-        R.f_past = ANCHOR
+        R.f_past = True
         if not CUR_LO[c]:  # on the lo bit: current is not 01...1
-            R.f_lead = None
+            R.f_lead = False
         g.set_color(pos, _STEP[c])
         z = R.last_zero
         if AT_TAIL[c] and z is not None:  # next's lowest zero is above
             g.set_color(z, R.z_color + _ZERO)
     else:  # above it: next keeps current's bits
-        R.f_lead = None
+        R.f_lead = False
         z = c - _SET if LOW_SET[c] else c
         if z != c:  # current's lowest set bit; next's lies lower
             g.set_color(pos, z)
@@ -289,21 +287,18 @@ def walk_step(g, R):
 def prev_pair(R, c):
     """The previous index's (hi, lo) at the node of color c that the walk
     has just reached; at the tail, lo is its bit 0."""
-    if R.f_ifresh is None or LOW_SET[c]:
+    if not R.f_ifresh or LOW_SET[c]:
         return _PREV[c]
     return _ONES
 
 
 def digit(R, hi, lo, carry):
-    """(d, carry) at the chain node whose bits, of some index, are (hi,
-    lo), with walk moved on from it (None past the tail): d is this
-    node's level of that index's path, 2 * carry + hi (at the tail,
-    2 * carry + lo), and carry, a flag, holds the previous node's lo bit
-    and comes back as this one's."""
-    d = lo if R.walk is None else hi
-    if carry is not None:
-        d += 2
-    return d, (ANCHOR if lo else None)
+    """(d, lo) at the chain node whose bits, of some index, are (hi, lo),
+    with walk moved on from it (None past the tail): d is this node's
+    level of that index's path, 2 * carry + hi (at the tail,
+    2 * carry + lo), where carry is the previous node's lo bit, and lo
+    comes back as the next node's carry."""
+    return 2 * carry + (lo if R.walk is None else hi), lo
 
 
 def attach(g, node, port, wire):
@@ -313,16 +308,15 @@ def attach(g, node, port, wire):
     return child
 
 
-def descend(g, R, node, bit, fresh, flag, wire):
-    """node's child at port bit on a trie path whose fresh flag is the
-    register named flag, now holding fresh (see build for the prices).
-    Only the path that probes and then creates sets the flag, by name."""
-    if fresh is None:
+def descend(g, node, bit, fresh, wire):
+    """(child, fresh): node's child at port bit on a trie path that is
+    fresh or not (see build for the prices), and whether the path is
+    fresh from child on, which it is unless a probe found child."""
+    if not fresh:
         child = g.neighbor(node, bit)
         if child is not None:
-            return child
-        setattr(R, flag, ANCHOR)
-    return attach(g, node, bit, wire)
+            return child, False
+    return attach(g, node, bit, wire), True
 
 
 def index_level(g, R, c, wire):
@@ -336,7 +330,7 @@ def index_level(g, R, c, wire):
     a pair's lo bit, which the next digit carries.
     """
     d, R.f_lo = digit(R, CUR_HI[c], CUR_LO[c], R.f_lo)
-    if R.f_ifresh is None or (LOW_SET[c] and CUR_LO[c] and R.walk is not None):
+    if not R.f_ifresh or (LOW_SET[c] and CUR_LO[c] and R.walk is not None):
         R.icur = g.neighbor(R.icur, d)
     else:
         R.icur = attach(g, R.icur, d, wire)
@@ -364,12 +358,12 @@ def next_block(R):
     """Block boundary, registers only: arm the walk at the head and root
     the index path at the initial node."""
     R.walk = R.c_head
-    R.f_past = None
-    R.f_lead = ANCHOR
+    R.f_past = False
+    R.f_lead = True
     R.last_zero = None
     R.icur = ANCHOR
-    R.f_ifresh = None
-    R.f_lo = None
+    R.f_ifresh = False
+    R.f_lo = 0
 
 
 def build(registers, graph_factory, cadence, wire, close, x_field,
@@ -416,13 +410,12 @@ def build(registers, graph_factory, cadence, wire, close, x_field,
     def close_block(g, R):
         close(g, R)
         R.vt_cur = R.vroot
-        R.f_vtfresh = None
+        R.f_vtfresh = False
         next_block(R)
 
     def first_tick(g, R, bit):
         grow(g, R)
-        R.vt_cur = descend(g, R, R.vt_cur, bit, R.f_vtfresh, "f_vtfresh",
-                           wire)
+        R.vt_cur, R.f_vtfresh = descend(g, R.vt_cur, bit, R.f_vtfresh, wire)
 
     def first_boundary(g, R, _bit):  # fixes w = 2k + 1; the count is 1
         grow(g, R)
@@ -436,15 +429,14 @@ def build(registers, graph_factory, cadence, wire, close, x_field,
         index_level(g, R, c, wire)
         if on_node is not None:
             on_node(g, R, *prev_pair(R, c))
-        R.vt_cur = descend(g, R, R.vt_cur, bit, R.f_vtfresh, "f_vtfresh",
-                           wire)
+        R.vt_cur, R.f_vtfresh = descend(g, R.vt_cur, bit, R.f_vtfresh, wire)
         return None
 
     def boundary(g, R, _bit):
         c = walk_step(g, R)
         if c is None or R.walk is not None:
             return REJ_PACING  # the walk ends off the tail: block length
-        if R.f_past is None:
+        if not R.f_past:
             return REJ_FORMAT  # the counter wrapped: more than 2^w blocks
         index_level(g, R, c, wire)
         if on_node is not None:
@@ -456,7 +448,7 @@ def build(registers, graph_factory, cadence, wire, close, x_field,
         c = walk_step(g, R)
         if c is None or R.walk is not None:
             return REJ_PACING  # the walk ends off the tail: block length
-        if R.f_past is not None and R.f_lead is None:
+        if R.f_past and not R.f_lead:
             return REJ_FORMAT  # the count is neither 2^w nor 2^(w - 1)
         index_level(g, R, c, wire)
         if on_node is not None:
@@ -469,7 +461,7 @@ def build(registers, graph_factory, cadence, wire, close, x_field,
     def on_start(g, R):
         R.vroot = R.vt_cur = g.create_node(BLANK)
         R.icur = ANCHOR
-        R.f_vtfresh = ANCHOR
+        R.f_vtfresh = True
         R.phase = first
 
     first = phase(first_tick, first_boundary)

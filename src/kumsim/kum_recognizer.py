@@ -126,8 +126,8 @@ REGISTERS = SKELETON_REGISTERS + (
     "pv_cur",     # per-value index trie cursor
     "prev_leaf",  # index leaf whose per-value leaf is being built
     "q_front", "q_back",  # FIFO of pending y digits
-    "f_pvlo",     # the lo bit the per-value path carries to its next level
-    "f_pvfresh",  # set while the per-value path runs through nodes it created
+    "f_pvlo",     # lo bit, 0 or 1, carried to the per-value path's next level
+    "f_pvfresh",  # True while the per-value path runs through nodes it made
 )
 
 
@@ -162,7 +162,7 @@ def _prev_level(g, R, hi, lo):
     bits (hi, lo); at the tail its last level, whose leaf is then marked
     and linked to prev_leaf."""
     d, R.f_pvlo = digit(R, hi, lo, R.f_pvlo)
-    R.pv_cur = descend(g, R, R.pv_cur, d, R.f_pvfresh, "f_pvfresh", _wire)
+    R.pv_cur, R.f_pvfresh = descend(g, R.pv_cur, d, R.f_pvfresh, _wire)
     if R.walk is None:
         g.set_color(R.pv_cur, MARK)
         g.link(R.prev_leaf, VAL, R.pv_cur, VAL)
@@ -177,7 +177,7 @@ def _hold_leaves(g, R):
     R.prev_leaf = R.icur
     R.pv_cur = R.vt_cur
     R.f_pvfresh = R.f_vtfresh
-    R.f_pvlo = None
+    R.f_pvlo = 0
     R.walk = R.c_head
 
 
@@ -187,8 +187,7 @@ def x_tick(g, R, d):
     if R.walk is not None:
         R.walk = g.neighbor(R.walk, TAIL)
         # 2^n - 1 is all ones, under the pad 0 at the root for even n
-        _prev_level(g, R, 0 if R.f_pvlo is None and R.f_past is not None
-                    else 1, 1)
+        _prev_level(g, R, 0 if R.f_past and not R.f_pvlo else 1, 1)
     return field_tick(g, R, d)
 
 
@@ -200,7 +199,7 @@ def x_end(g, R, _bit):
         return REJ_FORMAT  # x shorter than n
     R.pv_cur = leaf
     # even n: x and y both carry the pad, so the climb stops at its node
-    R.walk = R.c_head if R.f_past is None else g.neighbor(R.c_head, TAIL)
+    R.walk = g.neighbor(R.c_head, TAIL) if R.f_past else R.c_head
     Y_FIELD(R)
     return None
 

@@ -72,8 +72,9 @@ class Registers:
     works.  copy() returns a second file of the same class holding the
     same values; register_class compiles it for each name set.  Values
     are the machine's distinguished node handles (or None), except that
-    a recognizer's phase and z_color registers hold finite control, not
-    a node: a phase table and one of a few chain colors (see gadgets).
+    a recognizer's phase, z_color, flag and carry registers hold finite
+    control, not a node: a phase table, one of a few chain colors, a
+    bool and a bit (see gadgets).
     Reading and writing registers is finite control, not graph work, so
     it costs no steps.
     """

@@ -83,7 +83,7 @@ def _bind_representative(g, R):
     value leaf -v-> first index leaf -v-> rep; later carriers follow it.
     A value leaf created in this block has no carrier yet.
     """
-    first = None if R.f_vtfresh is not None else g.neighbor(R.vt_cur, V)
+    first = None if R.f_vtfresh else g.neighbor(R.vt_cur, V)
     if first is None:
         rep = g.create_node(BLANK)
         g.set_pointer(R.vt_cur, V, R.icur)

@@ -151,7 +151,7 @@ def chain_prev_bits(g, head):
         c = g.get_color(node)
         node = g.neighbor(node, TAIL)
         if gadgets.LOW_SET[c]:
-            R.f_ifresh = gadgets.ANCHOR
+            R.f_ifresh = True
         hi, lo = gadgets.prev_pair(R, c)
         if node is not None:
             bits.append(str(hi))

@@ -76,8 +76,8 @@ def test_walk_counts_through_every_value(machine):
             assert "".join(map(str, prev)) == want_prev, (w, i)
             # build's boundary checks: the counter wrapped, and the
             # block count is 2^w or 2^(w - 1)
-            assert (R.f_past is None) == (i == 2 ** w - 1), (w, i)
-            assert (R.f_past is None or R.f_lead is not None) == \
+            assert (not R.f_past) == (i == 2 ** w - 1), (w, i)
+            assert (not R.f_past or R.f_lead) == \
                 (i + 1 in (2 ** w, 2 ** (w - 1))), (w, i)
             gadgets.next_block(R)
         # the walk over all ones keeps them and drops the lowest-set
@@ -96,24 +96,19 @@ def test_walk_counts_through_every_value(machine):
 def test_descend_follows_probes_or_creates(machine):
     mach = helpers.MACHINES[machine]
     g = mach.prog.graph_factory()
-    R = register_class(gadgets.SKELETON_REGISTERS)()
     root = g.initial_node
 
-    def priced(bit, fresh, flag="f_vtfresh"):
+    def priced(bit, fresh):
         before = g.step_counter
-        child = gadgets.descend(g, R, root, bit, fresh, flag, mach.wire)
-        return child, g.step_counter - before
+        child, fresh = gadgets.descend(g, root, bit, fresh, mach.wire)
+        return child, fresh, g.step_counter - before
 
-    # a fresh path creates the child without probing and writes no flag
-    child, steps = priced(1, gadgets.ANCHOR)
-    assert steps == 2 and R.f_vtfresh is None
+    # a fresh path creates the child without probing and stays fresh
+    child, fresh, steps = priced(1, True)
+    assert (fresh, steps) == (True, 2)
     # a path that is not fresh follows the child that exists
-    assert priced(1, None) == (child, 1) and R.f_vtfresh is None
-    # where the probe finds no child it creates one and sets the flag
-    other, steps = priced(2, None)
-    assert steps == 3 and R.f_vtfresh == gadgets.ANCHOR
+    assert priced(1, False) == (child, False, 1)
+    # where the probe finds no child it creates one and turns fresh
+    other, fresh, steps = priced(2, False)
+    assert (fresh, steps) == (True, 3)
     assert [g.neighbor(root, d) for d in (1, 2)] == [child, other]
-    # registers are slots, so a misspelled flag cannot make a new one
-    with pytest.raises(AttributeError):
-        priced(3, None, flag="f_vtfrsh")
-    assert not hasattr(R, "f_vtfrsh")

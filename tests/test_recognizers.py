@@ -178,6 +178,29 @@ def test_lookups_of_the_last_index(machine):
 
 
 @each_machine
+def test_flags_hold_bools_and_carries_bits(machine):
+    # flags and carries are finite control, never a node: ANCHOR, node 0,
+    # is falsy, so a flag holding it would read as clear
+    flags = ("f_past", "f_lead", "f_ifresh", "f_vtfresh", "f_pvfresh")
+    carries = ("f_lo", "f_pvlo")
+    positive = blocklang.gen_positive(4, random.Random(4))
+    inputs = [s for s, _ in KNOWN + REJECTS] + [blocklang.encode(positive)]
+    for s in inputs:
+        r = Runner(helpers.MACHINES[machine].prog)
+        for ch in s:
+            if r.feed(ch) is not None:
+                break
+            regs = dict(r.registers)  # the SMM has no f_pvfresh or f_pvlo
+            for name in flags:
+                v = regs.get(name)
+                assert v is None or type(v) is bool, (s, name, v)
+            for name in carries:
+                v = regs.get(name)  # 0 == False: test the type, not "in"
+                assert v is None or (type(v) is int and v in (0, 1)), \
+                    (s, name, v)
+
+
+@each_machine
 def test_differential_against_oracle(machine):
     for seed in (8, 9):
         rng = random.Random(seed)

@@ -28,6 +28,8 @@ WORK_MAXIMA = {"kum": (6, 11, 10, 7, 5), "smm": (6, 8, 8, 2, 2)}
 # Each machine's (steps, symbols) over the whole corpus.
 WORK_TOTALS = {"kum": (639022, 99468), "smm": (487646, 99468)}
 INPUTS_PER_N = 9
+# Each machine's y maximum at n = 11 and 13, beyond the corpus.
+Y_MAXIMA = {"kum": 6, "smm": 2}
 
 
 def _segments(s):
@@ -96,6 +98,23 @@ def test_per_segment_work_maxima(machine):
 @pytest.mark.parametrize("machine", sorted(helpers.MACHINES))
 def test_total_work(machine):
     assert _work(machine)[1:] == WORK_TOTALS[machine]
+
+
+@pytest.mark.parametrize("machine", sorted(helpers.MACHINES))
+def test_y_field_worst_symbol(machine):
+    # the corpus stops at n = 10, short of a KUM y symbol's worst, enqueue
+    # 2 + two climbs 4 = 6, which odd n first reach at n = 11
+    mach = helpers.MACHINES[machine]
+    prog = mach.build(None)
+    for n in (11, 13):
+        s = blocklang.encode(blocklang.gen_positive(n, random.Random(n)))
+        res = run(prog, s)
+        assert res.verdict.accepted, n
+        top = dict.fromkeys(SEGMENTS, 0)
+        for seg, work in zip(_segments(s), res.trace.gaps()[1:]):
+            top[seg] = max(top[seg], work)
+        assert top["y"] == Y_MAXIMA[machine], (n, top)
+        assert max(top.values()) <= mach.cadence, (n, top)
 
 
 @pytest.mark.parametrize("machine", sorted(helpers.MACHINES))
