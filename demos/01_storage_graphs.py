@@ -8,12 +8,12 @@ bound; the directed flavor has one-way pointers on named directions and
 no limit on how many pointers may share a target.
 """
 
-from kumsim import DegreeBoundExceeded, ModelKind, PortOccupied, new_graph
+from kumsim import DegreeBoundExceeded, ModelKind, PortOccupied, StorageGraph
 
 # --- undirected: ports, symmetric links, degree bound -------------------
 
 # model, degree bound, colors, port names; node 0 already exists
-g = new_graph(ModelKind.KUM, 2, ("zero", "one"), ("p", "l", "r", "v"))
+g = StorageGraph(ModelKind.KUM, 2, ("zero", "one"), ("p", "l", "r", "v"))
 root = g.initial_node
 a = g.create_node(1)
 g.link(root, 1, a, 0)        # root.l <-> a.p, one call wires both ends
@@ -41,7 +41,7 @@ except DegreeBoundExceeded as e:
 
 # --- directed: one-way pointers, unbounded in-degree ---------------------
 
-h = new_graph(ModelKind.SMM, None, ("zero", "one"), ("l", "r", "v"))
+h = StorageGraph(ModelKind.SMM, None, ("zero", "one"), ("l", "r", "v"))
 hub = h.initial_node
 spokes = [h.create_node(1) for _ in range(10)]
 for s in spokes:

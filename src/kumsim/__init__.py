@@ -13,7 +13,7 @@ from kumsim.blocklang import (
 )
 from kumsim.engine import (
     DegreeBoundExceeded, EngineError, ModelKind, ModelMismatch, NodeRef,
-    PortFree, PortOccupied, StorageGraph, UnknownColor, new_graph,
+    PortFree, PortOccupied, StorageGraph, UnknownColor,
 )
 from kumsim.kum_recognizer import KUM_CADENCE, build_kum_recognizer
 from kumsim.runtime import (
@@ -31,5 +31,5 @@ __all__ = [
     "Runner", "SMM_CADENCE", "StorageGraph", "Trace", "UnknownColor",
     "Verdict", "build_kum_recognizer", "build_smm_recognizer", "encode",
     "gen_all_equal", "gen_negative", "gen_positive", "max_gap", "mean_gap",
-    "member", "new_graph", "parse", "run", "__version__",
+    "member", "parse", "run", "__version__",
 ]

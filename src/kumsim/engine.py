@@ -17,9 +17,10 @@ graph_stats() is harness instrumentation and costs nothing.
 
 Node handles are plain ints, stable for the life of the graph (nodes are
 never deleted, only unlinked).  Colors and port labels are declared as
-name strings in new_graph(), which checks them; every primitive takes
-their index in that declaration, and the graph looks no name up.
-palette[0] is the default color of every fresh node.
+name strings to the StorageGraph constructor, which checks them; every
+primitive takes their index in that declaration, and the graph looks no
+name up.  palette[0] is the initial node's color; create_node() takes
+its own.
 
 Port rows are stored flat: one array('i') holds every node's port
 entries, and port p of node v lives at index v * nports + p.  An entry
@@ -109,8 +110,8 @@ class BadCount(EngineError, ValueError):
 class StorageGraph:
     """Ported-graph storage with step-exact cost accounting.
 
-    Construct via new_graph().  All failed primitives raise a subclass of
-    EngineError and leave the graph untouched.
+    A new graph has one initial node and 0 steps.  All failed primitives
+    raise a subclass of EngineError and leave the graph untouched.
     """
 
     __slots__ = (
@@ -394,9 +395,3 @@ class StorageGraph:
         g._max_in_degree = self._max_in_degree
         g.step_counter = self.step_counter
         return g
-
-
-def new_graph(model: ModelKind, degree_bound: Optional[int],
-              palette: Sequence[str], labels: Sequence[str]) -> StorageGraph:
-    """Fresh graph with one initial node of the default color and 0 steps."""
-    return StorageGraph(model, degree_bound, palette, labels)

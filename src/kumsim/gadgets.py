@@ -19,10 +19,10 @@ zero (its lo bit if that is 0, else its hi bit, since every bit below a
 lowest zero is 1) and a marker set on the node that holds i's lowest set
 bit (its lo bit if that is 1, else its hi bit, since every bit below a
 lowest set bit is 0).  A fifth bit marks the tail, so a color says
-where the chain ends.  That is 32 chain codes, a palette of 36 with the
-four plain colors; the tail reaches three of them (bit 0 with i's lowest
-zero, bit 1 with i's lowest set bit, and bit 1 bare once the counter has
-wrapped).  CUR_HI, CUR_LO, LOW_ZERO, LOW_SET and AT_TAIL decode a color.
+where the chain ends.  That is 32 chain codes, a palette of 33 with
+blank, the color of every trie node; the tail reaches three of them (bit
+0 with i's lowest zero, bit 1 with i's lowest set bit, and bit 1 bare
+once the counter has wrapped).  CUR_HI, CUR_LO, LOW_ZERO, LOW_SET and AT_TAIL decode a color.
 
 The previous index i - 1 is not stored: it follows from i (Warren,
 Hacker's Delight, 2nd ed., sec. 2-1), and prev_pair decodes it one node
@@ -103,18 +103,17 @@ from __future__ import annotations
 
 from .runtime import Program, RejectReason, Verdict
 
-# Color ids of the palette both recognizers share; bit values double as
-# color ids and as child ports, as digits do as child ports.
-ZERO, ONE, BLANK, MARK = 0, 1, 2, 3
+# Bit values double as child ports, as digits do.
+ZERO, ONE = 0, 1
 TAIL = 1  # a chain node's port toward the tail
 
-# Counter chain colors follow: CHAIN0 + s, where bits 0 and 1 of s are
-# the node's lo and hi bit of the current index, bit 2 (_ZERO) marks its
-# lowest zero, bit 3 (_SET) its lowest set bit and bit 4 (_TAIL) the tail.
-CHAIN0 = 4
+# The palette both recognizers share: blank, then the counter chain
+# colors CHAIN0 + s, where bits 0 and 1 of s are the node's lo and hi bit
+# of the current index, bit 2 (_ZERO) marks its lowest zero, bit 3
+# (_SET) its lowest set bit and bit 4 (_TAIL) the tail.
+BLANK, CHAIN0 = 0, 1
 _ZERO, _SET, _TAIL = 4, 8, 16
-PALETTE = ("zero", "one", "blank", "mark") + tuple(
-    "chain%s" % format(s, "05b") for s in range(32))
+PALETTE = ("blank",) + tuple("chain%s" % format(s, "05b") for s in range(32))
 
 # The initial node, the index trie's root on both machines.
 ANCHOR = 0
@@ -253,12 +252,10 @@ def walk_step(g, R):
     tail, which its color marks), and set f_ifresh at current's lowest
     set bit.
 
-    Returns the color read, for the tables to decode, or None if the walk
-    was already past the tail.
+    Returns the color read, for the tables to decode.  The walk is armed:
+    every block handler is entered with walk on a chain node.
     """
     pos = R.walk
-    if pos is None:
-        return None
     c = g.get_color(pos)
     R.walk = None if AT_TAIL[c] else g.neighbor(pos, TAIL)
     if LOW_SET[c]:
@@ -434,7 +431,7 @@ def build(registers, graph_factory, cadence, wire, close, x_field,
 
     def boundary(g, R, _bit):
         c = walk_step(g, R)
-        if c is None or R.walk is not None:
+        if R.walk is not None:
             return REJ_PACING  # the walk ends off the tail: block length
         if not R.f_past:
             return REJ_FORMAT  # the counter wrapped: more than 2^w blocks
@@ -446,7 +443,7 @@ def build(registers, graph_factory, cadence, wire, close, x_field,
 
     def last_boundary(g, R, _bit):  # the first '#'
         c = walk_step(g, R)
-        if c is None or R.walk is not None:
+        if R.walk is not None:
             return REJ_PACING  # the walk ends off the tail: block length
         if R.f_past and not R.f_lead:
             return REJ_FORMAT  # the count is neither 2^w nor 2^(w - 1)

@@ -21,7 +21,7 @@ Storage layout, all grown incrementally while reading:
                  value.  Below each leaf hangs a per-value index trie of
                  the index trie's shape holding exactly the indices
                  carrying that value, each completed path's last node
-                 colored mark.
+                 linked through val to its index leaf.
   counter chain  one chain of k + 1 nodes driven by the gadgets module:
                  the tail holds one bit of the block index and every
                  other node two, and each node's color packs its bits of
@@ -41,12 +41,12 @@ the per-value fresh flag f_pvfresh inherits the value path's at the
 block's end, so that path is fresh from its first level and never
 probes.  A block symbol costs at most walk 3 + index level 2 +
 per-value level 3 + value 3 = 11, the cadence.  Block 0 costs at most
-6, and its '@' 4.  A later boundary also completes both paths: it marks
-the previous index's per-value leaf and links the previous index leaf,
-held in prev_leaf since its own boundary, to it (2).  For even i the
-walk's tail costs 3, with its mark on last_zero, and the index path
-creates there, 3 + 2 + 3 + 2 = 10; for odd i the tail costs 2, so
-2 + 2 + 3 + 2 = 9, and 10 at the first '#' with its pad probe.
+6, and its '@' 4.  A later boundary also completes both paths: it links
+the previous index leaf, held in prev_leaf since its own boundary, to
+the previous index's per-value leaf (1).  For even i the walk's tail
+costs 3, with its mark on last_zero, and the index path creates there,
+3 + 2 + 3 + 1 = 9; for odd i the tail costs 2, so 2 + 2 + 3 + 1 = 8,
+and 9 at the first '#' with its pad probe.
 
 After the blocks, x replays its digits into the index trie (descend
 only: a missing branch means x is not a valid index), while the
@@ -57,7 +57,7 @@ ones, under the pad 0 at the root for even n.  So x reads no color: walk
 steps down the chain only to count the k + 1 levels, one a symbol, which
 fits since the k + 1 nodes are no more than the n symbols of x: walk 1 +
 per-value level 3 + x's own index-trie probe 1 = 5, and at the tail 1 +
-3 + mark and link 2 + 1 = 7.  The second '#' follows val from x's index
+3 + link 1 + 1 = 6.  The second '#' follows val from x's index
 leaf to x's per-value leaf and re-arms the walk to count y's climb (1,
 and 2 for even n).  The y digits then go through a small FIFO queue,
 each node colored as a chain pair holding its digit: each y symbol
@@ -70,13 +70,14 @@ levels, to the pad's node; for odd n it climbs k + 1, to the value leaf.
 Either way y completes one digit per level climbed.  A y symbol costs at
 most enqueue 2 + two climbs 4 = 6 (first at n = 11), or enqueue 2 +
 dequeue 2 + descend 1 = 5, and the final '#' drains one more digit and
-reads the color, 4.  The queue empties in time, and its length depends
+probes val, 4.  The queue empties in time, and its length depends
 on n alone: the climbs end on y's symbol c, half the levels rounded up,
 with every digit completed so far queued and none drained; after it a lo
 bit queues one digit and drains one, and a hi bit or the final '#'
 drains one; those hi bits and the '#' number k + 1 - c >= 0 more than
 the digits queued by c.  y is a member index for b_x exactly when the
-last move ends on a marked node with the queue empty.
+last move ends on a node that has a val link and the queue is empty:
+only a completed per-value leaf has one.
 
 Every edge but a val link is made by _wire, build's wire hook, which
 links a port of one node to the parent port of the other.  So no node
@@ -104,10 +105,9 @@ for all four bit pairs because both blocks are the empty string.
 
 from __future__ import annotations
 
-from .engine import ModelKind, new_graph
-from .gadgets import (CHAIN0, DONE, MARK, PALETTE, REJ_FORMAT,
-                      SKELETON_REGISTERS, TAIL, build, descend, digit, field,
-                      field_tick)
+from .engine import ModelKind, StorageGraph
+from .gadgets import (CHAIN0, DONE, PALETTE, REJ_FORMAT, SKELETON_REGISTERS,
+                      TAIL, build, descend, digit, field, field_tick)
 
 # After the child ports c0 to c3, one per digit, of which c1 is also the
 # tail-ward port of a chain or queue node (gadgets.TAIL).
@@ -137,8 +137,7 @@ def _wire(g, a, port, b):
 
 
 def _enqueue(g, R, d):
-    # a queued digit is colored as a chain pair holding it: as color d,
-    # digits 2 and 3 would read as blank and mark
+    # a queued digit is colored as a chain pair holding it
     node = g.create_node(CHAIN0 + d)
     if R.q_back is None:
         R.q_front = node
@@ -159,12 +158,11 @@ def _dequeue(g, R):
 
 def _prev_level(g, R, hi, lo):
     """The previous index's per-value level at the chain node holding its
-    bits (hi, lo); at the tail its last level, whose leaf is then marked
-    and linked to prev_leaf."""
+    bits (hi, lo); at the tail its last level, whose leaf is then linked
+    to prev_leaf."""
     d, R.f_pvlo = digit(R, hi, lo, R.f_pvlo)
     R.pv_cur, R.f_pvfresh = descend(g, R.pv_cur, d, R.f_pvfresh, _wire)
     if R.walk is None:
-        g.set_color(R.pv_cur, MARK)
         g.link(R.prev_leaf, VAL, R.pv_cur, VAL)
 
 
@@ -230,10 +228,11 @@ def y_tick(g, R, d):
 
 
 def finalize(g, R, _bit):
-    """Third '#': accept iff the y walk used every bit and hit a mark."""
+    """Third '#': accept iff the y walk used every bit and ended on a
+    per-value leaf, the only node with a val link."""
     if _y_moves(g, R) is not None or R.q_front is not None:
         return REJ_FORMAT
-    if g.get_color(R.pv_cur) != MARK:
+    if g.neighbor(R.pv_cur, VAL) is None:
         return REJ_FORMAT  # y shorter than n, or not an index carrying b_x
     R.phase = DONE
     return None
@@ -244,7 +243,7 @@ Y_FIELD = field(y_tick, finalize)
 
 
 def _graph_factory():
-    return new_graph(ModelKind.KUM, DEGREE_BOUND, PALETTE, PORTS)
+    return StorageGraph(ModelKind.KUM, DEGREE_BOUND, PALETTE, PORTS)
 
 
 def build_kum_recognizer(cadence=KUM_CADENCE):

@@ -49,7 +49,7 @@ compares it with y's by node identity.
 
 from __future__ import annotations
 
-from .engine import ModelKind, new_graph
+from .engine import ModelKind, StorageGraph
 from .gadgets import (BLANK, DONE, PALETTE, REJ_FORMAT, SKELETON_REGISTERS,
                       build, field, field_tick, skip_pad)
 
@@ -117,9 +117,7 @@ Y_FIELD = field(field_tick, smm_finalize)
 
 
 def _graph_factory():
-    # The palette is shared with the other machine so the chain colors
-    # have one numbering; its mark color is unused here.
-    return new_graph(ModelKind.SMM, None, PALETTE, DIRECTIONS)
+    return StorageGraph(ModelKind.SMM, None, PALETTE, DIRECTIONS)
 
 
 def build_smm_recognizer(cadence=SMM_CADENCE):

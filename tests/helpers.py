@@ -159,12 +159,6 @@ def chain_prev_bits(g, head):
     return "".join(bits)
 
 
-def count_color(g, color):
-    """How many nodes in the whole graph carry the given color."""
-    n = g.graph_stats()["node_count"]
-    return sum(1 for node in range(n) if g.get_color(node) == color)
-
-
 def broken_kum_builder():
     """A deliberately wrong machine: flips every accepting verdict.
 
@@ -205,8 +199,8 @@ class WasteCountingGraph(StorageGraph):
 
     noop_writes counts set_color calls that write the color the node
     already has.  empty_probes counts neighbor probes of a child port (0
-    to 3 on both machines) of a trie node (BLANK, or the initial node, the
-    index trie's root) none of whose child ports is occupied.  Counting
+    to 3 on both machines) of a trie node (BLANK, as is the initial node,
+    the index trie's root) none of whose child ports is occupied.  Counting
     reads the graph's own columns and costs no steps.
     """
 
@@ -225,7 +219,7 @@ class WasteCountingGraph(StorageGraph):
 
     def neighbor(self, a, p):
         v = StorageGraph.neighbor(self, a, p)
-        if p in CHILD_PORTS and (a == 0 or self._color[a] == BLANK):
+        if p in CHILD_PORTS and self._color[a] == BLANK:
             row = a * self._nports
             if all(self._adj[row + q] < 0 for q in CHILD_PORTS):
                 self.empty_probes += 1

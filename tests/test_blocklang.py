@@ -152,6 +152,8 @@ def test_gen_all_equal_shape():
     assert member(encode(inst))
     inst1 = gen_all_equal(1)
     assert inst1.blocks == ("", "")
+    with pytest.raises(ValueError):
+        gen_all_equal(0)
 
 
 def test_gen_negative_every_kind_fails_member():
@@ -206,6 +208,10 @@ def test_gen_negative_n1_feasible_kinds():
         else:
             for _ in range(10):
                 assert not member(gen_negative(1, kind, rng))
+        with pytest.raises(ValueError):
+            gen_negative(0, kind, rng)
+    with pytest.raises(ValueError):  # a kind's value, not the kind
+        gen_negative(2, NegativeKind.BAD_SUFFIX.value, rng)
 
 
 def test_gen_negative_value_mismatch_is_well_formed():

@@ -32,11 +32,18 @@ def test_gen_infeasible_kind_is_usage_error(capsys):
     assert cli.main(["gen", "1", "--kind", "value-mismatch",
                      "--seed", "7"]) == 2
     assert out_of(capsys) == ""  # message goes to stderr
+    assert cli.main(["profile", "--machine", "kum", "--kind",
+                     "value-mismatch", "--n-min", "1", "--n-max", "1"]) == 2
+    assert out_of(capsys) == ""
 
 
 def test_gen_count_below_one_is_usage_error(capsys):
     for count in ("0", "-2"):
         assert cli.main(["gen", "3", "--count", count]) == 2, count
+        assert out_of(capsys) == ""
+    # profile: an empty n range or no case per n
+    for flags in (["--n-min", "3", "--n-max", "2"], ["--per-n", "0"]):
+        assert cli.main(["profile", "--machine", "smm"] + flags) == 2, flags
         assert out_of(capsys) == ""
 
 

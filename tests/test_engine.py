@@ -8,23 +8,22 @@ from hypothesis import example, given, settings, strategies as st
 import helpers
 from kumsim.engine import (
     BadHandle, BadPort, DegreeBoundExceeded, EngineError, ModelKind,
-    ModelMismatch, PortFree, PortOccupied, UnknownColor,
-    new_graph,
+    ModelMismatch, PortFree, PortOccupied, StorageGraph, UnknownColor,
 )
 
-PALETTE = ("zero", "one", "blank", "mark")
-ZERO, ONE, BLANK, MARK = range(4)
+PALETTE = ("zero", "one", "blank", "red")
+ZERO, ONE, BLANK, RED = range(4)
 KUM_PORTS = ("parent", "left", "right", "val")
 PARENT, LEFT, RIGHT, VAL = range(4)
 SMM_DIRS = ("L", "R", "V")
 
 
 def kum(bound=4):
-    return new_graph(ModelKind.KUM, bound, PALETTE, KUM_PORTS)
+    return StorageGraph(ModelKind.KUM, bound, PALETTE, KUM_PORTS)
 
 
 def smm():
-    return new_graph(ModelKind.SMM, None, PALETTE, SMM_DIRS)
+    return StorageGraph(ModelKind.SMM, None, PALETTE, SMM_DIRS)
 
 
 def test_new_graph_has_one_node_and_zero_steps():
@@ -41,27 +40,35 @@ def test_new_graph_smm_out_degree_cap_is_label_count():
 
 def test_new_graph_rejects_bad_arguments():
     with pytest.raises(ValueError):
-        new_graph(ModelKind.KUM, 0, PALETTE, KUM_PORTS)
+        StorageGraph("kum", 4, PALETTE, KUM_PORTS)  # not a ModelKind
     with pytest.raises(ValueError):
-        new_graph(ModelKind.KUM, -2, PALETTE, KUM_PORTS)
+        StorageGraph(ModelKind.KUM, 4, ("zero", "zero"), KUM_PORTS)
     with pytest.raises(ValueError):
-        new_graph(ModelKind.KUM, 4, (), KUM_PORTS)
+        StorageGraph(ModelKind.KUM, 4, PALETTE, ("p", "p"))
+    with pytest.raises(ValueError):  # an SMM's bound is its label count
+        StorageGraph(ModelKind.SMM, 2, PALETTE, SMM_DIRS)
     with pytest.raises(ValueError):
-        new_graph(ModelKind.KUM, 4, PALETTE, ())
+        StorageGraph(ModelKind.KUM, 0, PALETTE, KUM_PORTS)
     with pytest.raises(ValueError):
-        new_graph(ModelKind.KUM, 4, tuple("c%d" % i for i in range(65)), KUM_PORTS)
+        StorageGraph(ModelKind.KUM, -2, PALETTE, KUM_PORTS)
+    with pytest.raises(ValueError):
+        StorageGraph(ModelKind.KUM, 4, (), KUM_PORTS)
+    with pytest.raises(ValueError):
+        StorageGraph(ModelKind.KUM, 4, PALETTE, ())
+    with pytest.raises(ValueError):
+        StorageGraph(ModelKind.KUM, 4, tuple("c%d" % i for i in range(65)), KUM_PORTS)
     # a port id must fit the byte that stores it
     many_ports = tuple("p%d" % i for i in range(65))
     with pytest.raises(ValueError):
-        new_graph(ModelKind.KUM, 4, PALETTE, many_ports)
+        StorageGraph(ModelKind.KUM, 4, PALETTE, many_ports)
     with pytest.raises(ValueError):
-        new_graph(ModelKind.SMM, None, PALETTE, many_ports)
+        StorageGraph(ModelKind.SMM, None, PALETTE, many_ports)
     # a degree bound is an int, not anything that compares like one
     for bad in (2.5, True, "3", 3.0):
         with pytest.raises(ValueError):
-            new_graph(ModelKind.KUM, bad, PALETTE, KUM_PORTS)
+            StorageGraph(ModelKind.KUM, bad, PALETTE, KUM_PORTS)
         with pytest.raises(ValueError):
-            new_graph(ModelKind.SMM, bad, PALETTE, SMM_DIRS)
+            StorageGraph(ModelKind.SMM, bad, PALETTE, SMM_DIRS)
 
 
 def test_create_node_returns_fresh_unequal_handles():
@@ -102,7 +109,7 @@ def test_link_rejects_occupied_port_and_leaves_graph_unchanged():
 
 def test_link_enforces_degree_bound():
     # four ports but a degree bound of three: the fourth link must fail
-    g = new_graph(ModelKind.KUM, 3, PALETTE, KUM_PORTS)
+    g = StorageGraph(ModelKind.KUM, 3, PALETTE, KUM_PORTS)
     hub = g.create_node(0)
     for i in range(3):
         g.link(hub, i, g.create_node(0), 0)
@@ -175,9 +182,9 @@ def test_colors_round_trip_and_default():
     g = kum()
     a = g.create_node(ONE)
     assert g.get_color(a) == ONE
-    assert g.get_color(g.initial_node) == ZERO  # palette[0] is the default
-    g.set_color(a, MARK)
-    assert g.get_color(a) == MARK
+    assert g.get_color(g.initial_node) == ZERO  # the initial node's: palette[0]
+    g.set_color(a, RED)
+    assert g.get_color(a) == RED
     with pytest.raises(UnknownColor):
         g.set_color(a, 64)
 
@@ -265,7 +272,7 @@ def test_bool_is_not_a_handle_or_port(make):
             (BadHandle, lambda: g.neighbor(flag, 0)),
             (BadPort, lambda: g.neighbor(a, flag)),
             (BadHandle, lambda: g.get_color(flag)),
-            (BadHandle, lambda: g.set_color(flag, MARK)),
+            (BadHandle, lambda: g.set_color(flag, RED)),
             (BadHandle, lambda: g.unlink(flag, 0)),
             (BadHandle, lambda: g.identity_eq(flag, a)),
         ]

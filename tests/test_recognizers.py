@@ -1,8 +1,8 @@
 """Both recognizers: verdicts and reject reasons, the counter chain, the
 flat gap at the cadence, the real-time constant across n, the last
 index's lookups and verdicts against the oracle, run once per machine,
-and check_run's refusal of a graph that shrinks; then the structure each
-machine builds."""
+check_run's refusal of a graph that shrinks, and the colors a machine
+reads; then the structure each machine builds."""
 
 import dataclasses
 import random
@@ -10,7 +10,8 @@ import random
 import pytest
 
 from kumsim import blocklang
-from kumsim.gadgets import CUR_HI, CUR_LO, MARK, TAIL
+from kumsim.engine import StorageGraph
+from kumsim.gadgets import CHAIN0, CUR_HI, CUR_LO, PALETTE, TAIL
 from kumsim.kum_recognizer import VAL
 from kumsim.runtime import RejectReason, Runner, max_gap, run
 from kumsim.smm_recognizer import V
@@ -213,6 +214,39 @@ def test_differential_against_oracle(machine):
                 helpers.check_run(machine, "".join(chars))
 
 
+class _ColorReadingGraph(StorageGraph):
+    """A graph that records every color get_color returns, at no step
+    cost."""
+
+    __slots__ = ("colors_read",)
+
+    def __init__(self, *args):
+        StorageGraph.__init__(self, *args)
+        self.colors_read = set()
+
+    def get_color(self, a):
+        c = StorageGraph.get_color(self, a)
+        self.colors_read.add(c)
+        return c
+
+
+@each_machine
+def test_every_color_read_is_a_chain_code(machine):
+    # a machine reads colors only off the counter chain and the KUM's y
+    # queue, never blank, the trie nodes' color: a KUM per-value leaf is
+    # known by its val link
+    prog = helpers.on_graphs(_ColorReadingGraph,
+                             helpers.MACHINES[machine].build())
+    inputs = [s for s, _ in KNOWN + REJECTS]
+    for n in range(1, 7):
+        inputs.append(blocklang.encode(
+            blocklang.gen_positive(n, random.Random(n))))
+        inputs.append(blocklang.encode(blocklang.gen_all_equal(n)))
+    for s in inputs:
+        read = run(prog, s).graph.colors_read
+        assert all(CHAIN0 <= c < len(PALETTE) for c in read), (s, read)
+
+
 # -- the bounded machine's tries ---------------------------------------------
 
 def test_structure_counts_after_accepting_run():
@@ -226,16 +260,20 @@ def test_structure_counts_after_accepting_run():
     lv = helpers.levels(g, 0, depth + 1)
     assert len(lv) == depth + 1  # and no level below the leaves
     assert len(lv[depth]) == 2 ** inst.n  # one index leaf per block
-    # every index leaf and its marked per-value leaf link val to val
+    # every index leaf and its per-value leaf link val to val
+    pv_leaves = set()
     for leaf in lv[depth]:
         pv_leaf = g.neighbor(leaf, VAL)
-        assert g.get_color(pv_leaf) == MARK
         assert g.neighbor(pv_leaf, VAL) == leaf
+        pv_leaves.add(pv_leaf)
     # value trie has one leaf per distinct block value
     vlv = helpers.levels(g, res.registers.vroot, inst.k)
     assert len(vlv[inst.k]) == len(set(inst.blocks))
-    # one marked per-value leaf per index
-    assert helpers.count_color(g, MARK) == 2 ** inst.n
+    # one per-value leaf per index, and no other node holds a val link
+    assert len(pv_leaves) == 2 ** inst.n
+    nodes = range(g.graph_stats()["node_count"])
+    assert sum(g.neighbor(v, VAL) is not None for v in nodes) == \
+        2 ** (inst.n + 1)
 
 
 def test_nodes_per_symbol():

@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 import helpers
 from kumsim.blocklang import encode, gen_positive
-from kumsim.engine import ModelKind, new_graph
+from kumsim.engine import ModelKind, StorageGraph
 from kumsim.runtime import (
     Program, RejectReason, Registers, Runner, Trace, Verdict,
     max_gap, mean_gap, register_class, run,
@@ -18,7 +18,7 @@ KUM = helpers.MACHINES["kum"].prog
 
 
 def toy_graph():
-    return new_graph(ModelKind.KUM, 4, ("plain",), ("next",))
+    return StorageGraph(ModelKind.KUM, 4, ("plain",), ("next",))
 
 
 def make_toy(cadence=None, reject_at=None, steps_per_symbol=3,
@@ -97,6 +97,12 @@ def test_feed_after_the_halt_raises_and_leaves_the_trace():
 def test_early_accept_is_a_machine_fault():
     res = run(make_toy(accept_early_at="1"), "010")
     assert res.verdict.reason is RejectReason.MACHINE_FAULT
+    # so is an on_end that returns no verdict
+    prog = make_toy()
+    prog = Program(prog.register_names, toy_graph, prog.on_start,
+                   prog.on_symbol, lambda g, r: None)
+    res = run(prog, "01")
+    assert res.verdict.reason is RejectReason.MACHINE_FAULT
 
 
 def test_engine_error_surfaces_as_machine_fault():
@@ -111,6 +117,16 @@ def test_engine_error_surfaces_as_machine_fault():
                    lambda g, r: Verdict.accept())
     res = run(prog, "0")
     assert res.verdict.reason is RejectReason.MACHINE_FAULT
+
+    def bad_end(g, r):
+        g.get_color(-1)  # not a node handle
+        return Verdict.accept()
+
+    prog = Program(("cursor",), toy_graph, lambda g, r: None,
+                   lambda g, r, ch: None, bad_end)
+    res = run(prog, "0")
+    assert res.verdict.reason is RejectReason.MACHINE_FAULT
+    assert res.trace.halted
 
 
 def test_cadence_pads_every_symbol_to_the_same_gap():
