@@ -22,10 +22,11 @@ lowest set bit is 0).  A fifth bit marks the tail, so a color says
 where the chain ends.  That is 32 chain codes, a palette of 33 with
 blank, the color of every trie node; the tail reaches three of them (bit
 0 with i's lowest zero, bit 1 with i's lowest set bit, and bit 1 bare
-once the counter has wrapped).  CUR_HI, CUR_LO, LOW_ZERO, LOW_SET and AT_TAIL decode a color.
+once the counter has wrapped).  CUR_HI, CUR_LO, LOW_ZERO, LOW_SET, AT_TAIL
+and LEVEL_BIT decode a color.
 
 The previous index i - 1 is not stored: it follows from i (Warren,
-Hacker's Delight, 2nd ed., sec. 2-1), and prev_pair decodes it one node
+Hacker's Delight, 2nd ed., sec. 2-1), and PREV_PAIR decodes it one node
 at a time, head to tail.  Above i's lowest set bit i - 1 equals i; at the
 node that holds that bit it reads (hi, 0) when the marker is on lo and
 (0, 1) when it is on hi; below it, it reads 1s.  The flag f_ifresh, set
@@ -37,15 +38,16 @@ every node from there on without probing (index_level).
 Every trie keyed by the index is radix 4, one level per chain node: the
 root level is the head's hi bit alone, and every later level is a digit,
 2 * hi + lo, of the previous node's lo bit and this node's hi bit (at
-the tail, its one bit).  A register carries the previous node's lo bit
-from one walk node to the next, so a level costs one descend.  For even
-n the root level is the pad bit 0, and x and y fill whole digits.
+the tail, its one bit: LEVEL_BIT).  A register carries the previous
+node's lo bit from one walk node to the next, so a level costs one probe
+or one create (build prices them).  For even n the root level is the
+pad bit 0, and x and y fill whole digits.
 
 During block i one walk runs from head to tail, one node per symbol and
 the tail on the boundary symbol, at most 3 primitives a node: get_color,
 then neighbor unless the color says tail, and set_color on the same
 node.  The color it reads gives the node's bits of i (for the index
-path) and, through prev_pair, of i - 1 (handed to build's on_node hook,
+path) and, through PREV_PAIR, of i - 1 (handed to build's on_node hook,
 most significant first); nothing else reads a chain node's color.  The
 walk rewrites the node in place to hold next = i + 1, which keeps i
 above its lowest zero, sets that bit and clears every bit below it; the
@@ -79,8 +81,8 @@ the head.  What differs per model is how a port is wired
 (one symmetric link versus one directed pointer), so each recognizer
 passes build one hook, wire(g, a, port, b), which makes port of a lead
 to b.  The helpers here only probe and recolor existing nodes, except
-attach, descend, grow_chain and build's block section, which grow the
-chain and the tries through wire.
+index_level, value_level, grow_chain and build's block section, which
+grow the chain and the tries through wire.
 
 Registers used here: c_head is the chain's head; walk is the walk's
 position (None past the tail); f_past is set once the walk has passed
@@ -141,25 +143,29 @@ def _table(f):
 
 
 # Decoding: the node's bits of the current index, whether it holds the
-# current index's lowest zero or lowest set bit, and whether it is the tail.
+# current index's lowest zero or lowest set bit, whether it is the tail,
+# and the bit it adds to its level's digit: its hi bit, or the tail's one.
 CUR_LO = _table(lambda s: s & 1)
 CUR_HI = _table(lambda s: s >> 1 & 1)
 LOW_ZERO = _table(lambda s: s >> 2 & 1)
 LOW_SET = _table(lambda s: s >> 3 & 1)
 AT_TAIL = _table(lambda s: s >> 4 & 1)
+LEVEL_BIT = _table(lambda s: s & 1 if s & _TAIL else s >> 1 & 1)
 
 
-def _prev(s):
-    """The previous index's (hi, lo) at a node at or above the current
-    index's lowest set bit; below it the pair is _ONES."""
+def _prev(s, below):
+    """The previous index's (hi, lo) at a node of code s: the current pair
+    above the lowest set bit, and all ones below it (below)."""
     hi, lo = s >> 1 & 1, s & 1
     if not s & _SET:
-        return hi, lo
+        return (1, 1) if below else (hi, lo)
     return (hi, 0) if lo else (0, 1)
 
 
-_PREV = _table(_prev)
-_ONES = (1, 1)
+# PREV_PAIR[f_ifresh][c]: the previous index's (hi, lo) at the node of
+# color c that the walk has just reached; at the tail, lo is its bit 0.
+PREV_PAIR = (_table(lambda s: _prev(s, False)),
+             _table(lambda s: _prev(s, True)))
 # The lowest zero's node in next: the pair plus 1 (a pair holding a
 # lowest zero is never 11), marked as next's lowest set bit.
 _STEP = _table(lambda s: CHAIN0 + ((s + 1) & 3 | _SET | s & _TAIL))
@@ -281,41 +287,6 @@ def walk_step(g, R):
     return c
 
 
-def prev_pair(R, c):
-    """The previous index's (hi, lo) at the node of color c that the walk
-    has just reached; at the tail, lo is its bit 0."""
-    if not R.f_ifresh or LOW_SET[c]:
-        return _PREV[c]
-    return _ONES
-
-
-def digit(R, hi, lo, carry):
-    """(d, lo) at the chain node whose bits, of some index, are (hi, lo),
-    with walk moved on from it (None past the tail): d is this node's
-    level of that index's path, 2 * carry + hi (at the tail,
-    2 * carry + lo), where carry is the previous node's lo bit, and lo
-    comes back as the next node's carry."""
-    return 2 * carry + (lo if R.walk is None else hi), lo
-
-
-def attach(g, node, port, wire):
-    """A new trie node, wired as node's child at port."""
-    child = g.create_node(BLANK)
-    wire(g, node, port, child)
-    return child
-
-
-def descend(g, node, bit, fresh, wire):
-    """(child, fresh): node's child at port bit on a trie path that is
-    fresh or not (see build for the prices), and whether the path is
-    fresh from child on, which it is unless a probe found child."""
-    if not fresh:
-        child = g.neighbor(node, bit)
-        if child is not None:
-            return child, False
-    return attach(g, node, bit, wire), True
-
-
 def index_level(g, R, c, wire):
     """The current index's level at the node of color c that the walk
     has just reached.
@@ -326,11 +297,27 @@ def index_level(g, R, c, wire):
     the node holding the bit, and that node's digit holds it unless it is
     a pair's lo bit, which the next digit carries.
     """
-    d, R.f_lo = digit(R, CUR_HI[c], CUR_LO[c], R.f_lo)
+    d = 2 * R.f_lo + LEVEL_BIT[c]
+    R.f_lo = CUR_LO[c]
+    node = R.icur
     if not R.f_ifresh or (LOW_SET[c] and CUR_LO[c] and R.walk is not None):
-        R.icur = g.neighbor(R.icur, d)
+        R.icur = g.neighbor(node, d)
     else:
-        R.icur = attach(g, R.icur, d, wire)
+        R.icur = child = g.create_node(BLANK)
+        wire(g, node, d, child)
+
+
+def value_level(g, R, bit, wire):
+    """One value-trie level down from vt_cur on bit: follow the child on a
+    path that is not fresh, else (or where the probe finds none) create
+    it and mark the path fresh (see build for the prices)."""
+    node = R.vt_cur
+    child = None if R.f_vtfresh else g.neighbor(node, bit)
+    if child is None:
+        child = g.create_node(BLANK)
+        wire(g, node, bit, child)
+        R.f_vtfresh = True
+    R.vt_cur = child
 
 
 def grow_chain(g, R, wire):
@@ -371,11 +358,11 @@ def build(registers, graph_factory, cadence, wire, close, x_field,
 
     registers must start with SKELETON_REGISTERS.  Three hooks hold what
     differs between the machines: wire(g, a, port, b) makes port of a
-    lead to b, for every trie child and chain node (attach, grow_chain);
+    lead to b, for every trie child and chain node;
     close(g, R) runs at each block's end, with icur on the block's index
     leaf and vt_cur on its value leaf; and on_node(g, R, hi, lo), if
     given, runs after each walk node's index level, with the node's bits
-    of the previous index (prev_pair).
+    of the previous index (PREV_PAIR).
 
     Block 0 grows the chain instead of walking it: its first symbol
     appends the tail, every later symbol and its '@' a pair, and each
@@ -384,16 +371,16 @@ def build(registers, graph_factory, cadence, wire, close, x_field,
     later block's symbol takes one walk node and its index level
     (index_level); the boundary symbol takes the tail, and a walk
     that ends early or late is a block-length mismatch and rejects as
-    pacing.  Each block symbol also descends the value trie one level on
-    its bit, and each boundary re-roots the value path and then re-arms
+    pacing.  Each block symbol also takes one value-trie level on its
+    bit (value_level), and each boundary re-roots the value path and then re-arms
     the walk, after '@', or roots the x field's index walk, after the
     first '#' (which needs a count of 2^w or 2^(w - 1)).
 
-    A descend costs 1 when the child exists and 3 when the probe finds
-    none and creates it.  Each trie path has a fresh flag, set once the
-    path creates a node and cleared where its cursor is re-rooted: a node
-    the path created has no child to probe for, so on a fresh path a
-    descend creates the child at once, for 2.  The index path never
+    A trie level costs 1 when the probe finds the child and 3 when it
+    finds none and creates it.  Each trie path has a fresh flag, set once
+    the path creates a node and cleared where its cursor is re-rooted: a
+    node the path created has no child to probe for, so on a fresh path
+    a level creates the child at once, for 2.  The index path never
     probes: above the current index's lowest set bit it follows the
     previous index's path (1 a level) and from that bit on it creates (2
     a level), since no smaller index holds those bits.  So a block-0
@@ -402,7 +389,9 @@ def build(registers, graph_factory, cadence, wire, close, x_field,
     """
     def grow(g, R):
         grow_chain(g, R, wire)
-        R.icur = attach(g, R.icur, ZERO, wire)
+        node = R.icur
+        R.icur = child = g.create_node(BLANK)
+        wire(g, node, ZERO, child)
 
     def close_block(g, R):
         close(g, R)
@@ -412,7 +401,7 @@ def build(registers, graph_factory, cadence, wire, close, x_field,
 
     def first_tick(g, R, bit):
         grow(g, R)
-        R.vt_cur, R.f_vtfresh = descend(g, R.vt_cur, bit, R.f_vtfresh, wire)
+        value_level(g, R, bit, wire)
 
     def first_boundary(g, R, _bit):  # fixes w = 2k + 1; the count is 1
         grow(g, R)
@@ -425,8 +414,9 @@ def build(registers, graph_factory, cadence, wire, close, x_field,
             return REJ_PACING  # the tail belongs to the boundary
         index_level(g, R, c, wire)
         if on_node is not None:
-            on_node(g, R, *prev_pair(R, c))
-        R.vt_cur, R.f_vtfresh = descend(g, R.vt_cur, bit, R.f_vtfresh, wire)
+            hi, lo = PREV_PAIR[R.f_ifresh][c]
+            on_node(g, R, hi, lo)
+        value_level(g, R, bit, wire)
         return None
 
     def boundary(g, R, _bit):
@@ -437,7 +427,8 @@ def build(registers, graph_factory, cadence, wire, close, x_field,
             return REJ_FORMAT  # the counter wrapped: more than 2^w blocks
         index_level(g, R, c, wire)
         if on_node is not None:
-            on_node(g, R, *prev_pair(R, c))
+            hi, lo = PREV_PAIR[R.f_ifresh][c]
+            on_node(g, R, hi, lo)
         close_block(g, R)
         return None
 
@@ -449,7 +440,8 @@ def build(registers, graph_factory, cadence, wire, close, x_field,
             return REJ_FORMAT  # the count is neither 2^w nor 2^(w - 1)
         index_level(g, R, c, wire)
         if on_node is not None:
-            on_node(g, R, *prev_pair(R, c))
+            hi, lo = PREV_PAIR[R.f_ifresh][c]
+            on_node(g, R, hi, lo)
         close(g, R)
         R.icur = skip_pad(g, R)
         x_field(R)

@@ -32,11 +32,11 @@ Storage layout, all grown incrementally while reading:
 Per block symbol the machine runs gadgets.build's block section (one
 counter walk node, its index level and a value-trie level, each priced
 there) and, as its on_node hook, extends the per-value path for the
-previous index i - 1 one level, on the digit gadgets.digit makes of the
-bits of i - 1 that build decodes off the same node and the lo bit carried
-in f_pvlo.  A per-value level is one gadgets.descend: 1 when the child
-exists, 3 when the probe finds none and creates it, and 2 on a fresh
-path.  A value leaf created in this block has an empty per-value trie;
+previous index i - 1 one level (_prev_level), on the digit of the lo
+bit carried in f_pvlo and the bits of i - 1 that build decodes off the
+same node.  A per-value level is priced as any trie level: 1 when the
+child exists, 3 when the probe finds none and creates it, and 2 on a
+fresh path.  A value leaf created in this block has an empty per-value trie;
 the per-value fresh flag f_pvfresh inherits the value path's at the
 block's end, so that path is fresh from its first level and never
 probes.  A block symbol costs at most walk 3 + index level 2 +
@@ -106,8 +106,8 @@ for all four bit pairs because both blocks are the empty string.
 from __future__ import annotations
 
 from .engine import ModelKind, StorageGraph
-from .gadgets import (CHAIN0, DONE, PALETTE, REJ_FORMAT, SKELETON_REGISTERS,
-                      TAIL, build, descend, digit, field, field_tick)
+from .gadgets import (BLANK, CHAIN0, DONE, PALETTE, REJ_FORMAT,
+                      SKELETON_REGISTERS, TAIL, build, field, field_tick)
 
 # After the child ports c0 to c3, one per digit, of which c1 is also the
 # tail-ward port of a chain or queue node (gadgets.TAIL).
@@ -160,10 +160,17 @@ def _prev_level(g, R, hi, lo):
     """The previous index's per-value level at the chain node holding its
     bits (hi, lo); at the tail its last level, whose leaf is then linked
     to prev_leaf."""
-    d, R.f_pvlo = digit(R, hi, lo, R.f_pvlo)
-    R.pv_cur, R.f_pvfresh = descend(g, R.pv_cur, d, R.f_pvfresh, _wire)
+    d = 2 * R.f_pvlo + (lo if R.walk is None else hi)
+    R.f_pvlo = lo
+    node = R.pv_cur
+    child = None if R.f_pvfresh else g.neighbor(node, d)
+    if child is None:
+        child = g.create_node(BLANK)
+        g.link(node, d, child, PARENT)
+        R.f_pvfresh = True
+    R.pv_cur = child
     if R.walk is None:
-        g.link(R.prev_leaf, VAL, R.pv_cur, VAL)
+        g.link(R.prev_leaf, VAL, child, VAL)
 
 
 def _hold_leaves(g, R):

@@ -29,7 +29,7 @@ Layout:
 Per block symbol the machine runs gadgets.build's block section alone:
 one counter walk node, one index-trie level and one value-trie level on
 the input bit, each priced there, so a block symbol costs at most walk
-3 + index level 2 + descend 3 = 8.  Block 0 costs at most 6.  A chain
+3 + index level 2 + value level 3 = 8.  Block 0 costs at most 6.  A chain
 node needs just its tail-ward pointer, since the walk only goes from
 head to tail; it and every trie pointer are set by _wire, build's wire
 hook.  Binding the representative at a block's

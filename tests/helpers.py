@@ -14,8 +14,7 @@ from kumsim import blocklang, gadgets, kum_recognizer, smm_recognizer
 from kumsim.engine import EngineError, StorageGraph
 from kumsim.gadgets import BLANK, TAIL
 from kumsim.kum_recognizer import DEGREE_BOUND, KUM_CADENCE
-from kumsim.runtime import (Program, RejectReason, Verdict, max_gap,
-                            register_class, run)
+from kumsim.runtime import Program, RejectReason, Verdict, max_gap, run
 from kumsim.smm_recognizer import SMM_CADENCE
 
 # Child ports 0 to 3, one per digit, on both machines.
@@ -141,18 +140,18 @@ def chain_bits(g, head, hi, lo):
 
 def chain_prev_bits(g, head):
     """The previous index off the chain, head to tail, as the block walk
-    decodes it, but rewriting nothing: gadgets.prev_pair on each node's
-    color, with f_ifresh set from the node that holds the current index's
-    lowest set bit on."""
-    R = register_class(gadgets.SKELETON_REGISTERS)()
+    decodes it, but rewriting nothing: gadgets.PREV_PAIR[f_ifresh] on
+    each node's color, with f_ifresh set from the node that holds the
+    current index's lowest set bit on."""
+    fresh = False
     bits = []
     node = head
     while node is not None:
         c = g.get_color(node)
         node = g.neighbor(node, TAIL)
         if gadgets.LOW_SET[c]:
-            R.f_ifresh = True
-        hi, lo = gadgets.prev_pair(R, c)
+            fresh = True
+        hi, lo = gadgets.PREV_PAIR[fresh][c]
         if node is not None:
             bits.append(str(hi))
         bits.append(str(lo))
