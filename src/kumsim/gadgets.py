@@ -29,11 +29,12 @@ The previous index i - 1 is not stored: it follows from i (Warren,
 Hacker's Delight, 2nd ed., sec. 2-1), and PREV_PAIR decodes it one node
 at a time, head to tail.  Above i's lowest set bit i - 1 equals i; at the
 node that holds that bit it reads (hi, 0) when the marker is on lo and
-(0, 1) when it is on hi; below it, it reads 1s.  The flag f_ifresh, set
-as the walk reaches that marker, tells above from below.  It doubles as
-the index path's fresh flag: no index below i shares i's bits down to
-its lowest set bit, so i's path leaves i - 1's exactly there and creates
-every node from there on without probing (index_level).
+(0, 1) when it is on hi; below it, it reads 1s; the tail's one bit is
+both hi and lo.  The flag f_ifresh, set as the walk reaches that marker,
+tells above from below.  It doubles as the index path's fresh flag: no
+index below i shares i's bits down to its lowest set bit, so i's path
+leaves i - 1's exactly there and creates every node from there on
+without probing (index_level).
 
 Every trie keyed by the index is radix 4, one level per chain node: the
 root level is the head's hi bit alone, and every later level is a digit,
@@ -47,12 +48,12 @@ During block i one walk runs from head to tail, one node per symbol and
 the tail on the boundary symbol, at most 3 primitives a node: get_color,
 then neighbor unless the color says tail, and set_color on the same
 node.  The color it reads gives the node's bits of i (for the index
-path) and, through PREV_PAIR, of i - 1 (handed to build's on_node hook,
-most significant first); nothing else reads a chain node's color.  The
-walk rewrites the node in place to hold next = i + 1, which keeps i
-above its lowest zero, sets that bit and clears every bit below it; the
-bit it sets is next's lowest set bit, so the same set_color moves that
-marker there.
+path) and, through PREV_PAIR, of i - 1, which index_level hands to
+build's on_node hook, most significant first; nothing else reads a chain
+node's color.  The walk rewrites the node in place to hold next = i + 1,
+which keeps i above its lowest zero, sets that bit and clears every bit
+below it; the bit it sets is next's lowest set bit, so the same
+set_color moves that marker there.
 Only three kinds of node change: the node of i's lowest set bit, which
 loses its marker when i is even (for odd i it is the tail, below the
 lowest zero), the nodes from i's lowest zero down to the tail, and the
@@ -155,15 +156,19 @@ LEVEL_BIT = _table(lambda s: s & 1 if s & _TAIL else s >> 1 & 1)
 
 def _prev(s, below):
     """The previous index's (hi, lo) at a node of code s: the current pair
-    above the lowest set bit, and all ones below it (below)."""
+    above the lowest set bit, and all ones below it (below).  The tail
+    holds one bit, so there both entries are that bit."""
     hi, lo = s >> 1 & 1, s & 1
-    if not s & _SET:
-        return (1, 1) if below else (hi, lo)
-    return (hi, 0) if lo else (0, 1)
+    if s & _SET:
+        hi, lo = (hi, 0) if lo else (0, 1)
+    elif below:
+        hi, lo = 1, 1
+    return (lo, lo) if s & _TAIL else (hi, lo)
 
 
 # PREV_PAIR[f_ifresh][c]: the previous index's (hi, lo) at the node of
-# color c that the walk has just reached; at the tail, lo is its bit 0.
+# color c that the walk has just reached.  hi is the bit the node adds to
+# its level's digit, as LEVEL_BIT gives it for the current index.
 PREV_PAIR = (_table(lambda s: _prev(s, False)),
              _table(lambda s: _prev(s, True)))
 # The lowest zero's node in next: the pair plus 1 (a pair holding a
@@ -287,9 +292,9 @@ def walk_step(g, R):
     return c
 
 
-def index_level(g, R, c, wire):
+def index_level(g, R, c, wire, on_node):
     """The current index's level at the node of color c that the walk
-    has just reached.
+    has just reached, then build's on_node hook, if given, on it.
 
     Above the lowest set bit the child exists, since the previous index
     shares those bits, so the path follows it; from the digit holding
@@ -305,6 +310,9 @@ def index_level(g, R, c, wire):
     else:
         R.icur = child = g.create_node(BLANK)
         wire(g, node, d, child)
+    if on_node is not None:
+        hi, lo = PREV_PAIR[R.f_ifresh][c]
+        on_node(g, R, hi, lo)
 
 
 def value_level(g, R, bit, wire):
@@ -360,9 +368,9 @@ def build(registers, graph_factory, cadence, wire, close, x_field,
     differs between the machines: wire(g, a, port, b) makes port of a
     lead to b, for every trie child and chain node;
     close(g, R) runs at each block's end, with icur on the block's index
-    leaf and vt_cur on its value leaf; and on_node(g, R, hi, lo), if
-    given, runs after each walk node's index level, with the node's bits
-    of the previous index (PREV_PAIR).
+    leaf and vt_cur on its value leaf; and on_node, if given, runs
+    after each walk node's index level (index_level calls it), given
+    g, R and the node's bits hi and lo of the previous index (PREV_PAIR).
 
     Block 0 grows the chain instead of walking it: its first symbol
     appends the tail, every later symbol and its '@' a pair, and each
@@ -412,10 +420,7 @@ def build(registers, graph_factory, cadence, wire, close, x_field,
         c = walk_step(g, R)
         if R.walk is None:
             return REJ_PACING  # the tail belongs to the boundary
-        index_level(g, R, c, wire)
-        if on_node is not None:
-            hi, lo = PREV_PAIR[R.f_ifresh][c]
-            on_node(g, R, hi, lo)
+        index_level(g, R, c, wire, on_node)
         value_level(g, R, bit, wire)
         return None
 
@@ -425,10 +430,7 @@ def build(registers, graph_factory, cadence, wire, close, x_field,
             return REJ_PACING  # the walk ends off the tail: block length
         if not R.f_past:
             return REJ_FORMAT  # the counter wrapped: more than 2^w blocks
-        index_level(g, R, c, wire)
-        if on_node is not None:
-            hi, lo = PREV_PAIR[R.f_ifresh][c]
-            on_node(g, R, hi, lo)
+        index_level(g, R, c, wire, on_node)
         close_block(g, R)
         return None
 
@@ -438,10 +440,7 @@ def build(registers, graph_factory, cadence, wire, close, x_field,
             return REJ_PACING  # the walk ends off the tail: block length
         if R.f_past and not R.f_lead:
             return REJ_FORMAT  # the count is neither 2^w nor 2^(w - 1)
-        index_level(g, R, c, wire)
-        if on_node is not None:
-            hi, lo = PREV_PAIR[R.f_ifresh][c]
-            on_node(g, R, hi, lo)
+        index_level(g, R, c, wire, on_node)
         close(g, R)
         R.icur = skip_pad(g, R)
         x_field(R)

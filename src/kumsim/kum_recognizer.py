@@ -32,13 +32,14 @@ Storage layout, all grown incrementally while reading:
 Per block symbol the machine runs gadgets.build's block section (one
 counter walk node, its index level and a value-trie level, each priced
 there) and, as its on_node hook, extends the per-value path for the
-previous index i - 1 one level (_prev_level), on the digit of the lo
-bit carried in f_pvlo and the bits of i - 1 that build decodes off the
-same node.  A per-value level is priced as any trie level: 1 when the
-child exists, 3 when the probe finds none and creates it, and 2 on a
-fresh path.  A value leaf created in this block has an empty per-value trie;
-the per-value fresh flag f_pvfresh inherits the value path's at the
-block's end, so that path is fresh from its first level and never
+previous index i - 1 one level (_prev_level), on the digit 2 * f_pvlo +
+hi: the lo bit carried in f_pvlo and the hi bit of i - 1 that
+index_level decodes off the same node (at the tail, the tail's bit).  A
+per-value level is priced as any trie level: 1 when the child exists, 3
+when the probe finds none and creates it, and 2 on a fresh path.  A
+value leaf created in this block has an empty per-value trie; the
+per-value fresh flag f_pvfresh inherits the value path's at the block's
+end, so that path is fresh from its first level and never
 probes.  A block symbol costs at most walk 3 + index level 2 +
 per-value level 3 + value 3 = 11, the cadence.  Block 0 costs at most
 6, and its '@' 4.  A later boundary also completes both paths: it links
@@ -160,7 +161,7 @@ def _prev_level(g, R, hi, lo):
     """The previous index's per-value level at the chain node holding its
     bits (hi, lo); at the tail its last level, whose leaf is then linked
     to prev_leaf."""
-    d = 2 * R.f_pvlo + (lo if R.walk is None else hi)
+    d = 2 * R.f_pvlo + hi
     R.f_pvlo = lo
     node = R.pv_cur
     child = None if R.f_pvfresh else g.neighbor(node, d)

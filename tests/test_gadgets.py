@@ -103,10 +103,14 @@ def test_color_tables_decode_every_chain_code():
         # the previous index's pair: at the lowest set bit's node, with
         # the marker on lo if lo is 1 and else on hi, that bit is cleared
         # and every bit below it set; below that node, all ones; above
-        # it, the current pair
+        # it, the current pair.  The tail holds one bit, the pair's lo,
+        # and gives it as both entries: hi is the bit the node adds to its
+        # level's digit, as LEVEL_BIT gives it for the current index
         at_set = (hi, 0) if lo else (0, 1)
         for fresh in (False, True):
             want = at_set if low_set else (1, 1) if fresh else (hi, lo)
+            if tail:
+                want = (want[1], want[1])
             assert gadgets.PREV_PAIR[fresh][c] == want, (s, fresh)
     for table in (gadgets.LEVEL_BIT, *gadgets.PREV_PAIR):
         assert len(table) == gadgets.CHAIN0 + 32

@@ -15,10 +15,12 @@ environment, which pins glibc's mmap threshold instead of letting it
 move with the allocation pattern.
 
 For each workload and metric the report gives each side's median and
-quartiles over the untraced runs and how many pairs each side won, by
-the metric's direction in BENCHMARK.json.  Every run record, both SHAs
-and the environment set go to BENCH_<change sha, 12 digits>.json at the
-repository root.  Exits 1 if any run reads "correct": false.
+quartiles over the untraced runs, how many pairs each side won, by the
+metric's direction in BENCHMARK.json, and a verdict on the change
+(verdict(), from the metric's direction and bound there).  Every run
+record, stamped with its side's SHA, both SHAs and the environment set
+go to BENCH_<change sha, 12 digits>.json at the repository root.  Exits
+1 if any run reads "correct": false; a verdict never sets the exit code.
 """
 
 from __future__ import annotations
@@ -70,10 +72,11 @@ def bench(checkout, workload, seed, seconds, trace):
     return record
 
 
-def directions():
-    """Metric name -> "lower" or "higher", from BENCHMARK.json."""
+def end_to_end():
+    """Metric name -> its BENCHMARK.json entry, with "better" ("lower" or
+    "higher") and "bound" (a fraction of the base's median)."""
     spec = json.loads((ROOT / "BENCHMARK.json").read_text())
-    return {m["name"]: m["better"] for m in spec["end_to_end"]}
+    return {m["name"]: m for m in spec["end_to_end"]}
 
 
 def quartiles(values):
@@ -83,10 +86,47 @@ def quartiles(values):
     return q1, q2, q3
 
 
-def summarize(runs, better):
+def wins(base, change, better):
+    """The pairs each side won, from the metric's values in the same pairs
+    on each side; a tie counts for neither."""
+    sign = 1 if better == "lower" else -1
+    ahead = [sign * (b - c) for b, c in zip(base, change)]
+    return {"base": sum(d < 0 for d in ahead),
+            "change": sum(d > 0 for d in ahead)}
+
+
+def verdict(base, change, better, bound):
+    """The change's verdict on one metric, from its values in the same
+    pairs on each side:
+
+    - "gain": the change wins at least 9 pairs in 10, and its median is
+      better than the base's by more than the base's IQR;
+    - "worse": its median is worse than the base's by more than bound
+      times the base's median;
+    - "unresolved": the base's IQR exceeds bound times its median, and
+      not every change run beats every base run;
+    - "held": otherwise.
+    """
+    sign = 1 if better == "lower" else -1
+    q1, med, q3 = quartiles(base)
+    ahead = sign * (med - quartiles(change)[1])
+    room = bound * abs(med)
+    if (10 * wins(base, change, better)["change"] >= 9 * len(base)
+            and ahead > q3 - q1):
+        return "gain"
+    if -ahead > room:
+        return "worse"
+    beats_all = max(sign * v for v in change) < min(sign * v for v in base)
+    if q3 - q1 > room and not beats_all:
+        return "unresolved"
+    return "held"
+
+
+def summarize(runs, spec):
     """Per workload, over the untraced runs: the pairs whose two records
     have the same fingerprint, and per metric each side's median and
-    quartiles and the pairs each side won."""
+    quartiles, the pairs each side won and, for a metric in spec (see
+    end_to_end), the verdict."""
     summary = {}
     for w in sorted({r["workload"] for r in runs}):
         plain = [r for r in runs if r["workload"] == w and not r["trace"]]
@@ -98,16 +138,17 @@ def summarize(runs, better):
             "pairs": len(pairs), "metrics": {}}
         out = summary[w]["metrics"]
         for name in sorted(by[SIDES[0], pairs[0]]):
-            row = out[name] = {"better": better.get(name, "lower")}
+            metric = spec.get(name, {})
+            row = out[name] = {"better": metric.get("better", "lower")}
             vals = {s: [by[s, p][name]["value"] for p in pairs]
                     for s in SIDES}
             for s in SIDES:
                 q1, med, q3 = quartiles(vals[s])
                 row[s] = {"median": med, "q1": q1, "q3": q3}
-            sign = 1 if row["better"] == "lower" else -1
-            wins = [sign * (b - c) for b, c in zip(*vals.values())]
-            row["wins"] = {"base": sum(d < 0 for d in wins),
-                           "change": sum(d > 0 for d in wins)}
+            row["wins"] = wins(vals["base"], vals["change"], row["better"])
+            if "bound" in metric:
+                row["verdict"] = verdict(vals["base"], vals["change"],
+                                         row["better"], metric["bound"])
     return summary
 
 
@@ -116,16 +157,17 @@ def report(summary):
         print("\n%s: fingerprints equal in %d of %d pairs" % (
             w, rows["fingerprints_equal"], rows["pairs"]))
         rows = rows["metrics"]
-        print("  %-26s %24s %24s %7s %6s" % (
+        print("  %-26s %24s %24s %7s %7s %s" % (
             "metric", "base median [q1, q3]", "change median [q1, q3]",
-            "ratio", "wins"))
+            "ratio", "wins", "verdict"))
         for name, row in rows.items():
             b, c = row["base"], row["change"]
             ratio = c["median"] / b["median"] if b["median"] else float("nan")
-            print("  %-26s %24s %24s %7.3f %3d:%-3d" % (
+            print("  %-26s %24s %24s %7.3f %3d:%-3d %s" % (
                 name, "%.4g [%.4g, %.4g]" % (b["median"], b["q1"], b["q3"]),
                 "%.4g [%.4g, %.4g]" % (c["median"], c["q1"], c["q3"]),
-                ratio, row["wins"]["base"], row["wins"]["change"]))
+                ratio, row["wins"]["base"], row["wins"]["change"],
+                row.get("verdict", "-")))
 
 
 def parse_args(argv):
@@ -159,14 +201,16 @@ def main(argv=None):
         for pair, w, seed, trace, order in plan:
             for s in order:
                 rec = bench(dirs[s], w, seed, args.seconds, trace)
-                rec.update(side=s, pair=pair, first=(s == order[0]))
+                # an export has no .git, so bench.py reads no SHA of its own
+                rec.update(git_sha=shas[s], side=s, pair=pair,
+                           first=(s == order[0]))
                 runs.append(rec)
                 print("%-6s %-16s seed %d trace %d: correct %s" % (
                     s, w, seed, trace, rec["correct"]), file=sys.stderr)
     finally:
         shutil.rmtree(tmp)
 
-    summary = summarize(runs, directions())
+    summary = summarize(runs, end_to_end())
     report(summary)
     out = ROOT / ("BENCH_%s.json" % shas["change"][:12])
     out.write_text(json.dumps({
