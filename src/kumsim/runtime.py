@@ -20,7 +20,6 @@ the gaps are small cached ints).
 from __future__ import annotations
 
 import enum
-import functools
 import keyword
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Optional
@@ -70,7 +69,8 @@ class Registers:
     subscript instead: R[name] reads, R[name] = v writes, both raising
     KeyError on an unknown name, and keys() lists the names, so dict(R)
     works.  copy() returns a second file of the same class holding the
-    same values; register_class compiles it for each name set.  Values
+    same values; register_class compiles it with the class, which a
+    Program builds once.  Values
     are the machine's distinguished node handles (or None), except that
     a recognizer's phase, z_color, flag and carry registers hold finite
     control, not a node: a phase table, one of a few chain colors, a
@@ -81,7 +81,6 @@ class Registers:
 
     __slots__ = ()
     _names: tuple = ()
-    _name_set: frozenset = frozenset()
 
     def __new__(cls, names: Optional[Iterable[str]] = None):
         if cls is Registers:
@@ -95,12 +94,12 @@ class Registers:
         return self._names
 
     def __getitem__(self, name):
-        if name not in self._name_set:
+        if name not in self._names:
             raise KeyError("unknown register %r" % (name,))
         return getattr(self, name)
 
     def __setitem__(self, name, value):
-        if name not in self._name_set:
+        if name not in self._names:
             raise KeyError("unknown register %r" % (name,))
         setattr(self, name, value)
 
@@ -111,7 +110,7 @@ def register_class(names: Iterable[str]) -> type:
     At most MAX_REGISTERS names, none twice.  A name must be an
     identifier that is not a Python keyword, does not start with an
     underscore and does not shadow an attribute of a register file (keys,
-    copy).  Classes are shared between calls with the same names.
+    copy).
     """
     names = tuple(names)
     if len(names) > MAX_REGISTERS:
@@ -123,14 +122,8 @@ def register_class(names: Iterable[str]) -> type:
             raise ValueError("bad register name %r" % (name,))
     if len(set(names)) != len(names):
         raise ValueError("duplicate register names")
-    return _compiled_register_class(names)
-
-
-@functools.lru_cache(maxsize=64)
-def _compiled_register_class(names: tuple) -> type:
     cls = type("Registers", (Registers,),
-               {"__slots__": names, "_names": names,
-                "_name_set": frozenset(names)})
+               {"__slots__": names, "_names": names})
     # copy() is compiled to straight-line attribute code (the exec
     # technique of namedtuple and dataclasses): Runner.fork copies the
     # file at every branch of a sweep, and a getattr/setattr loop by name

@@ -13,7 +13,7 @@ from typing import Callable, NamedTuple
 from kumsim import blocklang, gadgets, kum_recognizer, smm_recognizer
 from kumsim.engine import EngineError, StorageGraph
 from kumsim.gadgets import BLANK, TAIL
-from kumsim.kum_recognizer import DEGREE_BOUND, KUM_CADENCE
+from kumsim.kum_recognizer import DEGREE_BOUND, KUM_CADENCE, VAL
 from kumsim.runtime import Program, RejectReason, Verdict, max_gap, run
 from kumsim.smm_recognizer import SMM_CADENCE
 
@@ -121,6 +121,29 @@ def levels(g, root, depth):
             break
         out.append(nxt)
     return out
+
+
+def kum_census(runner, k):
+    """The KUM's tries in runner's graph, from the end of its first index
+    field on, as counts: (index leaves, distinct per-value leaves,
+    value-trie leaves, nodes holding a val link).  k is the block width
+    n // 2.
+
+    Asserts that nothing hangs below the index leaves and that each index
+    leaf and its per-value leaf link val to val.
+    """
+    g = runner.graph
+    depth = k + 1  # the root's bit (a pad for even n), then k digits
+    idx = levels(g, 0, depth + 1)
+    assert len(idx) == depth + 1, "a level below the index leaves"
+    leaves = idx[depth]
+    pv_leaves = [g.neighbor(leaf, VAL) for leaf in leaves]
+    assert all(pv is not None and g.neighbor(pv, VAL) == leaf
+               for leaf, pv in zip(leaves, pv_leaves))
+    holders = sum(g.neighbor(v, VAL) is not None
+                  for v in range(g.graph_stats()["node_count"]))
+    values = levels(g, runner.registers.vroot, k)
+    return len(leaves), len(set(pv_leaves)), len(values[k]), holders
 
 
 def chain_bits(g, head, hi, lo):

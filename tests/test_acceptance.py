@@ -41,7 +41,7 @@ import time
 import helpers
 from kumsim import blocklang, cli
 from kumsim.blocklang import NegativeKind
-from kumsim.kum_recognizer import DEGREE_BOUND, KUM_CADENCE, VAL
+from kumsim.kum_recognizer import DEGREE_BOUND, KUM_CADENCE
 from kumsim.runtime import RejectReason, Runner, max_gap, run
 from kumsim.smm_recognizer import SMM_CADENCE
 
@@ -76,93 +76,62 @@ def _hash_run(h, s, res):
 
 # ---------------------------------------------------------------- check 1
 
-def _member_prefixes(max_len):
-    """All prefixes of all member strings of length <= max_len.
-
-    Derived from the instance grammar: 2^n blocks of n//2 bits plus two
-    n-bit fields fix the encoded length, so only n = 1 (length 6, 4
-    members) and n = 2 (length 14, 160 members) fit under 14.
-    """
-    prefixes = {""}
-    members = 0
-    for n in itertools.count(1):
-        k = n // 2
-        length = (2 ** n) * (k + 1) + 2 * n + 2
-        if length > max_len:
-            break
-        values = ["".join(bits) for bits in itertools.product("01", repeat=k)]
-        for blocks in itertools.product(values, repeat=2 ** n):
-            for xi in range(2 ** n):
-                for yi in range(2 ** n):
-                    if blocks[xi] != blocks[yi]:
-                        continue
-                    s = blocklang.encode(blocklang.Instance(
-                        n, blocks,
-                        format(xi, "0%db" % n), format(yi, "0%db" % n)))
-                    assert blocklang.member(s)
-                    members += 1
-                    for i in range(1, len(s) + 1):
-                        prefixes.add(s[:i])
-    return prefixes, members
-
-
 def _sweep_corpus():
     """Exhaustive verdict check on every string up to MAX_SWEEP_LEN.
 
     Depth-first over the prefix tree, forking both runners at branch
     points so shared prefixes are never replayed.  Once both machines
     have rejected a prefix, no extension can change either verdict, so
-    the subtree is skipped after checking that no member lies below it.
+    the subtree is skipped.  Every visited string the oracle accepts is
+    counted in members, so a prune over a member shows as one short.
     """
-    prefixes, members = _member_prefixes(MAX_SWEEP_LEN)
     h = hashlib.sha256()
-    state = {"visited": 0, "pruned": 0, "max_degree": 0, "faults": 0}
+    state = {"visited": 0, "pruned": 0, "members": 0, "max_degree": 0,
+             "faults": 0}
 
-    def note(runner, verdict=None):
-        d = runner.graph.graph_stats()["max_degree"]
+    def note_degree(kr):
+        d = kr.graph.graph_stats()["max_degree"]
         if d > state["max_degree"]:
             state["max_degree"] = d
-        if verdict is not None:
-            if verdict.reason is RejectReason.MACHINE_FAULT:
-                state["faults"] += 1
-            h.update(str(verdict).encode())
 
-    def visit(kr, sr, q):
+    def visit(runners, q):
         state["visited"] += 1
         want = blocklang.member(q)
-        kv = KUM_PROG.on_end(kr.graph, kr.registers).accepted if kr else False
-        sv = SMM_PROG.on_end(sr.graph, sr.registers).accepted if sr else False
-        assert kv == want and sv == want, \
-            "disagreement on %r: kum=%s smm=%s oracle=%s" % (q, kv, sv, want)
+        state["members"] += want
+        got = [r is not None
+               and r.program.on_end(r.graph, r.registers).accepted
+               for r in runners]
+        assert got == [want, want], \
+            "disagreement on %r: kum=%s smm=%s oracle=%s" % (q, *got, want)
         h.update(repr((q, want)).encode())
-        if kr is not None:
-            note(kr)
+        if runners[0] is not None:
+            note_degree(runners[0])
         if len(q) == MAX_SWEEP_LEN:
             return
         for i, ch in enumerate(ALPHABET):
             last = i == len(ALPHABET) - 1
-            knext = kr if (kr is None or last) else kr.fork()
-            snext = sr if (sr is None or last) else sr.fork()
-            if knext is not None and knext.feed(ch) is not None:
-                assert not knext.verdict.accepted
-                note(knext, knext.verdict)
-                knext = None
-            if snext is not None and snext.feed(ch) is not None:
-                assert not snext.verdict.accepted
-                if snext.verdict.reason is RejectReason.MACHINE_FAULT:
-                    state["faults"] += 1
-                h.update(str(snext.verdict).encode())
-                snext = None
-            if knext is None and snext is None:
-                # both rejected: sound to prune unless a member lives below
-                assert q + ch not in prefixes, \
-                    "pruned subtree containing member prefix %r" % (q + ch)
+            nexts = []
+            for r in runners:
+                if r is not None:
+                    if not last:
+                        r = r.fork()
+                    if r.feed(ch) is not None:
+                        v = r.verdict
+                        assert not v.accepted
+                        if r.program is KUM_PROG:
+                            note_degree(r)
+                        if v.reason is RejectReason.MACHINE_FAULT:
+                            state["faults"] += 1
+                        h.update(str(v).encode())
+                        r = None
+                nexts.append(r)
+            if nexts == [None, None]:
+                # both rejected: no extension can be accepted
                 state["pruned"] += 1
                 continue
-            visit(knext, snext, q + ch)
+            visit(nexts, q + ch)
 
-    visit(Runner(KUM_PROG), Runner(SMM_PROG), "")
-    state["members"] = members
+    visit([Runner(KUM_PROG), Runner(SMM_PROG)], "")
     state["fingerprint"] = h.hexdigest()
     return state
 
@@ -278,9 +247,8 @@ def _indegree_corpus():
     t0 = time.monotonic()
     for n in IN_DEGREE_NS:
         s = blocklang.encode(blocklang.gen_all_equal(n))
-        sres = run(SMM_PROG, s)
-        kres = run(KUM_PROG, s)
-        assert sres.verdict.accepted and kres.verdict.accepted, n
+        sres = helpers.check_run("smm", s, 2 ** n)
+        kres = helpers.check_run("kum", s, 2 ** n)
         rows.append((n, sres.stats["max_in_degree"], kres.stats["max_degree"]))
         _hash_run(h, s, sres)
         _hash_run(h, s, kres)
@@ -309,29 +277,18 @@ def _structure_corpus():
         rng = random.Random(0xACC5 + n)
         insts = [blocklang.gen_positive(n, rng) for _ in range(19)]
         insts.append(blocklang.gen_all_equal(n))
-        depth = n // 2 + 1  # index trie: the root's bit, then k digits
         for inst in insts:
             s = blocklang.encode(inst)
             cut = s.index("#", s.index("#") + 1)  # closes the x field
             r = Runner(KUM_PROG)
             for ch in s[:cut + 1]:
                 assert r.feed(ch) is None, (n, s)
-            g = r.graph
-            idx = helpers.levels(g, 0, depth)
-            assert len(idx[depth]) == 2 ** n, (n, len(idx[depth]))
-            # each index leaf and its per-value leaf link val to val, and
-            # no other node holds a val link
-            pv_leaves = [g.neighbor(leaf, VAL) for leaf in idx[depth]]
-            assert all(pv is not None and g.neighbor(pv, VAL) == leaf
-                       for leaf, pv in zip(idx[depth], pv_leaves)), (n, s)
-            nodes = range(g.graph_stats()["node_count"])
-            holders = sum(g.neighbor(v, VAL) is not None for v in nodes)
-            assert holders == 2 ** (n + 1), (n, holders)
-            vlv = helpers.levels(g, r.registers.vroot, inst.k)
-            assert len(vlv[inst.k]) == len(set(inst.blocks)), (n, s)
-            h.update(repr((s[:cut + 1], len(idx[depth]), len(vlv[inst.k]),
-                           len(set(pv_leaves)),
-                           g.graph_stats()["max_degree"])).encode())
+            leaves, pv_leaves, values, holders = helpers.kum_census(
+                r, inst.k)
+            assert leaves == 2 ** n and holders == 2 ** (n + 1), (n, s)
+            assert values == len(set(inst.blocks)), (n, s)
+            h.update(repr((s[:cut + 1], leaves, values, pv_leaves,
+                           r.stats["max_degree"])).encode())
             checked += 1
     return {"checked": checked, "fingerprint": h.hexdigest()}
 

@@ -12,7 +12,6 @@ import pytest
 from kumsim import blocklang
 from kumsim.engine import StorageGraph
 from kumsim.gadgets import CHAIN0, CUR_HI, CUR_LO, PALETTE, TAIL
-from kumsim.kum_recognizer import VAL
 from kumsim.runtime import RejectReason, Runner, max_gap, run
 from kumsim.smm_recognizer import V
 
@@ -255,25 +254,10 @@ def test_structure_counts_after_accepting_run():
     assert blocklang.member(s)
     res = run(KUM, s)
     assert res.verdict.accepted
-    g = res.graph
-    depth = inst.k + 1  # the root's bit (a pad for even n), then k digits
-    lv = helpers.levels(g, 0, depth + 1)
-    assert len(lv) == depth + 1  # and no level below the leaves
-    assert len(lv[depth]) == 2 ** inst.n  # one index leaf per block
-    # every index leaf and its per-value leaf link val to val
-    pv_leaves = set()
-    for leaf in lv[depth]:
-        pv_leaf = g.neighbor(leaf, VAL)
-        assert g.neighbor(pv_leaf, VAL) == leaf
-        pv_leaves.add(pv_leaf)
-    # value trie has one leaf per distinct block value
-    vlv = helpers.levels(g, res.registers.vroot, inst.k)
-    assert len(vlv[inst.k]) == len(set(inst.blocks))
-    # one per-value leaf per index, and no other node holds a val link
-    assert len(pv_leaves) == 2 ** inst.n
-    nodes = range(g.graph_stats()["node_count"])
-    assert sum(g.neighbor(v, VAL) is not None for v in nodes) == \
-        2 ** (inst.n + 1)
+    # one index leaf per block, one per-value leaf per index, one value
+    # leaf per distinct block value, and no other node holds a val link
+    assert helpers.kum_census(res, inst.k) == (
+        2 ** inst.n, 2 ** inst.n, len(set(inst.blocks)), 2 ** (inst.n + 1))
 
 
 def test_nodes_per_symbol():

@@ -11,7 +11,7 @@ from kumsim.blocklang import encode, gen_positive
 from kumsim.engine import ModelKind, StorageGraph
 from kumsim.runtime import (
     Program, RejectReason, Registers, Runner, Trace, Verdict,
-    max_gap, mean_gap, register_class, run,
+    max_gap, mean_gap, run,
 )
 
 KUM = helpers.MACHINES["kum"].prog
@@ -238,6 +238,10 @@ def test_registers_are_attributes_for_handlers_and_a_map_for_the_harness():
         regs["counter"]
     with pytest.raises(KeyError):
         regs["keys"] = 1
+    with pytest.raises(KeyError):                   # unhashable keys too
+        regs[["cursor"]]
+    with pytest.raises(KeyError):
+        regs[{"cursor": 0}] = 1
     twin = r.fork().registers
     twin.count = 6
     assert regs.count == 5 and twin.cursor == 0
@@ -440,13 +444,6 @@ def test_streaming_prefix_consistency(text, cut):
 
 
 # -- the real recognizers' register files and forks ------------------------
-
-def test_register_classes_are_shared_by_name_set():
-    assert KUM.register_class is helpers.MACHINES["kum"].build(
-        None).register_class
-    assert register_class(("a", "b")) is register_class(["a", "b"])
-    assert register_class(("a", "b")) is not register_class(("b", "a"))
-
 
 def _register_writes(names):
     return st.lists(st.tuples(st.sampled_from(names),
