@@ -12,9 +12,9 @@ from typing import Callable, NamedTuple
 
 from kumsim import blocklang, gadgets, kum_recognizer, smm_recognizer
 from kumsim.engine import EngineError, StorageGraph
-from kumsim.gadgets import BLANK, TAIL
+from kumsim.gadgets import BLANK, CHAIN0, TAIL
 from kumsim.kum_recognizer import DEGREE_BOUND, KUM_CADENCE, VAL
-from kumsim.runtime import Program, RejectReason, Verdict, max_gap, run
+from kumsim.runtime import Program, RejectReason, Verdict, run
 from kumsim.smm_recognizer import SMM_CADENCE
 
 # Child ports 0 to 3, one per digit, on both machines.
@@ -23,29 +23,68 @@ CHILD_PORTS = range(4)
 
 class Machine(NamedTuple):
     build: Callable    # build(None) is the unpadded program
-    prog: Program      # build(), padded to the cadence, on GrowOnlyGraphs
+    prog: Program      # build(), padded to the cadence, on CheckedGraphs
     cadence: int       # the pinned cadence
     fan_in: Callable   # fan_in(stats, m): the fan-in law, see check_run
     wire: Callable     # build's wire hook
 
 
-class GrowOnlyGraph(StorageGraph):
-    """A graph that asserts the machine only grows it: unlink raises
-    AssertionError, and set_pointer asserts that the port it aims is
-    empty, reading the graph's own columns at no step cost.  (link
-    already refuses an occupied port.)"""
+class CheckedGraph(StorageGraph):
+    """A graph that asserts what every run must do and counts what an
+    accepting run must not.  Checks and counts read the graph's own
+    columns and cost no steps.
 
-    __slots__ = ()
+    It asserts that the machine only grows it (unlink raises, and
+    set_pointer aims only an empty port; link already refuses an occupied
+    one) and reads only chain codes, the colors of the counter chain and
+    the KUM's y queue: a trie node is blank, and a machine knows a KUM
+    per-value leaf by its val link.  noop_writes counts set_color calls
+    that write the color the node already has; empty_probes counts
+    neighbor probes of a child port of a blank node none of whose child
+    ports is occupied.
+    """
+
+    __slots__ = ("noop_writes", "empty_probes")
+
+    def __init__(self, *args):
+        StorageGraph.__init__(self, *args)
+        self.noop_writes = self.empty_probes = 0
 
     def unlink(self, a, p):
-        raise AssertionError("grow-only graph: unlink(%r, %r)" % (a, p))
+        raise AssertionError("checked graph: unlink(%r, %r)" % (a, p))
 
     def set_pointer(self, a, d, b):
         if (type(a) is int and type(d) is int
                 and 0 <= a < self._node_count and 0 <= d < self._nports):
             assert self._adj[a * self._nports + d] < 0, \
-                "grow-only graph: set_pointer(%r, %r) retargets" % (a, d)
+                "checked graph: set_pointer(%r, %r) retargets" % (a, d)
         StorageGraph.set_pointer(self, a, d, b)
+
+    def get_color(self, a):
+        c = StorageGraph.get_color(self, a)
+        assert c >= CHAIN0, "checked graph: get_color(%r) reads %r" % (a, c)
+        return c
+
+    def set_color(self, a, c):
+        old = (self._color[a] if type(a) is int and 0 <= a < self._node_count
+               else None)
+        StorageGraph.set_color(self, a, c)
+        if old == c:
+            self.noop_writes += 1
+
+    def neighbor(self, a, p):
+        v = StorageGraph.neighbor(self, a, p)
+        if v is None and p in CHILD_PORTS and self._color[a] == BLANK:
+            row = a * self._nports
+            if max(self._adj[row:row + len(CHILD_PORTS)]) < 0:
+                self.empty_probes += 1
+        return v
+
+    def fork(self):
+        g = StorageGraph.fork(self)
+        g.noop_writes = self.noop_writes
+        g.empty_probes = self.empty_probes
+        return g
 
 
 def on_graphs(cls, prog):
@@ -58,13 +97,13 @@ def on_graphs(cls, prog):
 
 MACHINES = {
     "kum": Machine(kum_recognizer.build_kum_recognizer,
-                   on_graphs(GrowOnlyGraph,
+                   on_graphs(CheckedGraph,
                              kum_recognizer.build_kum_recognizer()),
                    KUM_CADENCE,
                    lambda stats, m: stats["max_degree"] == DEGREE_BOUND,
                    kum_recognizer._wire),
     "smm": Machine(smm_recognizer.build_smm_recognizer,
-                   on_graphs(GrowOnlyGraph,
+                   on_graphs(CheckedGraph,
                              smm_recognizer.build_smm_recognizer()),
                    SMM_CADENCE,
                    lambda stats, m: stats["max_in_degree"] == m,
@@ -75,9 +114,12 @@ MACHINES = {
 def check_run(machine, s, m=None):
     """Run MACHINES[machine] on s and return the result, asserting what
     every corpus asserts of a run: the verdict is member(s) and no
-    machine fault; no gap exceeds the cadence, and an accepting run's
-    largest gap is the cadence; the KUM's degree stays within
-    DEGREE_BOUND; the graph only grows (GrowOnlyGraph).
+    machine fault; the graph only grows and the machine reads only chain
+    codes (CheckedGraph) and rewrites no node's color with its own; no
+    gap exceeds the cadence; the KUM's degree stays within DEGREE_BOUND.
+    An accepting run also probes no childless trie node and has a flat
+    gap profile: no steps before its first symbol, and every symbol costs
+    the cadence.
 
     m, when given, is the most blocks of s that share one value, and s
     must complete its block section.  Then the fan-in law holds too: the
@@ -86,12 +128,17 @@ def check_run(machine, s, m=None):
     """
     mach = MACHINES[machine]
     res = run(mach.prog, s)
-    v = res.verdict
+    v, g = res.verdict, res.graph
     assert v.accepted == blocklang.member(s), (machine, s, str(v))
     assert v.reason is not RejectReason.MACHINE_FAULT, (machine, s)
-    gap = max_gap(res.trace)
-    assert gap <= mach.cadence and (gap == mach.cadence or not v.accepted), \
-        (machine, s, gap)
+    assert g.noop_writes == 0, ("no-op set_color", machine, s)
+    gaps = res.trace.gaps()
+    if v.accepted:
+        assert g.empty_probes == 0, ("probe of a childless node", machine, s)
+        assert gaps[0] == 0 and set(gaps[1:]) == {mach.cadence}, \
+            ("gap profile not flat", machine, s, sorted(set(gaps)))
+    else:
+        assert max(gaps) <= mach.cadence, (machine, s, max(gaps))
     if machine == "kum":
         assert res.stats["max_degree"] <= DEGREE_BOUND, (s, res.stats)
     if m is not None:
@@ -214,41 +261,3 @@ def faulting_kum_builder():
         return v
 
     return dataclasses.replace(prog, on_symbol=faulting_on_symbol)
-
-
-class WasteCountingGraph(StorageGraph):
-    """A graph that counts the primitives whose outcome the machine knew.
-
-    noop_writes counts set_color calls that write the color the node
-    already has.  empty_probes counts neighbor probes of a child port (0
-    to 3 on both machines) of a trie node (BLANK, as is the initial node,
-    the index trie's root) none of whose child ports is occupied.  Counting
-    reads the graph's own columns and costs no steps.
-    """
-
-    __slots__ = ("noop_writes", "empty_probes")
-
-    def __init__(self, *args):
-        StorageGraph.__init__(self, *args)
-        self.noop_writes = self.empty_probes = 0
-
-    def set_color(self, a, c):
-        old = (self._color[a] if type(a) is int and 0 <= a < self._node_count
-               else None)
-        StorageGraph.set_color(self, a, c)
-        if old == c:
-            self.noop_writes += 1
-
-    def neighbor(self, a, p):
-        v = StorageGraph.neighbor(self, a, p)
-        if p in CHILD_PORTS and self._color[a] == BLANK:
-            row = a * self._nports
-            if all(self._adj[row + q] < 0 for q in CHILD_PORTS):
-                self.empty_probes += 1
-        return v
-
-    def fork(self):
-        g = StorageGraph.fork(self)
-        g.noop_writes = self.noop_writes
-        g.empty_probes = self.empty_probes
-        return g

@@ -71,6 +71,13 @@ def test_nine_of_ten_inside_the_base_iqr_holds():
     assert row["verdict"] == "held"
 
 
+def test_fewer_than_ten_pairs_give_no_gain():
+    assert bench_ab.verdict([10.0], [9.0], "lower", 0.25) == "held"
+    row = _row(LOWER, [10.0, 10.1, 10.2], [8.0, 8.1, 8.2])
+    assert row["wins"] == {"base": 0, "change": 3}
+    assert row["verdict"] == "held"
+
+
 def test_regression_past_the_bound_is_worse():
     base = [10.0 + 0.1 * i for i in range(10)]
     assert _row(LOWER, base, [v * 1.3 for v in base])["verdict"] == "worse"

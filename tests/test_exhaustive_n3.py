@@ -2,9 +2,9 @@
 
 n = 3 has 2^3 one-bit blocks, so 2^8 block assignments, and 8 x 8 index
 pairs: 16,384 strings, about a quarter of them members.  Each run
-passes helpers.check_run: it must agree with the reference predicate,
-end without a machine fault, keep every gap within the cadence, and,
-when it accepts, reach it.  Each run also obeys the fan-in law: the
+passes helpers.check_run: among its checks, it must agree with the
+reference predicate, end without a machine fault, and, when it accepts,
+cost the cadence on every symbol.  Each run also obeys the fan-in law: the
 directed machine's largest in-degree is m, the largest number of blocks
 sharing one value (each value's representative is aimed at by exactly
 its carriers' index leaves, no other node has in-degree above 2, and

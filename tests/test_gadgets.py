@@ -125,7 +125,7 @@ def _priced(g, level):
 
 
 @pytest.mark.parametrize("machine", sorted(helpers.MACHINES))
-def test_descend_follows_probes_or_creates(machine):
+def test_value_and_prev_levels_follow_probes_or_create(machine):
     mach = helpers.MACHINES[machine]
     g = mach.prog.graph_factory()
     root = g.initial_node

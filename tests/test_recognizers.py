@@ -1,8 +1,7 @@
-"""Both recognizers: verdicts and reject reasons, the counter chain, the
-flat gap at the cadence, the real-time constant across n, the last
-index's lookups and verdicts against the oracle, run once per machine,
-check_run's refusal of a graph that shrinks, and the colors a machine
-reads; then the structure each machine builds."""
+"""Both recognizers: verdicts, fan-in and reject reasons, the counter
+chain, the last index's lookups and verdicts against the oracle, run once
+per machine, each through helpers.check_run, and check_run's refusal of
+each damage it checks for; then the structure each machine builds."""
 
 import dataclasses
 import random
@@ -10,9 +9,9 @@ import random
 import pytest
 
 from kumsim import blocklang
-from kumsim.engine import StorageGraph
-from kumsim.gadgets import CHAIN0, CUR_HI, CUR_LO, PALETTE, TAIL
-from kumsim.runtime import RejectReason, Runner, max_gap, run
+from kumsim.gadgets import BLANK, CUR_HI, CUR_LO, TAIL
+from kumsim.kum_recognizer import DEGREE_BOUND
+from kumsim.runtime import RejectReason, Runner, run
 from kumsim.smm_recognizer import V
 
 import helpers
@@ -21,14 +20,16 @@ each_machine = pytest.mark.parametrize("machine", sorted(helpers.MACHINES))
 KUM = helpers.MACHINES["kum"].prog
 SMM = helpers.MACHINES["smm"].prog
 
+# (input, most blocks sharing one value, verdict)
 KNOWN = [
-    ("0@1@0@1#00#10#", True),
-    ("0@1@0@1#00#01#", False),
-    ("1@1@1@1#00#11#", True),
+    ("0@1@0@1#00#10#", 2, True),
+    ("0@1@0@1#00#01#", 2, False),
+    ("1@1@1@1#00#11#", 4, True),
     # x == y is a membership witness regardless of the values
-    ("0@1@0@1#11#11#", True),
+    ("0@1@0@1#11#11#", 2, True),
     # n = 1: both blocks are empty, so every well-formed string accepts
-    ("@#0#0#", True), ("@#0#1#", True), ("@#1#0#", True), ("@#1#1#", True),
+    ("@#0#0#", 2, True), ("@#0#1#", 2, True), ("@#1#0#", 2, True),
+    ("@#1#1#", 2, True),
 ]
 
 REJECTS = [
@@ -59,8 +60,13 @@ REJECTS = [
 
 @each_machine
 def test_known_verdicts(machine):
-    for s, want in KNOWN:
-        assert helpers.check_run(machine, s).verdict.accepted is want, s
+    # the fan-in law holds on both machines, except that at n = 1 no KUM
+    # node fills its DEGREE_BOUND ports
+    for s, m, want in KNOWN:
+        kum_n1 = machine == "kum" and s.startswith("@")
+        res = helpers.check_run(machine, s, None if kum_n1 else m)
+        assert res.verdict.accepted is want, s
+        assert not kum_n1 or res.stats["max_degree"] < DEGREE_BOUND, s
 
 
 @each_machine
@@ -97,58 +103,50 @@ def test_counter_chain_at_every_boundary(machine, n):
     assert r.finish().verdict.accepted
 
 
-def _damaged_at_boundaries(machine, damage):
-    """MACHINES[machine] with damage(g, R) run after each '@', where the
-    chain's head is wired at TAIL."""
+def _at_boundaries(damage):
+    """A change of a machine's program: damage(g, R) runs after each '@',
+    where the chain's head is wired at TAIL."""
+    def change(mach):
+        real = mach.prog.on_symbol
+
+        def on_symbol(g, R, ch):
+            v = real(g, R, ch)
+            if ch == "@":
+                damage(g, R)
+            return v
+        return dataclasses.replace(mach.prog, on_symbol=on_symbol)
+    return change
+
+
+# (machine, change of its program, check_run's message); each damage
+# spends few enough steps to keep within the cadence
+DAMAGES = {
+    "unlink": ("kum", _at_boundaries(lambda g, R: g.unlink(R.c_head, TAIL)),
+               "checked graph: unlink"),
+    "retarget": ("smm", _at_boundaries(
+        lambda g, R: g.set_pointer(R.c_head, TAIL, R.c_head)),
+        "checked graph: set_pointer.* retargets"),
+    "blank-read": ("smm", _at_boundaries(lambda g, R: g.get_color(R.vroot)),
+                   r"checked graph: get_color\(\d+\) reads 0"),
+    "own-color": ("kum", _at_boundaries(
+        lambda g, R: g.set_color(R.c_head, g.get_color(R.c_head))),
+        "no-op set_color"),
+    "childless-probe": ("kum", _at_boundaries(
+        lambda g, R: g.neighbor(g.create_node(BLANK), 0)),
+        "probe of a childless node"),
+    "unpadded": ("smm", lambda mach: helpers.on_graphs(
+        helpers.CheckedGraph, mach.build(None)), "gap profile not flat"),
+}
+
+
+@pytest.mark.parametrize("damage", DAMAGES)
+def test_check_run_fails_a_damaged_program(damage, monkeypatch):
+    machine, change, message = DAMAGES[damage]
     mach = helpers.MACHINES[machine]
-    real = mach.prog.on_symbol
-
-    def on_symbol(g, R, ch):
-        v = real(g, R, ch)
-        if ch == "@":
-            damage(g, R)
-        return v
-    return mach._replace(prog=dataclasses.replace(mach.prog,
-                                                  on_symbol=on_symbol))
-
-
-@each_machine
-def test_check_run_fails_a_program_that_unlinks(machine, monkeypatch):
-    monkeypatch.setitem(helpers.MACHINES, machine, _damaged_at_boundaries(
-        machine, lambda g, R: g.unlink(R.c_head, TAIL)))
-    with pytest.raises(AssertionError, match="grow-only graph: unlink"):
+    monkeypatch.setitem(helpers.MACHINES, machine,
+                        mach._replace(prog=change(mach)))
+    with pytest.raises(AssertionError, match=message):
         helpers.check_run(machine, "0@1@0@1#00#10#")
-
-
-def test_check_run_fails_a_program_that_retargets_a_pointer(monkeypatch):
-    monkeypatch.setitem(helpers.MACHINES, "smm", _damaged_at_boundaries(
-        "smm", lambda g, R: g.set_pointer(R.c_head, TAIL, R.c_head)))
-    with pytest.raises(AssertionError, match="retargets"):
-        helpers.check_run("smm", "0@1@0@1#00#10#")
-
-
-@each_machine
-def test_gap_profile_is_flat_at_cadence(machine):
-    # every symbol of every accepting run costs the cadence, at every n
-    cadence = helpers.MACHINES[machine].cadence
-    rng = random.Random(5)
-    for n in (1, 2, 3, 5, 8):
-        s = blocklang.encode(blocklang.gen_positive(n, rng))
-        gaps = helpers.check_run(machine, s).trace.gaps()
-        assert gaps[0] == 0 and set(gaps[1:]) == {cadence}, s
-
-
-@each_machine
-def test_real_time_report_constant_across_n(machine):
-    # the real-time constant the profile reports, max_gap, is the cadence
-    # in every run at every n, and no symbol of those runs costs less
-    cadence = helpers.MACHINES[machine].cadence
-    rng = random.Random(6)
-    for n in (1, 2, 3, 4, 6):
-        for _ in range(5):
-            s = blocklang.encode(blocklang.gen_positive(n, rng))
-            tr = helpers.check_run(machine, s).trace
-            assert max_gap(tr) == cadence == min(tr.gaps()[1:]), (n, s)
 
 
 @each_machine
@@ -184,7 +182,8 @@ def test_flags_hold_bools_and_carries_bits(machine):
     flags = ("f_past", "f_lead", "f_ifresh", "f_vtfresh", "f_pvfresh")
     carries = ("f_lo", "f_pvlo")
     positive = blocklang.gen_positive(4, random.Random(4))
-    inputs = [s for s, _ in KNOWN + REJECTS] + [blocklang.encode(positive)]
+    inputs = ([s for s, _, _ in KNOWN] + [s for s, _ in REJECTS]
+              + [blocklang.encode(positive)])
     for s in inputs:
         r = Runner(helpers.MACHINES[machine].prog)
         for ch in s:
@@ -211,39 +210,6 @@ def test_differential_against_oracle(machine):
                 if rng.random() < 0.5:
                     chars[rng.randrange(len(chars))] = rng.choice("01@#")
                 helpers.check_run(machine, "".join(chars))
-
-
-class _ColorReadingGraph(StorageGraph):
-    """A graph that records every color get_color returns, at no step
-    cost."""
-
-    __slots__ = ("colors_read",)
-
-    def __init__(self, *args):
-        StorageGraph.__init__(self, *args)
-        self.colors_read = set()
-
-    def get_color(self, a):
-        c = StorageGraph.get_color(self, a)
-        self.colors_read.add(c)
-        return c
-
-
-@each_machine
-def test_every_color_read_is_a_chain_code(machine):
-    # a machine reads colors only off the counter chain and the KUM's y
-    # queue, never blank, the trie nodes' color: a KUM per-value leaf is
-    # known by its val link
-    prog = helpers.on_graphs(_ColorReadingGraph,
-                             helpers.MACHINES[machine].build())
-    inputs = [s for s, _ in KNOWN + REJECTS]
-    for n in range(1, 7):
-        inputs.append(blocklang.encode(
-            blocklang.gen_positive(n, random.Random(n))))
-        inputs.append(blocklang.encode(blocklang.gen_all_equal(n)))
-    for s in inputs:
-        read = run(prog, s).graph.colors_read
-        assert all(CHAIN0 <= c < len(PALETTE) for c in read), (s, read)
 
 
 # -- the bounded machine's tries ---------------------------------------------

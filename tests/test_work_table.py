@@ -66,26 +66,33 @@ def _corpus():
             yield blocklang.encode(inst)
 
 
+def _tally(top, s, res):
+    """Raise each segment's maximum in top to the work of s's symbols in
+    it, and return the total work of res, s's accepting run."""
+    assert res.verdict.accepted, s
+    work = res.trace.gaps()[1:]  # work of each symbol; on_end costs nothing
+    for seg, w in zip(_segments(s), work):
+        if w > top[seg]:
+            top[seg] = w
+    return sum(work)
+
+
 @functools.cache
 def _work(machine):
-    """The machine's per-segment maxima, as a dict, and its total steps
-    and symbols over the corpus."""
-    prog = helpers.MACHINES[machine].build(None)
+    """The machine's per-segment maxima, as a dict, its total steps and
+    symbols over the corpus, and its no-op writes and empty probes
+    (helpers.CheckedGraph) summed over the corpus."""
+    prog = helpers.on_graphs(helpers.CheckedGraph,
+                             helpers.MACHINES[machine].build(None))
     top = dict.fromkeys(SEGMENTS, 0)
-    steps = symbols = 0
+    steps = symbols = noop_writes = empty_probes = 0
     for s in _corpus():
-        r = Runner(prog)
-        for ch in s:
-            assert r.feed(ch) is None, s
-        res = r.finish()
-        assert res.verdict.accepted, s
-        # gap i + 1 is the work of symbol i; on_end costs nothing
-        for seg, work in zip(_segments(s), res.trace.gaps()[1:]):
-            if work > top[seg]:
-                top[seg] = work
-            steps += work
+        res = run(prog, s)
+        steps += _tally(top, s, res)
         symbols += len(s)
-    return top, steps, symbols
+        noop_writes += res.graph.noop_writes
+        empty_probes += res.graph.empty_probes
+    return top, steps, symbols, (noop_writes, empty_probes)
 
 
 @pytest.mark.parametrize("machine", sorted(helpers.MACHINES))
@@ -97,7 +104,7 @@ def test_per_segment_work_maxima(machine):
 
 @pytest.mark.parametrize("machine", sorted(helpers.MACHINES))
 def test_total_work(machine):
-    assert _work(machine)[1:] == WORK_TOTALS[machine]
+    assert _work(machine)[1:3] == WORK_TOTALS[machine]
 
 
 @pytest.mark.parametrize("machine", sorted(helpers.MACHINES))
@@ -108,11 +115,8 @@ def test_y_field_worst_symbol(machine):
     prog = mach.build(None)
     for n in (11, 13):
         s = blocklang.encode(blocklang.gen_positive(n, random.Random(n)))
-        res = run(prog, s)
-        assert res.verdict.accepted, n
         top = dict.fromkeys(SEGMENTS, 0)
-        for seg, work in zip(_segments(s), res.trace.gaps()[1:]):
-            top[seg] = max(top[seg], work)
+        _tally(top, s, run(prog, s))
         assert top["y"] == Y_MAXIMA[machine], (n, top)
         assert max(top.values()) <= mach.cadence, (n, top)
 
@@ -121,30 +125,21 @@ def test_y_field_worst_symbol(machine):
 def test_no_wasted_primitive(machine):
     # no set_color rewrites a node's own color, and no neighbor probes a
     # child port of a trie node that has no child
-    prog = helpers.on_graphs(helpers.WasteCountingGraph,
-                             helpers.MACHINES[machine].build(None))
-    noop_writes = empty_probes = 0
-    for s in _corpus():
-        res = run(prog, s)
-        assert res.verdict.accepted, s
-        noop_writes += res.graph.noop_writes
-        empty_probes += res.graph.empty_probes
-    assert (noop_writes, empty_probes) == (0, 0)
+    assert _work(machine)[3] == (0, 0)
 
 
 def test_forked_waste_counter_keeps_counting():
     # a sweep forks its runners: the fork of a counting graph must be a
     # counting graph that starts from the same counts and counts on alone
-    prog = helpers.on_graphs(helpers.WasteCountingGraph,
-                             helpers.MACHINES["kum"].build(None))
-    r = Runner(prog)
+    r = Runner(helpers.MACHINES["kum"].prog)
     for ch in "01@":
         assert r.feed(ch) is None
-    r.graph.set_color(0, r.graph.get_color(0))
+    head = r.registers.c_head
+    r.graph.set_color(head, r.graph.get_color(head))
     f = r.fork()
-    assert type(f.graph) is helpers.WasteCountingGraph
+    assert type(f.graph) is helpers.CheckedGraph
     assert (f.graph.noop_writes, f.graph.empty_probes) == (1, 0)
-    f.graph.set_color(0, f.graph.get_color(0))
+    f.graph.set_color(head, f.graph.get_color(head))
     leaf = f.graph.create_node(BLANK)
     f.graph.neighbor(leaf, ZERO)
     assert (f.graph.noop_writes, f.graph.empty_probes) == (2, 1)

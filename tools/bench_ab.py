@@ -99,8 +99,9 @@ def verdict(base, change, better, bound):
     """The change's verdict on one metric, from its values in the same
     pairs on each side:
 
-    - "gain": the change wins at least 9 pairs in 10, and its median is
-      better than the base's by more than the base's IQR;
+    - "gain": over at least ten pairs, the change wins at least 9 pairs
+      in 10, and its median is better than the base's by more than the
+      base's IQR;
     - "worse": its median is worse than the base's by more than bound
       times the base's median;
     - "unresolved": the base's IQR exceeds bound times its median, and
@@ -111,7 +112,8 @@ def verdict(base, change, better, bound):
     q1, med, q3 = quartiles(base)
     ahead = sign * (med - quartiles(change)[1])
     room = bound * abs(med)
-    if (10 * wins(base, change, better)["change"] >= 9 * len(base)
+    if (len(base) >= 10
+            and 10 * wins(base, change, better)["change"] >= 9 * len(base)
             and ahead > q3 - q1):
         return "gain"
     if -ahead > room:
